@@ -64,7 +64,6 @@ def _add_measure_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iter", type=int, default=None)
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     parser.add_argument("--out", type=Path, default=None)
-    parser.add_argument("--seed", type=int, default=None, help="reserved; no effect")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -157,11 +156,15 @@ def _max_iter(args: argparse.Namespace) -> int:
     return DEFAULT_MAX_ITERATIONS
 
 
-def _print_report(name: str, report: MeasureReport, args: argparse.Namespace) -> None:
+def _print_report(
+    name: str, report: MeasureReport, args: argparse.Namespace, max_iter: int
+) -> None:
+    # Only a power iteration can fail, at its cap max_iter; report.iterations
+    # sums every solve of the report, so it is not the cap.
     if not report.converged:
         print(
             f"warning: eigenvalue computation did not converge within "
-            f"{report.iterations} iterations; using the estimate",
+            f"{max_iter} iterations; using the estimate",
             file=sys.stderr,
         )
     if report.undefined:
@@ -187,7 +190,7 @@ def _run_quotient_command(args: argparse.Namespace) -> int:
             print("error: coverage is defined over the eigenvalue measure", file=sys.stderr)
             return EXIT_INAPPLICABLE
         report = coverage(x, y, args.tol, max_iter)
-    _print_report(args.command, report, args)
+    _print_report(args.command, report, args, max_iter)
     return EXIT_OK
 
 

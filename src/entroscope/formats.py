@@ -193,11 +193,8 @@ def read_log(text: str) -> EventLog:
 def write_log(log: EventLog) -> str:
     """Serialise a log; repeated lines encode multiplicities."""
     lines = []
-    for trace in sorted(
-        log.entries, key=lambda t: tuple(sort_key(lab) for lab in t)
-    ):
-        line = " ".join(lab.display for lab in trace)
-        lines.extend([line] * log.entries[trace])
+    for trace, mult in sorted(log, key=lambda item: tuple(sort_key(lab) for lab in item[0])):
+        lines.extend([" ".join(lab.display for lab in trace)] * mult)
     return "".join(line + "\n" for line in lines)
 
 

@@ -1,22 +1,36 @@
 """Language measures, quotients, and the precision/recall/coverage pipeline.
 
-The pipeline follows one fixed order: determinize if needed, trim and
-minimize, intersect the minimal automata, and only then short-circuit each
-operand.  Short-circuiting before intersecting would make the loop-back
-marker part of the compared languages, so it is structurally impossible
-here: ``intersect`` rejects short-circuited inputs.
+Two automata (``coverage``, ``precision_and_recall``, ``quotient``) are
+compared in one fixed order: determinize if needed, trim and minimize each
+operand, intersect the minimal automata and minimize the product, and only
+then short-circuit.  Short-circuiting before intersecting would make the
+loop-back marker part of the compared languages, so it is structurally
+impossible here: ``intersect`` rejects short-circuited inputs.
+
+A specification and an event log (``precision``, ``recall``) are compared
+without an automaton of the log.  The log's language and its intersection
+with the specification are finite, and a finite language is measured by its
+length profile, the number of distinct words of each length: its
+cardinality is their sum and its eigenvalue comes from
+``spectral.length_profile_eigenvalue``.  The shared language is the set of
+distinct traces that the minimal specification DFA accepts on replay; a
+label outside the specification alphabet fails to move, just as
+``intersect`` keeps only the common alphabet.  Only the specification's own
+measure needs an automaton.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
 from .automata import (
     Dfa,
     Nfa,
+    accepts,
     as_dfa,
     count_words,
     determinize,
@@ -24,14 +38,14 @@ from .automata import (
     is_deterministic,
     minimize,
     short_circuit,
-    trim,
 )
-from .logs import EventLog, prefix_tree_acceptor
+from .logs import EventLog
 from .spectral import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
     EigenResult,
     adjacency_matrix,
+    length_profile_eigenvalue,
     perron_frobenius,
 )
 
@@ -78,12 +92,10 @@ class MeasureReport:
 
 
 def _measure(d: Dfa, kind: MeasureKind, tol: float, max_iter: int) -> tuple[float, AutomatonStats]:
+    """Measure of ``L(d)``; ``d`` must already be minimal."""
     if kind is MeasureKind.CARDINALITY:
-        counted = minimize(d)
-        return float(count_words(counted)), AutomatonStats(
-            counted.state_count, len(counted.transitions)
-        )
-    circuited = short_circuit(minimize(d))
+        return float(count_words(d)), AutomatonStats(d.state_count, len(d.transitions))
+    circuited = short_circuit(d)
     result = perron_frobenius(adjacency_matrix(circuited), tol, max_iter)
     return result.value, AutomatonStats(
         circuited.state_count, len(circuited.transitions), result
@@ -96,13 +108,43 @@ def eig_short_circuit_measure(
     """Dominant eigenvalue of the short-circuited minimal automaton of ``L(d)``."""
     if d.short_circuited:
         raise ValueError("input is already short-circuited")
-    value, _ = _measure(as_dfa(trim(d)), MeasureKind.SHORT_CIRCUIT_EIGENVALUE, tol, max_iter)
+    value, _ = _measure(minimize(d), MeasureKind.SHORT_CIRCUIT_EIGENVALUE, tol, max_iter)
     return value
 
 
 def cardinality_measure(d: Dfa) -> float:
     """Exact word count of a finite language, as a real."""
     return float(count_words(d))
+
+
+def _length_profiles(spec: Dfa, log: EventLog) -> tuple[Counter[int], Counter[int]]:
+    """Distinct traces per length: those ``spec`` accepts, and all of them."""
+    shared: Counter[int] = Counter()
+    recorded: Counter[int] = Counter()
+    for trace, _ in log:
+        recorded[len(trace)] += 1
+        if accepts(spec, trace.events):
+            shared[len(trace)] += 1
+    return shared, recorded
+
+
+def _profile_measure(profile: Counter[int], kind: MeasureKind) -> tuple[float, AutomatonStats]:
+    """Measure of a finite language given by its length profile.
+
+    The stats describe the graph whose eigenvalue that is: the chain
+    ``0 -> 1 -> ... -> K`` up to the longest length ``K``, plus one loop-back
+    to the start per distinct length.
+    """
+    longest = max(profile, default=0)
+    states, transitions = longest + 1, longest + len(profile)
+    if kind is MeasureKind.CARDINALITY:
+        return float(sum(profile.values())), AutomatonStats(states, transitions)
+    result = length_profile_eigenvalue(profile)
+    return result.value, AutomatonStats(states, transitions, result)
+
+
+def _elapsed_ms(started: float) -> float:
+    return (time.perf_counter() - started) * 1000.0
 
 
 def _assemble(
@@ -151,31 +193,24 @@ def quotient(
     started = time.perf_counter()
     num = _measure(_prepare(numerator), kind, tol, max_iter)
     den = _measure(_prepare(denominator), kind, tol, max_iter)
-    return _assemble(kind, num, den, (time.perf_counter() - started) * 1000.0)
+    return _assemble(kind, num, den, _elapsed_ms(started))
 
 
 def _pair_reports(
-    ret: Nfa,
-    rel: Nfa,
-    kind: MeasureKind,
-    tol: float,
-    max_iter: int,
-    want_precision: bool,
-    want_recall: bool,
-) -> tuple[MeasureReport | None, MeasureReport | None]:
+    ret: Nfa, rel: Nfa, tol: float, max_iter: int, want_recall: bool
+) -> tuple[MeasureReport, MeasureReport | None]:
+    """Eigenvalue precision of ``ret`` against ``rel`` and, if wanted, recall."""
+    kind = MeasureKind.SHORT_CIRCUIT_EIGENVALUE
     started = time.perf_counter()
     m_ret = _prepare(ret)
     m_rel = _prepare(rel)
-    shared = _measure(intersect(m_ret, m_rel), kind, tol, max_iter)
-    precision_report = recall_report = None
-    if want_precision:
-        den = _measure(m_ret, kind, tol, max_iter)
-        runtime = (time.perf_counter() - started) * 1000.0
-        precision_report = _assemble(kind, shared, den, runtime)
+    shared = _measure(minimize(intersect(m_ret, m_rel)), kind, tol, max_iter)
+    den = _measure(m_ret, kind, tol, max_iter)
+    precision_report = _assemble(kind, shared, den, _elapsed_ms(started))
+    recall_report = None
     if want_recall:
         den = _measure(m_rel, kind, tol, max_iter)
-        runtime = (time.perf_counter() - started) * 1000.0
-        recall_report = _assemble(kind, shared, den, runtime)
+        recall_report = _assemble(kind, shared, den, _elapsed_ms(started))
     return precision_report, recall_report
 
 
@@ -188,14 +223,25 @@ def precision(
 ) -> MeasureReport:
     """Measure of the shared behaviour over the specified behaviour.
 
+    The shared behaviour is the set of distinct log traces that ``spec``
+    accepts.  It is finite, so it is measured from its length profile: with
+    ``c_k`` such traces of length ``k``, its eigenvalue is ``1 / z*`` for the
+    root ``z*`` in ``(0, 1]`` of ``sum_k c_k z^(k+1) = 1``, and its
+    cardinality is ``sum_k c_k``.  Only the specification's own eigenvalue is
+    a power iteration, so ``tol`` and ``max_iter`` govern that solve alone.
+    The numerator stats describe the graph of the length profile: ``states``
+    is the longest accepted length plus one, and ``transitions`` is that
+    length plus the number of distinct accepted lengths.
+
     An empty specification language yields an undefined-flagged report; the
     cardinality kind additionally rejects infinite specification languages.
     """
-    report, _ = _pair_reports(
-        spec, prefix_tree_acceptor(log), kind, tol, max_iter, True, False
-    )
-    assert report is not None
-    return report
+    started = time.perf_counter()
+    m_spec = _prepare(spec)
+    shared, _ = _length_profiles(m_spec, log)
+    numerator = _profile_measure(shared, kind)
+    denominator = _measure(m_spec, kind, tol, max_iter)
+    return _assemble(kind, numerator, denominator, _elapsed_ms(started))
 
 
 def recall(
@@ -205,12 +251,20 @@ def recall(
     tol: float = DEFAULT_TOLERANCE,
     max_iter: int = DEFAULT_MAX_ITERATIONS,
 ) -> MeasureReport:
-    """Measure of the shared behaviour over the recorded behaviour."""
-    _, report = _pair_reports(
-        spec, prefix_tree_acceptor(log), kind, tol, max_iter, False, True
-    )
-    assert report is not None
-    return report
+    """Measure of the shared behaviour over the recorded behaviour.
+
+    Both languages are finite, so both are measured from their length
+    profiles, as in ``precision``: the distinct traces that ``spec`` accepts
+    over all distinct traces.  Neither side needs a power iteration, so
+    ``tol`` and ``max_iter`` have no effect; each side's stats describe the
+    graph of its length profile.  An empty log yields an undefined-flagged
+    report.
+    """
+    started = time.perf_counter()
+    shared, recorded = _length_profiles(_prepare(spec), log)
+    numerator = _profile_measure(shared, kind)
+    denominator = _profile_measure(recorded, kind)
+    return _assemble(kind, numerator, denominator, _elapsed_ms(started))
 
 
 def precision_and_recall(
@@ -224,9 +278,8 @@ def precision_and_recall(
     The intersection automaton is built and measured once and shared by
     both quotients.
     """
-    kind = MeasureKind.SHORT_CIRCUIT_EIGENVALUE
-    pr, rc = _pair_reports(ret, rel, kind, tol, max_iter, True, True)
-    assert pr is not None and rc is not None
+    pr, rc = _pair_reports(ret, rel, tol, max_iter, want_recall=True)
+    assert rc is not None
     return pr, rc
 
 
@@ -241,8 +294,5 @@ def coverage(
     Equals 1.0 exactly when ``L(x)`` is contained in ``L(y)``; an empty
     ``L(x)`` is reported as undefined.
     """
-    report, _ = _pair_reports(
-        x, y, MeasureKind.SHORT_CIRCUIT_EIGENVALUE, tol, max_iter, True, False
-    )
-    assert report is not None
+    report, _ = _pair_reports(x, y, tol, max_iter, want_recall=False)
     return report

@@ -1,16 +1,18 @@
 """Sparse adjacency matrices and dominant-eigenvalue computation.
 
-The solver is a power iteration on the diagonally shifted matrix ``M + I``.
-The shift makes every irreducible non-negative matrix primitive, so the
-iteration cannot oscillate on periodic structures such as cycle automata;
-the reported value is ``rho(M) = rho(M + I) - 1``.
+The general solver is a power iteration on the diagonally shifted matrix
+``M + I``.  The shift makes every irreducible non-negative matrix primitive,
+so the iteration cannot oscillate on periodic structures such as cycle
+automata; the reported value is ``rho(M) = rho(M + I) - 1``.  Finite
+languages need no matrix: ``length_profile_eigenvalue`` takes their
+short-circuit eigenvalue from the number of words of each length.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -119,6 +121,41 @@ def perron_frobenius(
         if residual <= tol:
             return EigenResult(rayleigh - 1.0, iteration, True, residual)
     return EigenResult(rayleigh - 1.0, max_iter, False, residual)
+
+
+def length_profile_eigenvalue(profile: Mapping[int, int]) -> EigenResult:
+    """Short-circuit eigenvalue of a finite language, from its length profile.
+
+    ``profile`` maps each word length ``k`` to the number ``c_k`` of distinct
+    words of that length.  Short-circuiting a trim DFA of a finite language
+    leaves every cycle passing through the start state, and the closed walks
+    that first return there after ``k + 1`` steps are exactly the words of
+    length ``k``, each followed by the loop-back.  So the spectral radius is
+    ``1 / z*``, where ``z*`` is the unique root in ``(0, 1]`` of
+    ``sum_k c_k z^(k+1) = 1``.  The left side increases with ``z``, so
+    bisection brackets ``z*`` until the bracket stops shrinking in floating
+    point, with no iteration cap.
+
+    ``iterations`` counts the bisection steps and ``residual`` is the width of
+    the final bracket on the value, relative to the value.  The empty
+    profile, the empty language, measures 0.
+    """
+    terms = [(k + 1, c) for k, c in profile.items() if c]
+    if any(e < 1 or c < 0 for e, c in terms):
+        raise ValueError("length profile needs non-negative lengths and counts")
+    if not terms:
+        return EigenResult(0.0, 0, True, 0.0)
+    lo, hi = 0.0, 1.0
+    steps = 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        steps += 1
+        if sum(c * mid**e for e, c in terms) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    # The sum is at least 1 at hi and below 1 at lo, so the value
+    # 1/hi is within a factor hi/lo of the radius, from below.
+    return EigenResult(1.0 / hi, steps, True, hi / lo - 1.0)
 
 
 def entropy(d: Dfa) -> float:

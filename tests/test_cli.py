@@ -89,7 +89,7 @@ class TestMeasureCommands:
         )
         captured = capsys.readouterr()
         assert code == 0
-        assert "did not converge" in captured.err
+        assert "did not converge within 2 iterations" in captured.err
 
     def test_env_var_caps_iterations(self, capsys, monkeypatch, retry_spec_file, small_log_file):
         monkeypatch.setenv("ENTROSCOPE_MAX_ITER", "2")

@@ -138,6 +138,8 @@ class TestPrecisionRecall:
     def test_empty_log_recall_is_flagged(self):
         report = recall(retry_spec(), EventLog())
         assert report.undefined and report.value == 0.0
+        assert report.denominator_value == 0.0
+        assert (report.denominator.states, report.denominator.transitions) == (1, 0)
 
     def test_empty_log_precision_is_zero(self):
         report = precision(retry_spec(), EventLog())
@@ -149,6 +151,44 @@ class TestPrecisionRecall:
         repeated = EventLog({Trace.of(*"abde"): 50})
         assert precision(retry_spec(), single).value == precision(retry_spec(), repeated).value
         assert recall(retry_spec(), single).value == recall(retry_spec(), repeated).value
+
+
+def same_length_log(count: int, length: int) -> EventLog:
+    """``count`` distinct traces of ``length`` events over a..e."""
+    return EventLog([Trace.of(*"a" * (length - 1), last) for last in "abcde"[:count]])
+
+
+class TestLengthProfileClosedForms:
+    """k distinct traces of length n measure k^(1/(n+1)), with no pipeline."""
+
+    @pytest.mark.parametrize("count,length", [(2, 1), (5, 1), (3, 7), (2, 200), (5, 800)])
+    def test_same_length_traces(self, count, length):
+        log = same_length_log(count, length)
+        want = count ** (1.0 / (length + 1))
+        report = recall(anything_spec(), log)
+        assert report.value == 1.0
+        assert report.denominator_value == pytest.approx(want, rel=1e-12)
+        assert (report.denominator.states, report.denominator.transitions) == (
+            length + 1,
+            length + 1,
+        )
+        assert report.converged and report.denominator.eigen.iterations < 100
+        shared = precision(anything_spec(), log).numerator_value
+        assert shared == report.numerator_value
+
+    @pytest.mark.parametrize("length", [0, 1, 150, 800])
+    def test_single_trace_is_exactly_one(self, length):
+        log = same_length_log(1, length) if length else EventLog([Trace(())])
+        assert recall(anything_spec(), log).denominator_value == 1.0
+
+    def test_rejected_traces_count_only_in_the_denominator(self):
+        log = same_length_log(2, 4)
+        log = EventLog({**dict(log), Trace.of("a", "z"): 3})
+        report = recall(anything_spec(), log)
+        assert report.numerator_value == pytest.approx(2 ** (1 / 5), rel=1e-12)
+        card = recall(anything_spec(), log, CARD)
+        assert (card.numerator_value, card.denominator_value) == (2.0, 3.0)
+        assert (card.denominator.states, card.denominator.transitions) == (5, 4 + 2)
 
 
 class TestPrecisionAndRecallPair:

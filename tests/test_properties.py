@@ -1,5 +1,6 @@
 """Invariant suites over randomly generated automata, logs, and word sets."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,22 +8,32 @@ from entroscope import (
     CHI,
     EventLog,
     SILENT,
+    InfiniteLanguageError,
+    MeasureKind,
     Nfa,
     Trace,
     accepts,
     as_dfa,
+    count_words,
     determinize,
     eig_short_circuit_measure,
     intersect,
     is_deterministic,
     is_ergodic,
     is_trim,
+    label,
     minimize,
+    precision,
+    precision_and_recall,
     prefix_tree_acceptor,
+    recall,
     short_circuit,
     trim,
 )
+from entroscope.labels import sort_key
 from helpers import ABC, bounded_language_dfa, bounded_language_nfa, bounded_words
+
+NOISE = label("z")  # never in a spec alphabet
 
 
 @st.composite
@@ -56,6 +67,39 @@ def word_sets(draw, max_words=5, max_len=5):
 
 def log_of(words) -> EventLog:
     return EventLog([Trace(w) for w in words])
+
+
+@st.composite
+def specs_and_logs(draw, max_traces=6, max_len=60):
+    """A spec and a log of walks on it, so that long traces can fit.
+
+    A walk stops where the spec has no move or at its drawn length.  Half the
+    walks are cut back to their longest accepted prefix, if any, and about a
+    quarter of the traces get a label outside the spec alphabet.  Walks of
+    length 0 give the empty trace.
+    """
+    spec = draw(nfas())
+    d = determinize(spec)
+    moves: dict[int, list] = {}
+    for (p, lab), q in sorted(d.step.items(), key=lambda m: (m[0][0], sort_key(m[0][1]))):
+        moves.setdefault(p, []).append((lab, q))
+    traces = []
+    for _ in range(draw(st.integers(0, max_traces))):
+        length = draw(st.integers(0, max_len))
+        state, events, accepted = d.start, [], 0
+        for choice in draw(st.lists(st.integers(0, 5), min_size=length, max_size=length)):
+            if state not in moves:
+                break
+            lab, state = moves[state][choice % len(moves[state])]
+            events.append(lab)
+            if state in d.accepts:
+                accepted = len(events)
+        if draw(st.booleans()):
+            del events[accepted:]
+        if draw(st.integers(0, 3)) == 0:
+            events.insert(draw(st.integers(0, len(events))), NOISE)
+        traces.append(Trace(tuple(events)))
+    return spec, EventLog(traces)
 
 
 @settings(max_examples=150, deadline=None)
@@ -139,3 +183,29 @@ def test_empty_language_measures_zero_and_nonempty_positive(words):
         assert value > 0.0
     else:
         assert value == 0.0
+
+
+@settings(max_examples=120, deadline=None)
+@given(specs_and_logs())
+def test_log_measures_match_the_prefix_tree_pipeline(case):
+    spec, log = case
+    tree = prefix_tree_acceptor(log)
+    want_p, want_r = precision_and_recall(spec, tree)
+    got_p, got_r = precision(spec, log), recall(spec, log)
+    for got, want in ((got_p, want_p), (got_r, want_r)):
+        assert want.converged and got.converged
+        for field in ("numerator_value", "denominator_value", "value"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-7)
+        assert (got.undefined, got.division_by_zero) == (want.undefined, want.division_by_zero)
+
+    shared = count_words(intersect(determinize(spec), tree))
+    card_r = recall(spec, log, MeasureKind.CARDINALITY)
+    assert (card_r.numerator_value, card_r.denominator_value) == (shared, count_words(tree))
+    try:
+        spec_words = count_words(determinize(spec))
+    except InfiniteLanguageError:
+        with pytest.raises(InfiniteLanguageError):
+            precision(spec, log, MeasureKind.CARDINALITY)
+        return
+    card_p = precision(spec, log, MeasureKind.CARDINALITY)
+    assert (card_p.numerator_value, card_p.denominator_value) == (shared, spec_words)

@@ -13,6 +13,7 @@ from entroscope import (
     entropy,
     is_ergodic,
     label,
+    length_profile_eigenvalue,
     minimize,
     perron_frobenius,
     short_circuit,
@@ -148,6 +149,38 @@ class TestPerronFrobenius:
         assert not result.converged
         assert result.iterations == 3
         assert result.value > 0
+
+
+def profile_graph(profile: dict[int, int]) -> SparseMatrix:
+    """The chain 0 -> 1 -> ... -> K plus a loop-back of weight c_k from k."""
+    longest = max(profile)
+    entries = [(i, i + 1, 1) for i in range(longest)]
+    entries += [(k, 0, c) for k, c in profile.items()]
+    return SparseMatrix(longest + 1, tuple(entries))
+
+
+class TestLengthProfileEigenvalue:
+    def test_empty_profile_is_zero(self):
+        assert length_profile_eigenvalue({}) == perron_frobenius(SparseMatrix(1, ()))
+
+    def test_matches_power_iteration_on_the_profile_graph(self):
+        rng = random.Random(3)
+        for _ in range(40):
+            profile = {rng.randint(0, 12): rng.randint(1, 30) for _ in range(rng.randint(1, 4))}
+            result = length_profile_eigenvalue(profile)
+            assert result.converged and 0 < result.iterations < 100
+            assert result.residual < 1e-14
+            want = perron_frobenius(profile_graph(profile), tol=1e-12)
+            assert want.converged
+            assert result.value == pytest.approx(want.value, rel=1e-9)
+
+    def test_zero_counts_are_ignored(self):
+        assert length_profile_eigenvalue({3: 2, 5: 0}) == length_profile_eigenvalue({3: 2})
+
+    def test_rejects_negative_lengths_and_counts(self):
+        for bad in ({-1: 1}, {2: -1}):
+            with pytest.raises(ValueError, match="non-negative"):
+                length_profile_eigenvalue(bad)
 
 
 class TestEntropy:
