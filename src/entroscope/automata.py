@@ -9,7 +9,7 @@ a pure function returning fresh automata.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -42,27 +42,38 @@ class Nfa:
     start: int
     accepts: frozenset[int]
     short_circuited: bool = False
+    #: Labels that can occur on a transition: the alphabet plus the markers in use.
+    edge_labels: frozenset[Label] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", frozenset(self.alphabet))
         object.__setattr__(self, "transitions", frozenset(self.transitions))
         object.__setattr__(self, "accepts", frozenset(self.accepts))
-        _check(self.state_count >= 1, "state_count must be at least 1")
-        _check(0 <= self.start < self.state_count, "start state out of range")
+        n = self.state_count
+        _check(n >= 1, "state_count must be at least 1")
+        _check(0 <= self.start < n, "start state out of range")
         _check(SILENT not in self.alphabet, "silent marker cannot be an alphabet member")
         _check(
             CHI not in self.alphabet or self.short_circuited,
             "short-circuit marker cannot be an alphabet member",
         )
-        for q in self.accepts:
-            _check(0 <= q < self.state_count, "accept state out of range")
-        for p, lab, q in self.transitions:
-            _check(0 <= p < self.state_count, "transition source out of range")
-            _check(0 <= q < self.state_count, "transition target out of range")
-            if lab == CHI:
-                _check(self.short_circuited, "chi transition on a non-short-circuited automaton")
-            elif lab != SILENT:
-                _check(lab in self.alphabet, "transition label outside the alphabet")
+        _check(
+            not self.accepts or (0 <= min(self.accepts) and max(self.accepts) < n),
+            "accept state out of range",
+        )
+        used: set[Label] = set()
+        if self.transitions:
+            sources, labels, targets = zip(*self.transitions)
+            _check(0 <= min(sources) and max(sources) < n, "transition source out of range")
+            _check(0 <= min(targets) and max(targets) < n, "transition target out of range")
+            used.update(labels)
+            _check(
+                CHI not in used or self.short_circuited,
+                "chi transition on a non-short-circuited automaton",
+            )
+            _check(used - {SILENT, CHI} <= self.alphabet, "transition label outside the alphabet")
+        markers = used & {SILENT} | ({CHI} if self.short_circuited else set())
+        object.__setattr__(self, "edge_labels", self.alphabet | markers)
 
     @cached_property
     def moves(self) -> dict[tuple[int, Label], frozenset[int]]:
@@ -72,16 +83,6 @@ class Nfa:
             out.setdefault((p, lab), set()).add(q)
         return {key: frozenset(val) for key, val in out.items()}
 
-    @cached_property
-    def edge_labels(self) -> frozenset[Label]:
-        """Labels that can occur on a transition (alphabet plus markers)."""
-        extra = set()
-        if self.short_circuited:
-            extra.add(CHI)
-        if any(lab == SILENT for _, lab, _ in self.transitions):
-            extra.add(SILENT)
-        return self.alphabet | extra
-
 
 @dataclass(frozen=True)
 class Dfa(Nfa):
@@ -89,11 +90,9 @@ class Dfa(Nfa):
 
     def __post_init__(self):
         super().__post_init__()
-        seen: set[tuple[int, Label]] = set()
-        for p, lab, q in self.transitions:
-            _check(lab != SILENT, "deterministic automaton carries a silent transition")
-            _check((p, lab) not in seen, "duplicate move for a (state, label) pair")
-            seen.add((p, lab))
+        _check(SILENT not in self.edge_labels, "deterministic automaton carries a silent transition")
+        moves = {(p, lab) for p, lab, _ in self.transitions}
+        _check(len(moves) == len(self.transitions), "duplicate move for a (state, label) pair")
 
     @cached_property
     def step(self) -> dict[tuple[int, Label], int]:
@@ -110,12 +109,8 @@ def empty_language_automaton(
 
 def is_deterministic(a: Nfa) -> bool:
     """True iff ``a`` has no silent move and no label with two successors."""
-    seen: set[tuple[int, Label]] = set()
-    for p, lab, _ in a.transitions:
-        if lab == SILENT or (p, lab) in seen:
-            return False
-        seen.add((p, lab))
-    return True
+    moves = {(p, lab) for p, lab, _ in a.transitions}
+    return SILENT not in a.edge_labels and len(moves) == len(a.transitions)
 
 
 def as_dfa(a: Nfa) -> Dfa:
@@ -401,6 +396,36 @@ def intersect(x: Dfa, y: Dfa) -> Dfa:
         len(index), frozenset(common), frozenset(transitions), 0, frozenset(accepts)
     )
     return as_dfa(trim(product))
+
+
+def is_included(x: Dfa, y: Dfa) -> bool:
+    """True iff ``L(x)`` is a subset of ``L(y)``; ``x`` must be trim.
+
+    Walks the state pairs reachable on the moves of ``x`` and stops at the
+    first move or accept of ``x`` that ``y`` cannot match.  Every state of a
+    trim ``x`` lies on an accepted word, so that mismatch is a word of
+    ``L(x)`` outside ``L(y)``.
+    """
+    if not is_trim(x):
+        raise ValueError("is_included requires a trim first operand")
+    out: dict[int, list[tuple[Label, int]]] = {}
+    for p, lab, q in x.transitions:
+        out.setdefault(p, []).append((lab, q))
+    start = (x.start, y.start)
+    seen = {start}
+    stack = [start]
+    while stack:
+        px, py = stack.pop()
+        if px in x.accepts and py not in y.accepts:
+            return False
+        for lab, qx in out.get(px, ()):
+            qy = y.step.get((py, lab))
+            if qy is None:
+                return False
+            if (qx, qy) not in seen:
+                seen.add((qx, qy))
+                stack.append((qx, qy))
+    return True
 
 
 def is_ergodic(a: Nfa) -> bool:

@@ -26,14 +26,13 @@ from .automata import (
     is_ergodic,
     is_trim,
     minimize,
-    short_circuit,
 )
 from .formats import (
     FormatError,
-    document_name,
     export_dot,
     read_automaton,
     read_log,
+    read_named_automaton,
     read_xes,
     write_automaton,
     write_log,
@@ -45,11 +44,11 @@ from .measures import (
     MeasureKind,
     MeasureReport,
     coverage,
-    eig_short_circuit_measure,
+    measure,
     precision,
     recall,
 )
-from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, adjacency_matrix, perron_frobenius
+from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
 
 MAX_ITER_ENV = "ENTROSCOPE_MAX_ITER"
 
@@ -127,21 +126,15 @@ def _load_automaton(path: Path) -> Nfa:
     return read_automaton(path.read_text(encoding="utf-8"))
 
 
-def _load_log(path: Path) -> EventLog:
-    text = path.read_text(encoding="utf-8")
-    if text.lstrip().startswith("<"):
-        return read_xes(text)
-    return read_log(text)
-
-
-def _sniff(path: Path) -> tuple[str, Nfa | EventLog]:
+def _sniff(path: Path) -> tuple[Nfa | EventLog, str | None]:
+    """The automaton and its name, or the XES or line log, that ``path`` holds."""
     text = path.read_text(encoding="utf-8")
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return "automaton", read_automaton(text)
+        return read_named_automaton(text)
     if stripped.startswith("<"):
-        return "log", read_xes(text)
-    return "log", read_log(text)
+        return read_xes(text), None
+    return read_log(text), None
 
 
 def _max_iter(args: argparse.Namespace) -> int:
@@ -156,17 +149,20 @@ def _max_iter(args: argparse.Namespace) -> int:
     return DEFAULT_MAX_ITERATIONS
 
 
+def _warn_unconverged(max_iter: int) -> None:
+    # Only a power iteration can fail, and only at its cap, so quote the cap.
+    print(
+        f"warning: eigenvalue computation did not converge within "
+        f"{max_iter} iterations; using the estimate",
+        file=sys.stderr,
+    )
+
+
 def _print_report(
     name: str, report: MeasureReport, args: argparse.Namespace, max_iter: int
 ) -> None:
-    # Only a power iteration can fail, at its cap max_iter; report.iterations
-    # sums every solve of the report, so it is not the cap.
     if not report.converged:
-        print(
-            f"warning: eigenvalue computation did not converge within "
-            f"{max_iter} iterations; using the estimate",
-            file=sys.stderr,
-        )
+        _warn_unconverged(max_iter)
     if report.undefined:
         print("warning: quotient is undefined (0/0); reporting 0", file=sys.stderr)
     if args.format == "text":
@@ -180,7 +176,9 @@ def _run_quotient_command(args: argparse.Namespace) -> int:
     max_iter = _max_iter(args)
     if args.command in ("precision", "recall"):
         spec = _load_automaton(args.spec)
-        log = _load_log(args.log)
+        log, _ = _sniff(args.log)
+        if not isinstance(log, EventLog):
+            raise FormatError(f"{args.log}: expected an event log, found an automaton")
         compute = precision if args.command == "precision" else recall
         report = compute(spec, log, kind, args.tol, max_iter)
     else:
@@ -201,43 +199,37 @@ def _run_scalar_command(args: argparse.Namespace) -> int:
         value = count_words(d)
         _emit(f"cardinality = {value}\n", args.out)
         return EXIT_OK
-    sc = short_circuit(minimize(d))
-    result = perron_frobenius(adjacency_matrix(sc), args.tol, _max_iter(args))
-    if not result.converged:
-        print("warning: eigenvalue computation did not converge; using the estimate", file=sys.stderr)
+    max_iter = _max_iter(args)
+    value, stats = measure(minimize(d), MeasureKind.SHORT_CIRCUIT_EIGENVALUE, args.tol, max_iter)
+    if not stats.eigen.converged:
+        _warn_unconverged(max_iter)
     if args.command == "eigenvalue":
-        _emit(f"eigenvalue = {result.value:.3f}\n", args.out)
+        _emit(f"eigenvalue = {value:.3f}\n", args.out)
         return EXIT_OK
-    if result.value <= 0.0:
+    if value <= 0.0:
         print("error: entropy undefined for the empty language", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    _emit(f"entropy = {math.log2(result.value):.3f}\n", args.out)
+    _emit(f"entropy = {math.log2(value):.3f}\n", args.out)
     return EXIT_OK
 
 
 def _run_convert(args: argparse.Namespace) -> int:
-    kind, value = _sniff(args.input)
-    if args.to == "dot":
-        automaton = value if kind == "automaton" else prefix_tree_acceptor(value)
-        _emit(export_dot(automaton), args.out)
-    elif args.to == "log":
-        if kind != "log":
+    value, _ = _sniff(args.input)
+    if args.to == "log":
+        if not isinstance(value, EventLog):
             print("error: cannot convert an automaton to a log", file=sys.stderr)
             return EXIT_PARSE
         _emit(write_log(value), args.out)
-    else:
-        if kind == "automaton":
-            _emit(write_automaton(value), args.out)
-        else:
-            _emit(write_automaton(prefix_tree_acceptor(value)), args.out)
+        return EXIT_OK
+    automaton = prefix_tree_acceptor(value) if isinstance(value, EventLog) else value
+    _emit(export_dot(automaton) if args.to == "dot" else write_automaton(automaton), args.out)
     return EXIT_OK
 
 
 def _run_inspect(args: argparse.Namespace) -> int:
-    kind, value = _sniff(args.input)
+    value, name = _sniff(args.input)
     lines = []
-    if kind == "automaton":
-        name = document_name(args.input.read_text(encoding="utf-8"))
+    if isinstance(value, Nfa):
         if name:
             lines.append(f"name: {name}")
         deterministic = is_deterministic(value)

@@ -47,6 +47,11 @@ def _label_string(raw: Any, where: str) -> str:
 
 def read_automaton(text: str) -> Nfa:
     """Parse an automaton document; malformed input raises FormatError."""
+    return read_named_automaton(text)[0]
+
+
+def read_named_automaton(text: str) -> tuple[Nfa, str | None]:
+    """Parse an automaton document and return it with its optional name."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -132,7 +137,7 @@ def read_automaton(text: str) -> Nfa:
             if lab not in alphabet_set:
                 _fail(f"{where}.label", f"{raw_label!r} is not in the alphabet")
         transitions.add((source, lab, target))
-    return Nfa(state_count, alphabet_set, frozenset(transitions), start, accepts)
+    return Nfa(state_count, alphabet_set, frozenset(transitions), start, accepts), doc.get("name")
 
 
 def write_automaton(a: Nfa, name: str | None = None) -> str:
@@ -153,17 +158,6 @@ def write_automaton(a: Nfa, name: str | None = None) -> str:
         )
     ]
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-
-
-def document_name(text: str) -> str | None:
-    """The optional name field of an automaton document, if parseable."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        return None
-    if isinstance(doc, dict) and isinstance(doc.get("name"), str):
-        return doc["name"]
-    return None
 
 
 def read_log(text: str) -> EventLog:

@@ -13,7 +13,12 @@ import threading
 
 
 class Label:
-    """An interned symbol; equality and hashing go by interned id."""
+    """An interned symbol; equality and hashing are object identity.
+
+    Identity hashing makes the iteration order of a set of labels differ
+    between processes, so anything that reaches output is ordered by
+    :func:`sort_key`.
+    """
 
     __slots__ = ("id", "display")
 
@@ -21,11 +26,11 @@ class Label:
         self.id = id
         self.display = display
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Label) and self.id == other.id
-
-    def __hash__(self) -> int:
-        return hash(self.id)
+    def __reduce__(self):
+        # Unpickling and copying re-intern, so a label stays unique.
+        if self.id < 0:
+            return "SILENT" if self is SILENT else "CHI"
+        return label, (self.display,)
 
     def __repr__(self) -> str:
         return f"Label({self.display!r})"

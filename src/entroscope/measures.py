@@ -2,10 +2,15 @@
 
 Two automata (``coverage``, ``precision_and_recall``, ``quotient``) are
 compared in one fixed order: determinize if needed, trim and minimize each
-operand, intersect the minimal automata and minimize the product, and only
-then short-circuit.  Short-circuiting before intersecting would make the
-loop-back marker part of the compared languages, so it is structurally
-impossible here: ``intersect`` rejects short-circuited inputs.
+operand, intersect the minimal automata, and only then short-circuit.  The
+eigenvalue measure is a property of the language, and a trim automaton and
+its minimal quotient short-circuit to the same eigenvalue, so the product is
+measured as ``intersect`` returns it, trim but not minimized.  Where one
+operand's language lies inside the other's (``is_included``), that operand's
+language is the shared one and no product is built.  Short-circuiting before
+intersecting would make the loop-back marker part of the compared languages,
+so it is structurally impossible here: ``intersect`` rejects short-circuited
+inputs.
 
 A specification and an event log (``precision``, ``recall``) are compared
 without an automaton of the log.  The log's language and its intersection
@@ -36,6 +41,7 @@ from .automata import (
     determinize,
     intersect,
     is_deterministic,
+    is_included,
     minimize,
     short_circuit,
 )
@@ -91,8 +97,8 @@ class MeasureReport:
     runtime_ms: float = 0.0
 
 
-def _measure(d: Dfa, kind: MeasureKind, tol: float, max_iter: int) -> tuple[float, AutomatonStats]:
-    """Measure of ``L(d)``; ``d`` must already be minimal."""
+def measure(d: Dfa, kind: MeasureKind, tol: float, max_iter: int) -> tuple[float, AutomatonStats]:
+    """Measure of ``L(d)``, with the size and solve behind it; ``d`` must be trim."""
     if kind is MeasureKind.CARDINALITY:
         return float(count_words(d)), AutomatonStats(d.state_count, len(d.transitions))
     circuited = short_circuit(d)
@@ -108,7 +114,7 @@ def eig_short_circuit_measure(
     """Dominant eigenvalue of the short-circuited minimal automaton of ``L(d)``."""
     if d.short_circuited:
         raise ValueError("input is already short-circuited")
-    value, _ = _measure(minimize(d), MeasureKind.SHORT_CIRCUIT_EIGENVALUE, tol, max_iter)
+    value, _ = measure(minimize(d), MeasureKind.SHORT_CIRCUIT_EIGENVALUE, tol, max_iter)
     return value
 
 
@@ -162,7 +168,9 @@ def _assemble(
         value, undefined = 0.0, True
     else:
         value, division_by_zero = math.inf, True
-    solves = [s.eigen for s in (num_stats, den_stats) if s.eigen is not None]
+    # A language measured once on both sides is one solve.
+    stats = (num_stats,) if num_stats is den_stats else (num_stats, den_stats)
+    solves = [s.eigen for s in stats if s.eigen is not None]
     return MeasureReport(
         kind=kind,
         numerator_value=num_value,
@@ -191,8 +199,8 @@ def quotient(
 ) -> MeasureReport:
     """Measure of the first language over the measure of the second."""
     started = time.perf_counter()
-    num = _measure(_prepare(numerator), kind, tol, max_iter)
-    den = _measure(_prepare(denominator), kind, tol, max_iter)
+    num = measure(_prepare(numerator), kind, tol, max_iter)
+    den = measure(_prepare(denominator), kind, tol, max_iter)
     return _assemble(kind, num, den, _elapsed_ms(started))
 
 
@@ -204,13 +212,18 @@ def _pair_reports(
     started = time.perf_counter()
     m_ret = _prepare(ret)
     m_rel = _prepare(rel)
-    shared = _measure(minimize(intersect(m_ret, m_rel)), kind, tol, max_iter)
-    den = _measure(m_ret, kind, tol, max_iter)
-    precision_report = _assemble(kind, shared, den, _elapsed_ms(started))
+    den_ret = measure(m_ret, kind, tol, max_iter)
+    den_rel = measure(m_rel, kind, tol, max_iter) if want_recall else None
+    if is_included(m_ret, m_rel):
+        shared = den_ret
+    elif den_rel is not None and is_included(m_rel, m_ret):
+        shared = den_rel
+    else:
+        shared = measure(intersect(m_ret, m_rel), kind, tol, max_iter)
+    precision_report = _assemble(kind, shared, den_ret, _elapsed_ms(started))
     recall_report = None
-    if want_recall:
-        den = _measure(m_rel, kind, tol, max_iter)
-        recall_report = _assemble(kind, shared, den, _elapsed_ms(started))
+    if den_rel is not None:
+        recall_report = _assemble(kind, shared, den_rel, _elapsed_ms(started))
     return precision_report, recall_report
 
 
@@ -240,7 +253,7 @@ def precision(
     m_spec = _prepare(spec)
     shared, _ = _length_profiles(m_spec, log)
     numerator = _profile_measure(shared, kind)
-    denominator = _measure(m_spec, kind, tol, max_iter)
+    denominator = measure(m_spec, kind, tol, max_iter)
     return _assemble(kind, numerator, denominator, _elapsed_ms(started))
 
 
@@ -275,8 +288,11 @@ def precision_and_recall(
 ) -> tuple[MeasureReport, MeasureReport]:
     """Eigenvalue precision and recall of ``ret`` against ``rel``.
 
-    The intersection automaton is built and measured once and shared by
-    both quotients.
+    The shared language is measured once for both quotients.  If one
+    operand's language contains the other's, the contained operand's own
+    measure is the shared one, and the quotient over it is exactly 1.0 from
+    that one solve.  Otherwise the numerator stats describe the trim product
+    of the two minimal automata, which is not minimized.
     """
     pr, rc = _pair_reports(ret, rel, tol, max_iter, want_recall=True)
     assert rc is not None
@@ -291,8 +307,11 @@ def coverage(
 ) -> MeasureReport:
     """Share of the first system's behaviour that the second one covers.
 
-    Equals 1.0 exactly when ``L(x)`` is contained in ``L(y)``; an empty
-    ``L(x)`` is reported as undefined.
+    Equals 1.0 exactly when ``L(x)`` is contained in ``L(y)``: then the
+    shared language is ``L(x)`` and one solve serves both sides, so the
+    numerator stats are those of ``x``.  Otherwise the numerator stats
+    describe the trim product of the two minimal automata, which is not
+    minimized.  An empty ``L(x)`` is reported as undefined.
     """
     report, _ = _pair_reports(x, y, tol, max_iter, want_recall=False)
     return report

@@ -19,6 +19,7 @@ from entroscope import (
     intersect,
     is_deterministic,
     is_ergodic,
+    is_included,
     is_trim,
     label,
     minimize,
@@ -253,6 +254,24 @@ class TestIntersect:
         d = Dfa(1, frozenset(), frozenset(), 0, frozenset({0}))
         with pytest.raises(ValueError, match="short-circuited"):
             intersect(short_circuit(d), d)
+
+
+class TestIsIncluded:
+    def test_log_tree_inside_the_spec_but_not_back(self):
+        m = minimize(determinize(retry_spec()))
+        inside = minimize(prefix_tree_acceptor(word_log(["abde", "abcbde"])))
+        partly = minimize(prefix_tree_acceptor(small_log()))
+        assert is_included(inside, m)
+        assert not is_included(partly, m)
+        assert not is_included(m, inside)
+
+    def test_empty_language_is_included_in_anything(self):
+        assert is_included(empty_language_automaton(), minimize(determinize(retry_spec())))
+
+    def test_rejects_an_untrimmed_first_operand(self):
+        dead_end = Dfa(2, frozenset({a}), frozenset({(0, a, 1)}), 0, frozenset({0}))
+        with pytest.raises(ValueError, match="trim"):
+            is_included(dead_end, dead_end)
 
 
 class TestErgodic:

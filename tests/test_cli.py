@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +10,9 @@ from entroscope import label
 from entroscope.cli import main
 from entroscope.formats import read_automaton, write_automaton, write_log
 from helpers import bounded_language_dfa, word_log
-from login_fixtures import retry_spec, small_log, two_word_spec
+from login_fixtures import flexible_spec, retry_spec, small_log, two_word_spec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -91,6 +97,17 @@ class TestMeasureCommands:
         assert code == 0
         assert "did not converge within 2 iterations" in captured.err
 
+    @pytest.mark.parametrize("command", ["eigenvalue", "entropy"])
+    def test_scalar_nonconvergence_quotes_the_cap(self, capsys, retry_spec_file, command):
+        assert main([command, str(retry_spec_file), "--max-iter", "2"]) == 0
+        captured = capsys.readouterr()
+        assert "did not converge within 2 iterations" in captured.err
+        assert captured.out.startswith(f"{command} = ")
+
+    def test_automaton_given_as_log_exits_2(self, capsys, retry_spec_file):
+        assert main(["precision", str(retry_spec_file), str(retry_spec_file)]) == 2
+        assert "expected an event log" in capsys.readouterr().err
+
     def test_env_var_caps_iterations(self, capsys, monkeypatch, retry_spec_file, small_log_file):
         monkeypatch.setenv("ENTROSCOPE_MAX_ITER", "2")
         assert main(["precision", str(retry_spec_file), str(small_log_file)]) == 0
@@ -126,8 +143,20 @@ class TestMeasureCommands:
 
 
 class TestInspectAndConvert:
-    def test_inspect_automaton(self, capsys, retry_spec_file):
+    def test_inspect_automaton(self, capsys, monkeypatch, retry_spec_file):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Path, "read_text", counted(Path.read_text))
+        monkeypatch.setattr(json, "loads", counted(json.loads))
         assert main(["inspect", str(retry_spec_file)]) == 0
+        assert sorted(calls) == ["loads", "read_text"]  # read and parsed once
         out = capsys.readouterr().out
         assert "name: retry-login" in out
         assert "deterministic: false" in out
@@ -213,3 +242,26 @@ class TestFamilies:
         lines = (tmp_path / "permutations_log.log").read_text().splitlines()
         assert len(lines) == 5
         assert lines[0] == "a b c d e"
+
+
+def _cli_output(*args: str, hash_seed: str) -> bytes:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "entroscope.cli", *args], capture_output=True, env=env, check=True
+    )
+    return proc.stdout
+
+
+def test_output_is_identical_across_processes(retry_spec_file, small_log_file, tmp_path):
+    # Labels hash by identity, so set order differs between processes.
+    flexible = tmp_path / "flexible.json"
+    flexible.write_text(write_automaton(flexible_spec()), encoding="utf-8")
+    for args in (
+        ["coverage", str(retry_spec_file), str(flexible)],
+        ["coverage", str(flexible), str(retry_spec_file)],
+        ["convert", str(retry_spec_file), "--to", "dot"],
+        ["convert", str(small_log_file), "--to", "dot"],
+    ):
+        first = _cli_output(*args, hash_seed="0")
+        assert first and first == _cli_output(*args, hash_seed="1")

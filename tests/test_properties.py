@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from entroscope import (
     CHI,
+    Dfa,
     EventLog,
     SILENT,
     InfiniteLanguageError,
@@ -15,11 +16,13 @@ from entroscope import (
     accepts,
     as_dfa,
     count_words,
+    coverage,
     determinize,
     eig_short_circuit_measure,
     intersect,
     is_deterministic,
     is_ergodic,
+    is_included,
     is_trim,
     label,
     minimize,
@@ -209,3 +212,74 @@ def test_log_measures_match_the_prefix_tree_pipeline(case):
         return
     card_p = precision(spec, log, MeasureKind.CARDINALITY)
     assert (card_p.numerator_value, card_p.denominator_value) == (shared, spec_words)
+
+
+def silent_union(x: Nfa, z: Nfa) -> Nfa:
+    """An NFA of ``L(x) | L(z)``: a fresh start with silent moves to both starts."""
+    shift = 1 + x.state_count
+    transitions = {(0, SILENT, 1 + x.start), (0, SILENT, shift + z.start)}
+    transitions |= {(1 + p, lab, 1 + q) for p, lab, q in x.transitions}
+    transitions |= {(shift + p, lab, shift + q) for p, lab, q in z.transitions}
+    accepting = {1 + q for q in x.accepts} | {shift + q for q in z.accepts}
+    return Nfa(shift + z.state_count, x.alphabet | z.alphabet, transitions, 0, accepting)
+
+
+@st.composite
+def nfa_pairs(draw):
+    """Two NFAs; in about half the pairs the second one contains the first."""
+    x, z = draw(nfas()), draw(nfas())
+    return x, silent_union(x, z) if draw(st.booleans()) else z
+
+
+def same_automaton(a: Dfa, b: Dfa) -> bool:
+    """Equal states, transitions, start and accepts; alphabets may differ."""
+    return (a.state_count, a.transitions, a.start, a.accepts) == (
+        b.state_count,
+        b.transitions,
+        b.start,
+        b.accepts,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfa_pairs())
+def test_pair_measures_match_the_minimal_product_pipeline(pair):
+    x, y = pair
+    mx, my = minimize(determinize(x)), minimize(determinize(y))
+    product = minimize(intersect(mx, my))
+    shared = eig_short_circuit_measure(product)
+    cov = coverage(x, y)
+    pr, rc = precision_and_recall(x, y)
+    for report, own in ((cov, mx), (pr, mx), (rc, my)):
+        own_value = eig_short_circuit_measure(own)
+        assert report.converged
+        assert report.numerator_value == pytest.approx(shared, rel=1e-7)
+        assert report.denominator_value == pytest.approx(own_value, rel=1e-7)
+        assert report.undefined == (own_value == 0.0)
+        if not report.undefined:
+            assert report.value == pytest.approx(shared / own_value, rel=1e-7)
+
+    # The minimal product is minimal x exactly when L(x) lies in L(y).
+    assert is_included(mx, my) == same_automaton(product, mx)
+    assert is_included(my, mx) == same_automaton(product, my)
+    for report, own in ((cov, mx), (pr, mx), (rc, my)):
+        if not report.undefined:
+            assert (report.value == 1.0) == same_automaton(product, own)
+
+
+def test_containment_in_a_larger_automaton_gives_exact_ones():
+    # Both products are trim but not minimal, so a solve on them need not
+    # reproduce the contained operand's value to the last bit.
+    a, b, c = ABC
+    a_star = Dfa(1, frozenset({a}), frozenset({(0, a, 0)}), 0, frozenset({0}))
+    parity_moves = frozenset({(0, a, 1), (1, a, 0), (0, b, 2)})
+    parity = Dfa(3, frozenset({a, b}), parity_moves, 0, frozenset({0, 1, 2}))
+    assert coverage(a_star, parity).value == 1.0
+
+    ab_star = Dfa(1, frozenset({a, b}), frozenset({(0, a, 0), (0, b, 0)}), 0, frozenset({0}))
+    # Counts a's mod 5 and allows c only at count 0, so it is minimal.
+    counter_moves = {(i, a, (i + 1) % 5) for i in range(5)} | {(i, b, i) for i in range(5)}
+    counter = Dfa(5, frozenset({a, b, c}), counter_moves | {(0, c, 0)}, 0, frozenset(range(5)))
+    assert coverage(ab_star, counter).value == 1.0
+    pr, rc = precision_and_recall(counter, ab_star)
+    assert rc.value == 1.0 and pr.value < 1.0
