@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .labels import CHI, SILENT, Label, sort_key
 
@@ -120,17 +120,61 @@ def as_dfa(a: Nfa) -> Dfa:
     return Dfa(a.state_count, a.alphabet, a.transitions, a.start, a.accepts, a.short_circuited)
 
 
+def _explore(
+    start: Hashable,
+    moves: Callable[[Hashable], Iterator[tuple[Label, Hashable]]],
+    accepting: Callable[[Hashable], bool],
+    alphabet: frozenset[Label],
+    short_circuited: bool,
+) -> Dfa:
+    """The DFA on the keys reachable from ``start``, numbered breadth-first.
+
+    ``moves(key)`` yields ``(label, successor key)`` pairs in a fixed label
+    order, so the numbering depends on the graph alone, not on what the keys
+    are (subsets, state pairs, states or blocks) or how they hash.  ``start``
+    becomes state 0 and ``accepting(key)`` marks the accept states.
+    """
+    index = {start: 0}
+    order = [start]
+    transitions: list[Transition] = []
+    accepts: list[int] = []
+    for here, key in enumerate(order):  # ``order`` grows as keys are found
+        if accepting(key):
+            accepts.append(here)
+        for lab, target in moves(key):
+            there = index.get(target)
+            if there is None:
+                there = index[target] = len(order)
+                order.append(target)
+            transitions.append((here, lab, there))
+    return Dfa(len(order), alphabet, frozenset(transitions), 0, frozenset(accepts), short_circuited)
+
+
+def _graph(a: Nfa) -> tuple[list[list[int]], list[list[int]]]:
+    """Successor and predecessor lists of every state, labels ignored."""
+    forward: list[list[int]] = [[] for _ in range(a.state_count)]
+    backward: list[list[int]] = [[] for _ in range(a.state_count)]
+    for p, _, q in a.transitions:
+        forward[p].append(q)
+        backward[q].append(p)
+    return forward, backward
+
+
+def _closure(seeds: Iterable[int], successors: Callable[[int], Iterable[int]]) -> set[int]:
+    """The seeds and every state reachable from them along ``successors``."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for q in successors(stack.pop()):
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return seen
+
+
 def silent_closure(a: Nfa, states: Iterable[int]) -> frozenset[int]:
     """Smallest superset of ``states`` closed under silent transitions."""
-    closed = set(states)
-    queue = deque(closed)
-    while queue:
-        p = queue.popleft()
-        for q in a.moves.get((p, SILENT), ()):
-            if q not in closed:
-                closed.add(q)
-                queue.append(q)
-    return frozenset(closed)
+    return frozenset(_closure(states, lambda p: a.moves.get((p, SILENT), ())))
 
 
 def determinize(a: Nfa) -> Dfa:
@@ -143,80 +187,41 @@ def determinize(a: Nfa) -> Dfa:
     labels = sorted(a.alphabet, key=sort_key)
     if a.short_circuited:
         labels.append(CHI)
-    start = tuple(sorted(silent_closure(a, [a.start])))
-    index: dict[tuple[int, ...], int] = {start: 0}
-    queue = deque([start])
-    transitions: set[Transition] = set()
-    accepts: set[int] = set()
-    while queue:
-        subset = queue.popleft()
-        here = index[subset]
-        if any(q in a.accepts for q in subset):
-            accepts.add(here)
+
+    def moves(subset: tuple[int, ...]) -> Iterator[tuple[Label, tuple[int, ...]]]:
         for lab in labels:
             targets: set[int] = set()
             for p in subset:
                 targets.update(a.moves.get((p, lab), ()))
-            if not targets:
-                continue
-            closed = tuple(sorted(silent_closure(a, targets)))
-            if closed not in index:
-                index[closed] = len(index)
-                queue.append(closed)
-            transitions.add((here, lab, index[closed]))
-    return Dfa(len(index), a.alphabet, frozenset(transitions), 0, frozenset(accepts), a.short_circuited)
+            if targets:
+                yield lab, tuple(sorted(silent_closure(a, targets)))
 
+    def accepting(subset: tuple[int, ...]) -> bool:
+        return not a.accepts.isdisjoint(subset)
 
-def _reachable(a: Nfa) -> set[int]:
-    seen = {a.start}
-    queue = deque(seen)
-    forward: dict[int, list[int]] = {}
-    for p, _, q in a.transitions:
-        forward.setdefault(p, []).append(q)
-    while queue:
-        p = queue.popleft()
-        for q in forward.get(p, ()):
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-    return seen
-
-
-def _coaccessible(a: Nfa) -> set[int]:
-    seen = set(a.accepts)
-    queue = deque(seen)
-    backward: dict[int, list[int]] = {}
-    for p, _, q in a.transitions:
-        backward.setdefault(q, []).append(p)
-    while queue:
-        q = queue.popleft()
-        for p in backward.get(q, ()):
-            if p not in seen:
-                seen.add(p)
-                queue.append(p)
-    return seen
+    start = tuple(sorted(silent_closure(a, [a.start])))
+    return _explore(start, moves, accepting, a.alphabet, a.short_circuited)
 
 
 def is_trim(a: Nfa) -> bool:
     """Every state useful, or the canonical empty-language automaton."""
     if not a.accepts:
         return a.state_count == 1 and not a.transitions
-    full = set(range(a.state_count))
-    return _reachable(a) == full and _coaccessible(a) == full
+    return _spans(a, [a.start], a.accepts)
 
 
-def trim(a: Nfa) -> Nfa:
-    """Drop states that are unreachable or cannot reach an accept state.
+def _spans(a: Nfa, sources: Iterable[int], sinks: Iterable[int]) -> bool:
+    """True iff every state is reachable from ``sources`` and reaches ``sinks``."""
+    forward, backward = _graph(a)
+    n = a.state_count
+    reached = len(_closure(sources, forward.__getitem__)) == n
+    return reached and len(_closure(sinks, backward.__getitem__)) == n
 
-    The language is preserved.  If nothing useful remains the canonical
-    empty-language automaton (over the same alphabet) is returned; an
-    already-trim automaton is returned unchanged.
-    """
-    keep = _reachable(a) & _coaccessible(a)
+
+def _restrict(a: Nfa, keep: set[int]) -> Nfa:
+    """``a`` on the states in ``keep``, renumbered in order; empty if the start is dropped."""
     if a.start not in keep:
-        if isinstance(a, Dfa):
-            return empty_language_automaton(a.alphabet, a.short_circuited)
-        return Nfa(1, a.alphabet, frozenset(), 0, frozenset(), a.short_circuited)
+        return type(a)(1, a.alphabet, frozenset(), 0, frozenset(), a.short_circuited)
     if len(keep) == a.state_count:
         return a
     order = sorted(keep)
@@ -228,6 +233,18 @@ def trim(a: Nfa) -> Nfa:
     return type(a)(len(order), a.alphabet, transitions, remap[a.start], accepts, a.short_circuited)
 
 
+def trim(a: Nfa) -> Nfa:
+    """Drop states that are unreachable or cannot reach an accept state.
+
+    The language is preserved.  If nothing useful remains the canonical
+    empty-language automaton (over the same alphabet) is returned; an
+    already-trim automaton is returned unchanged.
+    """
+    forward, backward = _graph(a)
+    reachable = _closure([a.start], forward.__getitem__)
+    return _restrict(a, reachable & _closure(a.accepts, backward.__getitem__))
+
+
 def canonicalize(d: Dfa) -> Dfa:
     """Renumber states breadth-first, exploring labels in sorted order.
 
@@ -236,29 +253,24 @@ def canonicalize(d: Dfa) -> Dfa:
     from the start are dropped.
     """
     labels = sorted(d.edge_labels, key=sort_key)
-    remap = {d.start: 0}
-    queue = deque([d.start])
-    while queue:
-        p = queue.popleft()
+    step = d.step
+
+    def moves(p: int) -> Iterator[tuple[Label, int]]:
         for lab in labels:
-            q = d.step.get((p, lab))
-            if q is not None and q not in remap:
-                remap[q] = len(remap)
-                queue.append(q)
-    transitions = frozenset(
-        (remap[p], lab, remap[q]) for p, lab, q in d.transitions if p in remap and q in remap
-    )
-    accepts = frozenset(remap[q] for q in d.accepts if q in remap)
-    return Dfa(len(remap), d.alphabet, transitions, 0, accepts, d.short_circuited)
+            q = step.get((p, lab))
+            if q is not None:
+                yield lab, q
+
+    return _explore(d.start, moves, d.accepts.__contains__, d.alphabet, d.short_circuited)
 
 
 def minimize(d: Dfa) -> Dfa:
     """Minimal trim DFA for ``L(d)`` (Hopcroft partition refinement).
 
     The transition function stays partial; missing moves act as an implicit
-    dead state during refinement but are never materialised.  The output is
-    canonically numbered, so language-equal inputs minimise to structurally
-    identical automata.
+    dead state during refinement but are never materialised.  The blocks are
+    numbered breadth-first directly, as ``canonicalize`` would number them,
+    so language-equal inputs minimise to structurally identical automata.
     """
     t = as_dfa(trim(d))
     if not t.accepts:
@@ -317,25 +329,16 @@ def minimize(d: Dfa) -> Dfa:
                     worklist.add((smaller, any_lab))
 
     sink_block = block_of[sink]
-    live_blocks = [block for block in partition if block is not sink_block]
-    number = {block: i for i, block in enumerate(live_blocks)}
-    transitions: set[Transition] = set()
-    for block in live_blocks:
+
+    def moves(block: frozenset[int]) -> Iterator[tuple[Label, frozenset[int]]]:
         representative = next(iter(block))
         for lab in labels:
             q = t.step.get((representative, lab))
             if q is not None and block_of[q] is not sink_block:
-                transitions.add((number[block], lab, number[block_of[q]]))
-    accepts = frozenset(number[block] for block in live_blocks if block & t.accepts)
-    quotient = Dfa(
-        len(live_blocks),
-        t.alphabet,
-        frozenset(transitions),
-        number[block_of[t.start]],
-        accepts,
-        t.short_circuited,
-    )
-    return canonicalize(quotient)
+                yield lab, block_of[q]
+
+    start = block_of[t.start]
+    return _explore(start, moves, lambda block: block <= accepting, t.alphabet, t.short_circuited)
 
 
 def short_circuit(d: Dfa) -> Dfa:
@@ -366,36 +369,29 @@ def intersect(x: Dfa, y: Dfa) -> Dfa:
     """Trim product automaton recognising ``L(x) & L(y)``.
 
     Moves exist only for labels both operands can fire; labels unique to one
-    alphabet therefore never contribute words.
+    alphabet therefore never contribute words.  Every explored pair is
+    reachable, so only dead pairs, which reach no accepting pair, are pruned.
     """
     if x.short_circuited or y.short_circuited:
         raise ValueError("intersection operands must not be short-circuited")
     common = sorted(x.alphabet & y.alphabet, key=sort_key)
-    start = (x.start, y.start)
-    index: dict[tuple[int, int], int] = {start: 0}
-    queue = deque([start])
-    transitions: set[Transition] = set()
-    accepts: set[int] = set()
-    while queue:
-        pair = queue.popleft()
+    x_step, y_step = x.step, y.step
+
+    def moves(pair: tuple[int, int]) -> Iterator[tuple[Label, tuple[int, int]]]:
         px, py = pair
-        here = index[pair]
-        if px in x.accepts and py in y.accepts:
-            accepts.add(here)
         for lab in common:
-            qx = x.step.get((px, lab))
-            qy = y.step.get((py, lab))
-            if qx is None or qy is None:
-                continue
-            target = (qx, qy)
-            if target not in index:
-                index[target] = len(index)
-                queue.append(target)
-            transitions.add((here, lab, index[target]))
-    product = Dfa(
-        len(index), frozenset(common), frozenset(transitions), 0, frozenset(accepts)
-    )
-    return as_dfa(trim(product))
+            qx = x_step.get((px, lab))
+            if qx is not None:
+                qy = y_step.get((py, lab))
+                if qy is not None:
+                    yield lab, (qx, qy)
+
+    def accepting(pair: tuple[int, int]) -> bool:
+        return pair[0] in x.accepts and pair[1] in y.accepts
+
+    product = _explore((x.start, y.start), moves, accepting, frozenset(common), False)
+    _, backward = _graph(product)
+    return as_dfa(_restrict(product, _closure(product.accepts, backward.__getitem__)))
 
 
 def is_included(x: Dfa, y: Dfa) -> bool:
@@ -430,65 +426,43 @@ def is_included(x: Dfa, y: Dfa) -> bool:
 
 def is_ergodic(a: Nfa) -> bool:
     """True iff the transition graph is strongly connected, labels ignored."""
-    if a.state_count == 1:
-        return True
-    forward: dict[int, set[int]] = {}
-    backward: dict[int, set[int]] = {}
-    for p, _, q in a.transitions:
-        forward.setdefault(p, set()).add(q)
-        backward.setdefault(q, set()).add(p)
-
-    def sweep(adj: dict[int, set[int]]) -> int:
-        seen = {0}
-        queue = deque(seen)
-        while queue:
-            p = queue.popleft()
-            for q in adj.get(p, ()):
-                if q not in seen:
-                    seen.add(q)
-                    queue.append(q)
-        return len(seen)
-
-    return sweep(forward) == a.state_count and sweep(backward) == a.state_count
+    return _spans(a, [0], [0])
 
 
-def _topological_order(d: Dfa) -> list[int] | None:
-    """Reverse-reachability topological order, or None if a cycle exists."""
-    indegree = [0] * d.state_count
-    forward: dict[int, list[int]] = {}
-    for p, _, q in d.transitions:
-        indegree[q] += 1
-        forward.setdefault(p, []).append(q)
-    queue = deque(q for q in range(d.state_count) if indegree[q] == 0)
+def _topological_order(forward: list[list[int]]) -> list[int] | None:
+    """Topological order of the graph with these successor lists, or None if it has a cycle."""
+    indegree = [0] * len(forward)
+    for targets in forward:
+        for q in targets:
+            indegree[q] += 1
+    queue = deque(q for q, degree in enumerate(indegree) if degree == 0)
     order = []
     while queue:
         p = queue.popleft()
         order.append(p)
-        for q in forward.get(p, ()):
+        for q in forward[p]:
             indegree[q] -= 1
             if indegree[q] == 0:
                 queue.append(q)
-    return order if len(order) == d.state_count else None
+    return order if len(order) == len(forward) else None
 
 
 def has_finite_language(d: Dfa) -> bool:
     """True iff no directed cycle survives trimming."""
-    return _topological_order(as_dfa(trim(d))) is not None
+    return _topological_order(_graph(trim(d))[0]) is not None
 
 
 def count_words(d: Dfa) -> int:
     """Exact number of accepted words of a finite-language automaton."""
-    t = as_dfa(trim(d))
-    order = _topological_order(t)
+    t = trim(d)
+    forward, _ = _graph(t)
+    order = _topological_order(forward)
     if order is None:
         raise InfiniteLanguageError("language is infinite: a cycle survives trimming")
-    forward: dict[int, list[int]] = {}
-    for p, _, q in t.transitions:
-        forward.setdefault(p, []).append(q)
     words = [0] * t.state_count
     for p in reversed(order):
         total = 1 if p in t.accepts else 0
-        for q in forward.get(p, ()):
+        for q in forward[p]:
             total += words[q]
         words[p] = total
     return words[t.start]

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .automata import (
     Dfa,
@@ -57,10 +58,23 @@ EXIT_PARSE = 2
 EXIT_INAPPLICABLE = 3
 
 
+def _positive(parse: Callable[[str], float]) -> Callable[[str], float]:
+    """An argparse type: ``parse`` the text and accept only a finite value above 0."""
+
+    def check(text: str) -> float:
+        value = parse(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
+        return value
+
+    check.__name__ = parse.__name__  # argparse names it in "invalid int value: ..."
+    return check
+
+
 def _add_measure_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--measure", choices=("eig", "card"), default="eig")
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
-    parser.add_argument("--max-iter", type=int, default=None)
+    parser.add_argument("--tol", type=_positive(float), default=DEFAULT_TOLERANCE)
+    parser.add_argument("--max-iter", type=_positive(int), default=None)
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     parser.add_argument("--out", type=Path, default=None)
 
@@ -143,9 +157,13 @@ def _max_iter(args: argparse.Namespace) -> int:
     env = os.environ.get(MAX_ITER_ENV)
     if env is not None:
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             print(f"warning: ignoring non-integer {MAX_ITER_ENV}={env!r}", file=sys.stderr)
+        else:
+            if value >= 1:
+                return value
+            print(f"warning: ignoring non-positive {MAX_ITER_ENV}={env!r}", file=sys.stderr)
     return DEFAULT_MAX_ITERATIONS
 
 

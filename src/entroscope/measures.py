@@ -118,11 +118,6 @@ def eig_short_circuit_measure(
     return value
 
 
-def cardinality_measure(d: Dfa) -> float:
-    """Exact word count of a finite language, as a real."""
-    return float(count_words(d))
-
-
 def _length_profiles(spec: Dfa, log: EventLog) -> tuple[Counter[int], Counter[int]]:
     """Distinct traces per length: those ``spec`` accepts, and all of them."""
     shared: Counter[int] = Counter()

@@ -97,8 +97,10 @@ def perron_frobenius(
 
     Starts from the all-ones vector, so runs are deterministic.  On hitting
     the iteration cap the best estimate is returned with ``converged=False``
-    rather than raising.
+    rather than raising; a cap below 1 is a ``ValueError``.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not m.entries:
         return EigenResult(0.0, 0, True, 0.0)
     rows = np.fromiter((e[0] for e in m.entries), dtype=np.intp)

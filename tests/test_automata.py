@@ -127,6 +127,12 @@ class TestDeterminize:
         want = bounded_language_nfa(retry_spec(), sorted(retry_spec().alphabet, key=lambda l: l.display), 8)
         assert bounded_language_dfa(d, 8) == want
 
+    def test_retry_spec_numbering_is_frozen(self):
+        d = determinize(retry_spec())
+        want = {(0, "a", 1), (1, "b", 2), (2, "c", 1), (2, "d", 3), (3, "e", 0)}
+        assert d.transitions == frozenset((p, label(x), q) for p, x, q in want)
+        assert (d.start, d.accepts) == (0, frozenset({0}))
+
     def test_dfa_input_keeps_language(self):
         d = random_dfa(random.Random(7))
         again = determinize(d)
@@ -254,6 +260,24 @@ class TestIntersect:
         d = Dfa(1, frozenset(), frozenset(), 0, frozenset({0}))
         with pytest.raises(ValueError, match="short-circuited"):
             intersect(short_circuit(d), d)
+
+    def test_product_numbering_is_frozen(self):
+        # Pairs reached from x's state 4 are dead and dropped; the rest keep
+        # their breadth-first order.
+        x_moves = {(0, a, 1), (0, b, 2), (1, a, 3), (1, b, 0), (1, c, 1)}
+        x_moves |= {(2, a, 3), (2, b, 2), (3, a, 4), (3, b, 0), (4, b, 4)}
+        x = Dfa(5, frozenset({a, b, c}), frozenset(x_moves), 0, frozenset({3}))
+        y_moves = {(0, a, 1), (0, b, 2), (1, a, 2), (1, b, 1), (2, a, 2), (2, b, 0)}
+        y = Dfa(3, frozenset({a, b}), frozenset(y_moves), 0, frozenset({2}))
+        want = {
+            (0, a, 1), (0, b, 2), (1, a, 3), (1, b, 4), (2, a, 3), (2, b, 5),
+            (3, b, 0), (4, a, 6), (4, b, 7), (5, a, 8), (5, b, 2), (6, a, 3),
+            (6, b, 0), (7, a, 3), (7, b, 7), (8, b, 4),
+        }  # fmt: skip
+        product = intersect(x, y)
+        assert product.transitions == frozenset(want)
+        assert (product.state_count, product.start, product.accepts) == (9, 0, frozenset({3}))
+        assert product.alphabet == frozenset({a, b})
 
 
 class TestIsIncluded:

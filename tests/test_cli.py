@@ -113,6 +113,44 @@ class TestMeasureCommands:
         assert main(["precision", str(retry_spec_file), str(small_log_file)]) == 0
         assert "did not converge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ("--max-iter", "0"),
+            ("--max-iter", "-3"),
+            ("--tol", "0"),
+            ("--tol", "-0.5"),
+            ("--tol", "nan"),
+            ("--tol", "inf"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["coverage", "eigenvalue", "precision"])
+    def test_solver_limits_must_be_positive(
+        self, capsys, retry_spec_file, small_log_file, command, option
+    ):
+        # Without an iteration there is no estimate: text would read nan or inf,
+        # and JSON would hold Infinity, which is not JSON.
+        inputs = {
+            "coverage": [retry_spec_file, retry_spec_file],
+            "eigenvalue": [retry_spec_file],
+            "precision": [retry_spec_file, small_log_file],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *map(str, inputs), "--format", "json", *option])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option[0]}: must be a finite number above 0" in captured.err
+
+    @pytest.mark.parametrize("cap", ["0", "-3", "x"])
+    def test_env_var_cap_below_one_is_ignored(self, capsys, monkeypatch, retry_spec_file, cap):
+        monkeypatch.setenv("ENTROSCOPE_MAX_ITER", cap)
+        assert main(["coverage", str(retry_spec_file), str(retry_spec_file)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "coverage = 1.000\n"
+        assert "warning: ignoring non-" in captured.err
+        assert f"ENTROSCOPE_MAX_ITER={cap!r}" in captured.err
+
     def test_out_writes_file(self, tmp_path, retry_spec_file, small_log_file):
         out = tmp_path / "report.json"
         assert main(

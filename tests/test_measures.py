@@ -9,7 +9,7 @@ from entroscope import (
     InfiniteLanguageError,
     MeasureKind,
     Trace,
-    cardinality_measure,
+    count_words,
     coverage,
     determinize,
     eig_short_circuit_measure,
@@ -61,15 +61,16 @@ class TestEigMeasure:
 
 
 class TestCardinalityMeasure:
+    # The card measure of a language is its word count.
     def test_two_word_spec(self):
-        assert cardinality_measure(two_word_spec()) == 2.0
+        assert count_words(two_word_spec()) == 2.0
 
     def test_empty_language(self):
-        assert cardinality_measure(empty_language_automaton()) == 0.0
+        assert count_words(empty_language_automaton()) == 0.0
 
     def test_infinite_language_raises(self):
         with pytest.raises(InfiniteLanguageError):
-            cardinality_measure(determinize(retry_spec()))
+            count_words(determinize(retry_spec()))
 
 
 class TestQuotient:

@@ -15,6 +15,7 @@ from entroscope import (
     Trace,
     accepts,
     as_dfa,
+    canonicalize,
     count_words,
     coverage,
     determinize,
@@ -165,6 +166,15 @@ def test_pipeline_outputs_are_well_formed(aut):
     assert t.state_count >= 1
     assert m.state_count >= 1
     assert as_dfa(d).state_count == d.state_count
+
+
+@settings(max_examples=150, deadline=None)
+@given(nfas(), nfas())
+def test_constructions_number_states_canonically(x, y):
+    # States are numbered breadth-first from the start, labels in sort order.
+    mx, my = minimize(determinize(x)), minimize(determinize(y))
+    for out in (determinize(x), mx, intersect(mx, my)):
+        assert canonicalize(out) == out
 
 
 @settings(max_examples=100, deadline=None)

@@ -89,6 +89,13 @@ class TestPerronFrobenius:
         result = perron_frobenius(SparseMatrix(1, ()))
         assert result.value == 0.0 and result.converged
 
+    @pytest.mark.parametrize("rows", [[[9]], [[0]]])
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_raises(self, rows, cap):
+        # Below 1 no iteration runs, so there is no estimate to return.
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            perron_frobenius(SparseMatrix.from_rows(rows), max_iter=cap)
+
     def test_scalar_matrix(self):
         result = perron_frobenius(SparseMatrix.from_rows([[9]]))
         assert result.value == pytest.approx(9.0, rel=1e-9)
