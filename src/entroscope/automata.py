@@ -32,8 +32,9 @@ class Nfa:
     """Nondeterministic finite automaton, possibly with silent transitions.
 
     ``transitions`` is a duplicate-free set of ``(from, label, to)`` triples
-    where the label is either a member of ``alphabet``, the ``SILENT``
-    marker, or (only on short-circuited automata) the ``CHI`` marker.
+    where the label is either a member of ``alphabet`` or the ``SILENT``
+    marker.  The ``CHI`` marker in ``alphabet`` marks a short-circuited
+    automaton; only such an automaton may carry ``CHI`` moves.
     """
 
     state_count: int
@@ -41,8 +42,7 @@ class Nfa:
     transitions: frozenset[Transition]
     start: int
     accepts: frozenset[int]
-    short_circuited: bool = False
-    #: Labels that can occur on a transition: the alphabet plus the markers in use.
+    #: Labels that can occur on a transition: the alphabet plus ``SILENT`` if a move carries it.
     edge_labels: frozenset[Label] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -53,10 +53,6 @@ class Nfa:
         _check(n >= 1, "state_count must be at least 1")
         _check(0 <= self.start < n, "start state out of range")
         _check(SILENT not in self.alphabet, "silent marker cannot be an alphabet member")
-        _check(
-            CHI not in self.alphabet or self.short_circuited,
-            "short-circuit marker cannot be an alphabet member",
-        )
         _check(
             not self.accepts or (0 <= min(self.accepts) and max(self.accepts) < n),
             "accept state out of range",
@@ -71,9 +67,13 @@ class Nfa:
                 CHI not in used or self.short_circuited,
                 "chi transition on a non-short-circuited automaton",
             )
-            _check(used - {SILENT, CHI} <= self.alphabet, "transition label outside the alphabet")
-        markers = used & {SILENT} | ({CHI} if self.short_circuited else set())
-        object.__setattr__(self, "edge_labels", self.alphabet | markers)
+            _check(used - {SILENT} <= self.alphabet, "transition label outside the alphabet")
+        object.__setattr__(self, "edge_labels", self.alphabet | used & {SILENT})
+
+    @property
+    def short_circuited(self) -> bool:
+        """True iff the alphabet holds ``CHI``, as ``short_circuit`` leaves it."""
+        return CHI in self.alphabet
 
     @cached_property
     def moves(self) -> dict[tuple[int, Label], frozenset[int]]:
@@ -100,11 +100,9 @@ class Dfa(Nfa):
         return {(p, lab): q for p, lab, q in self.transitions}
 
 
-def empty_language_automaton(
-    alphabet: Iterable[Label] = (), short_circuited: bool = False
-) -> Dfa:
-    """Canonical automaton of the empty language: one state, nothing else."""
-    return Dfa(1, frozenset(alphabet), frozenset(), 0, frozenset(), short_circuited)
+def empty_language_automaton(alphabet: Iterable[Label] = ()) -> Dfa:
+    """Canonical automaton of the empty language over ``alphabet``: one state, nothing else."""
+    return Dfa(1, frozenset(alphabet), frozenset(), 0, frozenset())
 
 
 def is_deterministic(a: Nfa) -> bool:
@@ -114,10 +112,16 @@ def is_deterministic(a: Nfa) -> bool:
 
 
 def as_dfa(a: Nfa) -> Dfa:
-    """Reinterpret a deterministic Nfa as a Dfa (validates determinism)."""
+    """A DFA for ``L(a)``, built by ``determinize`` only if ``a`` is nondeterministic.
+
+    A ``Dfa`` is returned as it is, and a deterministic ``Nfa`` is
+    reinterpreted as a ``Dfa`` with the same states and transitions.
+    """
     if isinstance(a, Dfa):
         return a
-    return Dfa(a.state_count, a.alphabet, a.transitions, a.start, a.accepts, a.short_circuited)
+    if is_deterministic(a):
+        return Dfa(a.state_count, a.alphabet, a.transitions, a.start, a.accepts)
+    return determinize(a)
 
 
 def _explore(
@@ -125,7 +129,6 @@ def _explore(
     moves: Callable[[Hashable], Iterator[tuple[Label, Hashable]]],
     accepting: Callable[[Hashable], bool],
     alphabet: frozenset[Label],
-    short_circuited: bool,
 ) -> Dfa:
     """The DFA on the keys reachable from ``start``, numbered breadth-first.
 
@@ -147,7 +150,7 @@ def _explore(
                 there = index[target] = len(order)
                 order.append(target)
             transitions.append((here, lab, there))
-    return Dfa(len(order), alphabet, frozenset(transitions), 0, frozenset(accepts), short_circuited)
+    return Dfa(len(order), alphabet, frozenset(transitions), 0, frozenset(accepts))
 
 
 def _graph(a: Nfa) -> tuple[list[list[int]], list[list[int]]]:
@@ -185,8 +188,6 @@ def determinize(a: Nfa) -> Dfa:
     breadth-first, so the result is reproducible.
     """
     labels = sorted(a.alphabet, key=sort_key)
-    if a.short_circuited:
-        labels.append(CHI)
 
     def moves(subset: tuple[int, ...]) -> Iterator[tuple[Label, tuple[int, ...]]]:
         for lab in labels:
@@ -200,7 +201,7 @@ def determinize(a: Nfa) -> Dfa:
         return not a.accepts.isdisjoint(subset)
 
     start = tuple(sorted(silent_closure(a, [a.start])))
-    return _explore(start, moves, accepting, a.alphabet, a.short_circuited)
+    return _explore(start, moves, accepting, a.alphabet)
 
 
 def is_trim(a: Nfa) -> bool:
@@ -221,7 +222,7 @@ def _spans(a: Nfa, sources: Iterable[int], sinks: Iterable[int]) -> bool:
 def _restrict(a: Nfa, keep: set[int]) -> Nfa:
     """``a`` on the states in ``keep``, renumbered in order; empty if the start is dropped."""
     if a.start not in keep:
-        return type(a)(1, a.alphabet, frozenset(), 0, frozenset(), a.short_circuited)
+        return type(a)(1, a.alphabet, frozenset(), 0, frozenset())
     if len(keep) == a.state_count:
         return a
     order = sorted(keep)
@@ -230,7 +231,7 @@ def _restrict(a: Nfa, keep: set[int]) -> Nfa:
         (remap[p], lab, remap[q]) for p, lab, q in a.transitions if p in keep and q in keep
     )
     accepts = frozenset(remap[q] for q in a.accepts if q in keep)
-    return type(a)(len(order), a.alphabet, transitions, remap[a.start], accepts, a.short_circuited)
+    return type(a)(len(order), a.alphabet, transitions, remap[a.start], accepts)
 
 
 def trim(a: Nfa) -> Nfa:
@@ -261,7 +262,7 @@ def canonicalize(d: Dfa) -> Dfa:
             if q is not None:
                 yield lab, q
 
-    return _explore(d.start, moves, d.accepts.__contains__, d.alphabet, d.short_circuited)
+    return _explore(d.start, moves, d.accepts.__contains__, d.alphabet)
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -338,7 +339,7 @@ def minimize(d: Dfa) -> Dfa:
                 yield lab, block_of[q]
 
     start = block_of[t.start]
-    return _explore(start, moves, lambda block: block <= accepting, t.alphabet, t.short_circuited)
+    return _explore(start, moves, lambda block: block <= accepting, t.alphabet)
 
 
 def short_circuit(d: Dfa) -> Dfa:
@@ -348,21 +349,14 @@ def short_circuit(d: Dfa) -> Dfa:
     nonempty language the result is ergodic.  The empty-language automaton is
     returned unchanged because there is no accept state to loop from.
     """
-    if d.short_circuited or CHI in d.alphabet:
+    if d.short_circuited:
         raise ValueError("automaton is already short-circuited")
     if not is_trim(d):
         raise ValueError("short_circuit requires a trim automaton")
     if not d.accepts:
         return d
     loops = {(q, CHI, d.start) for q in d.accepts}
-    return Dfa(
-        d.state_count,
-        d.alphabet | {CHI},
-        d.transitions | loops,
-        d.start,
-        d.accepts,
-        short_circuited=True,
-    )
+    return Dfa(d.state_count, d.alphabet | {CHI}, d.transitions | loops, d.start, d.accepts)
 
 
 def intersect(x: Dfa, y: Dfa) -> Dfa:
@@ -389,7 +383,7 @@ def intersect(x: Dfa, y: Dfa) -> Dfa:
     def accepting(pair: tuple[int, int]) -> bool:
         return pair[0] in x.accepts and pair[1] in y.accepts
 
-    product = _explore((x.start, y.start), moves, accepting, frozenset(common), False)
+    product = _explore((x.start, y.start), moves, accepting, frozenset(common))
     _, backward = _graph(product)
     return as_dfa(_restrict(product, _closure(product.accepts, backward.__getitem__)))
 

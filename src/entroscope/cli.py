@@ -1,8 +1,17 @@
 """Command-line driver for measurements, conversions, and experiment families.
 
+Each measure command takes only the options that change its output:
+``precision`` takes ``--measure --tol --max-iter --format --out``, ``recall``
+``--measure --format --out``, ``coverage`` ``--tol --max-iter --format --out``,
+``eigenvalue`` and ``entropy`` ``--tol --max-iter --out``, and ``cardinality``
+``--out``.  ``--tol`` and ``--max-iter`` bound a power iteration, which
+``recall`` and ``cardinality`` do not run; without ``--max-iter`` the cap is
+read from ``ENTROSCOPE_MAX_ITER``.
+
 Exit codes: 0 success (including flagged non-convergence, which warns on
-stderr), 2 parse/usage errors on input files, 3 measure not applicable to
-the input (e.g. cardinality of an infinite language).
+stderr), 2 usage errors and parse errors on input files, 3 measure not
+applicable to the input: cardinality of an infinite language or entropy of
+the empty language.
 """
 
 from __future__ import annotations
@@ -21,7 +30,6 @@ from .automata import (
     Nfa,
     as_dfa,
     count_words,
-    determinize,
     has_finite_language,
     is_deterministic,
     is_ergodic,
@@ -71,12 +79,28 @@ def _positive(parse: Callable[[str], float]) -> Callable[[str], float]:
     return check
 
 
-def _add_measure_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--measure", choices=("eig", "card"), default="eig")
-    parser.add_argument("--tol", type=_positive(float), default=DEFAULT_TOLERANCE)
-    parser.add_argument("--max-iter", type=_positive(int), default=None)
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--out", type=Path, default=None)
+_MEASURE_OPTIONS: dict[str, dict] = {
+    "--measure": {"choices": ("eig", "card"), "default": "eig"},
+    "--tol": {"type": _positive(float), "default": DEFAULT_TOLERANCE},
+    "--max-iter": {"type": _positive(int), "default": None},
+    "--format": {"choices": ("text", "json", "csv"), "default": "text"},
+    "--out": {"type": Path, "default": None},
+}
+
+#: Name, help, input files and options of each measure command, as the module docstring lists.
+_MEASURE_COMMANDS = (
+    ("precision", "precision of a specification w.r.t. a log", "spec log",
+     "--measure --tol --max-iter --format --out"),
+    ("recall", "recall of a specification w.r.t. a log", "spec log",
+     "--measure --format --out"),
+    ("coverage", "coverage of the first automaton by the second", "x y",
+     "--tol --max-iter --format --out"),
+    ("eigenvalue", "short-circuit eigenvalue measure of an automaton's language", "automaton",
+     "--tol --max-iter --out"),
+    ("entropy", "topological entropy (base-2 log of the eigenvalue measure)", "automaton",
+     "--tol --max-iter --out"),
+    ("cardinality", "exact word count of a finite language", "automaton", "--out"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,29 +110,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("precision", help="precision of a specification w.r.t. a log")
-    p.add_argument("spec", type=Path)
-    p.add_argument("log", type=Path)
-    _add_measure_options(p)
-
-    p = sub.add_parser("recall", help="recall of a specification w.r.t. a log")
-    p.add_argument("spec", type=Path)
-    p.add_argument("log", type=Path)
-    _add_measure_options(p)
-
-    p = sub.add_parser("coverage", help="coverage of the first automaton by the second")
-    p.add_argument("x", type=Path)
-    p.add_argument("y", type=Path)
-    _add_measure_options(p)
-
-    for name, description in (
-        ("eigenvalue", "short-circuit eigenvalue measure of an automaton's language"),
-        ("entropy", "topological entropy (base-2 log of the eigenvalue measure)"),
-        ("cardinality", "exact word count of a finite language"),
-    ):
+    for name, description, inputs, flags in _MEASURE_COMMANDS:
         p = sub.add_parser(name, help=description)
-        p.add_argument("automaton", type=Path)
-        _add_measure_options(p)
+        for argument in inputs.split():
+            p.add_argument(argument, type=Path)
+        for flag in flags.split():
+            p.add_argument(flag, **_MEASURE_OPTIONS[flag])
 
     p = sub.add_parser("convert", help="convert between formats")
     p.add_argument("input", type=Path)
@@ -176,11 +183,7 @@ def _warn_unconverged(max_iter: int) -> None:
     )
 
 
-def _print_report(
-    name: str, report: MeasureReport, args: argparse.Namespace, max_iter: int
-) -> None:
-    if not report.converged:
-        _warn_unconverged(max_iter)
+def _print_report(name: str, report: MeasureReport, args: argparse.Namespace) -> None:
     if report.undefined:
         print("warning: quotient is undefined (0/0); reporting 0", file=sys.stderr)
     if args.format == "text":
@@ -189,30 +192,34 @@ def _print_report(
         _emit(write_report(report, args.format), args.out)
 
 
+def _load_spec_and_log(args: argparse.Namespace) -> tuple[Nfa, EventLog]:
+    spec = _load_automaton(args.spec)
+    log, _ = _sniff(args.log)
+    if not isinstance(log, EventLog):
+        raise FormatError(f"{args.log}: expected an event log, found an automaton")
+    return spec, log
+
+
 def _run_quotient_command(args: argparse.Namespace) -> int:
-    kind = MeasureKind.from_name(args.measure)
-    max_iter = _max_iter(args)
-    if args.command in ("precision", "recall"):
-        spec = _load_automaton(args.spec)
-        log, _ = _sniff(args.log)
-        if not isinstance(log, EventLog):
-            raise FormatError(f"{args.log}: expected an event log, found an automaton")
-        compute = precision if args.command == "precision" else recall
-        report = compute(spec, log, kind, args.tol, max_iter)
+    if args.command == "recall":
+        report = recall(*_load_spec_and_log(args), MeasureKind.from_name(args.measure))
     else:
-        x = _load_automaton(args.x)
-        y = _load_automaton(args.y)
-        if kind is not MeasureKind.SHORT_CIRCUIT_EIGENVALUE:
-            print("error: coverage is defined over the eigenvalue measure", file=sys.stderr)
-            return EXIT_INAPPLICABLE
-        report = coverage(x, y, args.tol, max_iter)
-    _print_report(args.command, report, args, max_iter)
+        max_iter = _max_iter(args)
+        if args.command == "precision":
+            spec, log = _load_spec_and_log(args)
+            report = precision(spec, log, MeasureKind.from_name(args.measure), args.tol, max_iter)
+        else:
+            x = _load_automaton(args.x)
+            y = _load_automaton(args.y)
+            report = coverage(x, y, args.tol, max_iter)
+        if not report.converged:
+            _warn_unconverged(max_iter)
+    _print_report(args.command, report, args)
     return EXIT_OK
 
 
 def _run_scalar_command(args: argparse.Namespace) -> int:
-    a = _load_automaton(args.automaton)
-    d = as_dfa(a) if is_deterministic(a) else determinize(a)
+    d = as_dfa(_load_automaton(args.automaton))
     if args.command == "cardinality":
         value = count_words(d)
         _emit(f"cardinality = {value}\n", args.out)
@@ -251,7 +258,6 @@ def _run_inspect(args: argparse.Namespace) -> int:
         if name:
             lines.append(f"name: {name}")
         deterministic = is_deterministic(value)
-        d = as_dfa(value) if deterministic else determinize(value)
         lines += [
             "type: automaton",
             f"states: {value.state_count}",
@@ -260,7 +266,7 @@ def _run_inspect(args: argparse.Namespace) -> int:
             f"deterministic: {str(deterministic).lower()}",
             f"trim: {str(is_trim(value)).lower()}",
             f"ergodic: {str(is_ergodic(value)).lower()}",
-            f"finite_language: {str(has_finite_language(d)).lower()}",
+            f"finite_language: {str(has_finite_language(as_dfa(value))).lower()}",
         ]
     else:
         lines += [

@@ -16,7 +16,7 @@ import xml.etree.ElementTree as ElementTree
 from typing import Any
 
 from .automata import Nfa
-from .labels import CHI, SILENT, Label, label, sort_key
+from .labels import SILENT, Label, label, sort_key
 from .logs import EventLog, Trace
 from .measures import MeasureKind, MeasureReport
 
@@ -142,7 +142,7 @@ def read_named_automaton(text: str) -> tuple[Nfa, str | None]:
 
 def write_automaton(a: Nfa, name: str | None = None) -> str:
     """Serialise an automaton document (reads back identically)."""
-    if a.short_circuited or CHI in a.alphabet:
+    if a.short_circuited:
         raise FormatError("document: short-circuited automata cannot be serialised")
     doc: dict[str, Any] = {}
     if name:

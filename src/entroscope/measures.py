@@ -38,9 +38,7 @@ from .automata import (
     accepts,
     as_dfa,
     count_words,
-    determinize,
     intersect,
-    is_deterministic,
     is_included,
     minimize,
     short_circuit,
@@ -182,7 +180,7 @@ def _assemble(
 
 
 def _prepare(a: Nfa) -> Dfa:
-    return minimize(as_dfa(a) if is_deterministic(a) else determinize(a))
+    return minimize(as_dfa(a))
 
 
 def quotient(
@@ -256,15 +254,13 @@ def recall(
     spec: Nfa,
     log: EventLog,
     kind: MeasureKind = MeasureKind.SHORT_CIRCUIT_EIGENVALUE,
-    tol: float = DEFAULT_TOLERANCE,
-    max_iter: int = DEFAULT_MAX_ITERATIONS,
 ) -> MeasureReport:
     """Measure of the shared behaviour over the recorded behaviour.
 
     Both languages are finite, so both are measured from their length
     profiles, as in ``precision``: the distinct traces that ``spec`` accepts
     over all distinct traces.  Neither side needs a power iteration, so
-    ``tol`` and ``max_iter`` have no effect; each side's stats describe the
+    there is no tolerance or iteration cap; each side's stats describe the
     graph of its length profile.  An empty log yields an undefined-flagged
     report.
     """

@@ -72,6 +72,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="chi"):
             Nfa(2, frozenset({a}), frozenset({(0, CHI, 1)}), 0, frozenset())
 
+    def test_chi_in_the_alphabet_is_the_short_circuit_mark(self):
+        loop = Dfa(1, frozenset({CHI}), frozenset({(0, CHI, 0)}), 0, frozenset({0}))
+        assert loop.short_circuited
+        with pytest.raises(TypeError):
+            Dfa(1, frozenset(), frozenset(), 0, frozenset(), short_circuited=True)
+        with pytest.raises(TypeError):
+            empty_language_automaton(short_circuited=True)
+
     def test_rejects_silent_in_alphabet(self):
         with pytest.raises(ValueError, match="silent"):
             Nfa(1, frozenset({SILENT}), frozenset(), 0, frozenset())

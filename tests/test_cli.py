@@ -108,6 +108,51 @@ class TestMeasureCommands:
         assert main(["precision", str(retry_spec_file), str(retry_spec_file)]) == 2
         assert "expected an event log" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            *[
+                (command, option)
+                for command in ("eigenvalue", "entropy")
+                for option in ("--measure card", "--format json")
+            ],
+            ("cardinality", "--measure card"),
+            ("cardinality", "--format json"),
+            ("cardinality", "--tol 1e-3"),
+            ("cardinality", "--max-iter 5"),
+            ("recall", "--tol 1e-3"),
+            ("recall", "--max-iter 5"),
+            ("coverage", "--measure eig"),
+            ("coverage", "--measure card"),
+        ],
+    )
+    def test_options_that_change_nothing_are_rejected(
+        self, capsys, retry_spec_file, small_log_file, two_word_spec_file, command, option
+    ):
+        inputs = {
+            "eigenvalue": [retry_spec_file],
+            "entropy": [retry_spec_file],
+            "cardinality": [two_word_spec_file],
+            "recall": [retry_spec_file, small_log_file],
+            "coverage": [retry_spec_file, retry_spec_file],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *map(str, inputs), *option.split()])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+    def test_recall_reads_no_iteration_cap(
+        self, capsys, monkeypatch, retry_spec_file, small_log_file
+    ):
+        # Recall runs no power iteration, so the cap variable is not even parsed.
+        monkeypatch.setenv("ENTROSCOPE_MAX_ITER", "x")
+        assert main(["recall", str(retry_spec_file), str(small_log_file)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "recall = 0.897\n"
+        assert captured.err == ""
+
     def test_env_var_caps_iterations(self, capsys, monkeypatch, retry_spec_file, small_log_file):
         monkeypatch.setenv("ENTROSCOPE_MAX_ITER", "2")
         assert main(["precision", str(retry_spec_file), str(small_log_file)]) == 0

@@ -9,7 +9,6 @@ from entroscope import (
     InfiniteLanguageError,
     MeasureKind,
     Trace,
-    count_words,
     coverage,
     determinize,
     eig_short_circuit_measure,
@@ -58,19 +57,6 @@ class TestEigMeasure:
         sc = short_circuit(Dfa(1, frozenset(), frozenset(), 0, frozenset({0})))
         with pytest.raises(ValueError, match="short-circuited"):
             eig_short_circuit_measure(sc)
-
-
-class TestCardinalityMeasure:
-    # The card measure of a language is its word count.
-    def test_two_word_spec(self):
-        assert count_words(two_word_spec()) == 2.0
-
-    def test_empty_language(self):
-        assert count_words(empty_language_automaton()) == 0.0
-
-    def test_infinite_language_raises(self):
-        with pytest.raises(InfiniteLanguageError):
-            count_words(determinize(retry_spec()))
 
 
 class TestQuotient:

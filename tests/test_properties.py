@@ -169,6 +169,25 @@ def test_pipeline_outputs_are_well_formed(aut):
 
 
 @settings(max_examples=150, deadline=None)
+@given(nfas())
+def test_as_dfa_keeps_a_dfa_and_determinizes_an_nfa(aut):
+    d = as_dfa(aut)
+    if is_deterministic(aut):
+        assert d == Dfa(aut.state_count, aut.alphabet, aut.transitions, aut.start, aut.accepts)
+    else:
+        assert d == determinize(aut)
+    assert as_dfa(d) is d
+
+
+@settings(max_examples=150, deadline=None)
+@given(nfas())
+def test_short_circuit_mark_is_chi_in_the_alphabet(aut):
+    sc = short_circuit(minimize(determinize(aut)))
+    assert sc.short_circuited == (CHI in sc.alphabet)
+    assert canonicalize(determinize(sc)) == canonicalize(sc)
+
+
+@settings(max_examples=150, deadline=None)
 @given(nfas(), nfas())
 def test_constructions_number_states_canonically(x, y):
     # States are numbered breadth-first from the start, labels in sort order.

@@ -144,7 +144,6 @@ class TestPerronFrobenius:
                 sc.transitions | {(p, fresh, q)},
                 sc.start,
                 sc.accepts,
-                short_circuited=True,
             )
             bigger = perron_frobenius(adjacency_matrix(grown)).value
             assert bigger >= base - 1e-9
