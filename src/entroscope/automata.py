@@ -9,7 +9,7 @@ a pure function returning fresh automata.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -42,10 +42,8 @@ class Nfa:
     transitions: frozenset[Transition]
     start: int
     accepts: frozenset[int]
-    #: Labels that can occur on a transition: the alphabet plus ``SILENT`` if a move carries it.
-    edge_labels: frozenset[Label] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self) -> set[Label]:
         object.__setattr__(self, "alphabet", frozenset(self.alphabet))
         object.__setattr__(self, "transitions", frozenset(self.transitions))
         object.__setattr__(self, "accepts", frozenset(self.accepts))
@@ -68,7 +66,7 @@ class Nfa:
                 "chi transition on a non-short-circuited automaton",
             )
             _check(used - {SILENT} <= self.alphabet, "transition label outside the alphabet")
-        object.__setattr__(self, "edge_labels", self.alphabet | used & {SILENT})
+        return used  # so that ``Dfa`` need not collect the labels again
 
     @property
     def short_circuited(self) -> bool:
@@ -88,16 +86,20 @@ class Nfa:
 class Dfa(Nfa):
     """Deterministic automaton: no silent moves, one successor per label."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        _check(SILENT not in self.edge_labels, "deterministic automaton carries a silent transition")
+    def __post_init__(self) -> set[Label]:
+        used = super().__post_init__()
+        _check(SILENT not in used, "deterministic automaton carries a silent transition")
         moves = {(p, lab) for p, lab, _ in self.transitions}
         _check(len(moves) == len(self.transitions), "duplicate move for a (state, label) pair")
+        return used
 
     @cached_property
-    def step(self) -> dict[tuple[int, Label], int]:
-        """Partial transition function ``(state, label) -> state``."""
-        return {(p, lab): q for p, lab, q in self.transitions}
+    def rows(self) -> list[dict[Label, int]]:
+        """The partial transition function: per state, ``{label: target}`` in sorted label order."""
+        rows: list[dict[Label, int]] = [{} for _ in range(self.state_count)]
+        for p, lab, q in sorted(self.transitions, key=lambda t: sort_key(t[1])):
+            rows[p][lab] = q
+        return rows
 
 
 def empty_language_automaton(alphabet: Iterable[Label] = ()) -> Dfa:
@@ -108,7 +110,7 @@ def empty_language_automaton(alphabet: Iterable[Label] = ()) -> Dfa:
 def is_deterministic(a: Nfa) -> bool:
     """True iff ``a`` has no silent move and no label with two successors."""
     moves = {(p, lab) for p, lab, _ in a.transitions}
-    return SILENT not in a.edge_labels and len(moves) == len(a.transitions)
+    return len(moves) == len(a.transitions) and all(lab is not SILENT for _, lab in moves)
 
 
 def as_dfa(a: Nfa) -> Dfa:
@@ -185,23 +187,28 @@ def determinize(a: Nfa) -> Dfa:
 
     Only subset states reachable from the closure of the start state are
     materialised; subsets are canonicalised as sorted tuples and discovered
-    breadth-first, so the result is reproducible.
+    breadth-first, so the result is reproducible.  Each state's silent
+    closure is taken once, and each move leads to its targets' closures.
     """
     labels = sorted(a.alphabet, key=sort_key)
+    closures = [silent_closure(a, [p]) for p in range(a.state_count)]
+    closed = {
+        move: frozenset().union(*map(closures.__getitem__, targets))
+        for move, targets in a.moves.items()
+    }
 
     def moves(subset: tuple[int, ...]) -> Iterator[tuple[Label, tuple[int, ...]]]:
         for lab in labels:
             targets: set[int] = set()
             for p in subset:
-                targets.update(a.moves.get((p, lab), ()))
+                targets.update(closed.get((p, lab), ()))
             if targets:
-                yield lab, tuple(sorted(silent_closure(a, targets)))
+                yield lab, tuple(sorted(targets))
 
     def accepting(subset: tuple[int, ...]) -> bool:
         return not a.accepts.isdisjoint(subset)
 
-    start = tuple(sorted(silent_closure(a, [a.start])))
-    return _explore(start, moves, accepting, a.alphabet)
+    return _explore(tuple(sorted(closures[a.start])), moves, accepting, a.alphabet)
 
 
 def is_trim(a: Nfa) -> bool:
@@ -253,16 +260,7 @@ def canonicalize(d: Dfa) -> Dfa:
     what the test suites use as their isomorphism check.  States unreachable
     from the start are dropped.
     """
-    labels = sorted(d.edge_labels, key=sort_key)
-    step = d.step
-
-    def moves(p: int) -> Iterator[tuple[Label, int]]:
-        for lab in labels:
-            q = step.get((p, lab))
-            if q is not None:
-                yield lab, q
-
-    return _explore(d.start, moves, d.accepts.__contains__, d.alphabet)
+    return _explore(d.start, lambda p: d.rows[p].items(), d.accepts.__contains__, d.alphabet)
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -276,7 +274,7 @@ def minimize(d: Dfa) -> Dfa:
     t = as_dfa(trim(d))
     if not t.accepts:
         return t
-    labels = sorted(t.edge_labels, key=sort_key)
+    labels = sorted(t.alphabet, key=sort_key)
     sink = t.state_count
     states = range(t.state_count)
 
@@ -284,7 +282,7 @@ def minimize(d: Dfa) -> Dfa:
     for lab in labels:
         by_target = predecessors[lab]
         for p in states:
-            q = t.step.get((p, lab), sink)
+            q = t.rows[p].get(lab, sink)
             by_target.setdefault(q, []).append(p)
         by_target.setdefault(sink, []).append(sink)
 
@@ -332,10 +330,8 @@ def minimize(d: Dfa) -> Dfa:
     sink_block = block_of[sink]
 
     def moves(block: frozenset[int]) -> Iterator[tuple[Label, frozenset[int]]]:
-        representative = next(iter(block))
-        for lab in labels:
-            q = t.step.get((representative, lab))
-            if q is not None and block_of[q] is not sink_block:
+        for lab, q in t.rows[next(iter(block))].items():
+            if block_of[q] is not sink_block:
                 yield lab, block_of[q]
 
     start = block_of[t.start]
@@ -359,6 +355,53 @@ def short_circuit(d: Dfa) -> Dfa:
     return Dfa(d.state_count, d.alphabet | {CHI}, d.transitions | loops, d.start, d.accepts)
 
 
+def product_rows(x: Dfa, y: Dfa) -> tuple[list[dict[Label, int]], list[int]]:
+    """``Dfa.rows`` and accept states of the trim product of ``x`` and ``y``.
+
+    Pairs, coded as ``px * y.state_count + py``, are numbered breadth-first
+    with labels in sorted order, as ``_explore`` numbers states.  Pairs that
+    one backward ``_closure`` from the accepting pairs misses are dropped and
+    the rest keep their order, as in ``_restrict``; a dead start leaves one
+    state with no move.
+    """
+    if x.short_circuited or y.short_circuited:
+        raise ValueError("intersection operands must not be short-circuited")
+    width, x_rows, y_rows = y.state_count, x.rows, y.rows
+    start = x.start * width + y.start
+    index = {start: 0}
+    pairs = [start]
+    rows: list[dict[Label, int]] = []
+    backward: list[list[int]] = [[]]
+    accepting: list[int] = []
+    for here, pair in enumerate(pairs):  # ``pairs`` grows as pairs are found
+        px, py = divmod(pair, width)
+        if px in x.accepts and py in y.accepts:
+            accepting.append(here)
+        y_row = y_rows[py]
+        row = {}
+        for lab, qx in x_rows[px].items():
+            qy = y_row.get(lab)
+            if qy is not None:
+                target = qx * width + qy
+                there = index.get(target)
+                if there is None:
+                    there = index[target] = len(pairs)
+                    pairs.append(target)
+                    backward.append([])
+                row[lab] = there
+                backward[there].append(here)
+        rows.append(row)
+    live = _closure(accepting, backward.__getitem__)
+    if 0 not in live:
+        return [{}], []
+    if len(live) < len(rows):
+        keep = sorted(live)
+        number = {old: new for new, old in enumerate(keep)}
+        rows = [{lab: number[q] for lab, q in rows[p].items() if q in number} for p in keep]
+        accepting = [number[p] for p in accepting]
+    return rows, accepting
+
+
 def intersect(x: Dfa, y: Dfa) -> Dfa:
     """Trim product automaton recognising ``L(x) & L(y)``.
 
@@ -366,26 +409,9 @@ def intersect(x: Dfa, y: Dfa) -> Dfa:
     alphabet therefore never contribute words.  Every explored pair is
     reachable, so only dead pairs, which reach no accepting pair, are pruned.
     """
-    if x.short_circuited or y.short_circuited:
-        raise ValueError("intersection operands must not be short-circuited")
-    common = sorted(x.alphabet & y.alphabet, key=sort_key)
-    x_step, y_step = x.step, y.step
-
-    def moves(pair: tuple[int, int]) -> Iterator[tuple[Label, tuple[int, int]]]:
-        px, py = pair
-        for lab in common:
-            qx = x_step.get((px, lab))
-            if qx is not None:
-                qy = y_step.get((py, lab))
-                if qy is not None:
-                    yield lab, (qx, qy)
-
-    def accepting(pair: tuple[int, int]) -> bool:
-        return pair[0] in x.accepts and pair[1] in y.accepts
-
-    product = _explore((x.start, y.start), moves, accepting, frozenset(common))
-    _, backward = _graph(product)
-    return as_dfa(_restrict(product, _closure(product.accepts, backward.__getitem__)))
+    rows, accepting = product_rows(x, y)
+    transitions = frozenset((p, lab, q) for p, row in enumerate(rows) for lab, q in row.items())
+    return Dfa(len(rows), x.alphabet & y.alphabet, transitions, 0, frozenset(accepting))
 
 
 def is_included(x: Dfa, y: Dfa) -> bool:
@@ -398,9 +424,6 @@ def is_included(x: Dfa, y: Dfa) -> bool:
     """
     if not is_trim(x):
         raise ValueError("is_included requires a trim first operand")
-    out: dict[int, list[tuple[Label, int]]] = {}
-    for p, lab, q in x.transitions:
-        out.setdefault(p, []).append((lab, q))
     start = (x.start, y.start)
     seen = {start}
     stack = [start]
@@ -408,8 +431,8 @@ def is_included(x: Dfa, y: Dfa) -> bool:
         px, py = stack.pop()
         if px in x.accepts and py not in y.accepts:
             return False
-        for lab, qx in out.get(px, ()):
-            qy = y.step.get((py, lab))
+        for lab, qx in x.rows[px].items():
+            qy = y.rows[py].get(lab)
             if qy is None:
                 return False
             if (qx, qy) not in seen:
@@ -482,7 +505,7 @@ def accepts(d: Dfa, word: Sequence[Label]) -> bool:
     """Replay ``word``; labels outside the alphabet simply fail to move."""
     state = d.start
     for lab in word:
-        nxt = d.step.get((state, lab))
+        nxt = d.rows[state].get(lab)
         if nxt is None:
             return False
         state = nxt

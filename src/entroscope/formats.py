@@ -193,11 +193,16 @@ def write_log(log: EventLog) -> str:
 
 
 def _local_name(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
+    return tag.rpartition("}")[2]
 
 
 def read_xes(text: str) -> EventLog:
-    """Minimal XES reader: traces, events, and their concept:name strings."""
+    """Minimal XES reader: traces, events, and their concept:name strings.
+
+    An event counts only if its lifecycle:transition is absent or
+    ``complete`` (in any case), so an activity recorded by its start and
+    its completion occurs once.
+    """
     try:
         root = ElementTree.fromstring(text)
     except ElementTree.ParseError as exc:
@@ -209,14 +214,16 @@ def read_xes(text: str) -> EventLog:
         for event_el in trace_el:
             if _local_name(event_el.tag) != "event":
                 continue
-            name = None
+            name = lifecycle = None
             for attr in event_el:
-                if (
-                    _local_name(attr.tag) == "string"
-                    and attr.get("key") == "concept:name"
-                ):
-                    name = attr.get("value")
-                    break
+                if _local_name(attr.tag) == "string":
+                    key = attr.get("key")
+                    if key == "concept:name" and name is None:
+                        name = attr.get("value")
+                    elif key == "lifecycle:transition":
+                        lifecycle = attr.get("value")
+            if lifecycle is not None and lifecycle.lower() != "complete":
+                continue
             if name is None:
                 _fail(f"trace {t_index}", "event missing a concept:name attribute")
             if name == RESERVED_LABEL:

@@ -2,15 +2,16 @@
 
 Two automata (``coverage``, ``precision_and_recall``, ``quotient``) are
 compared in one fixed order: determinize if needed, trim and minimize each
-operand, intersect the minimal automata, and only then short-circuit.  The
-eigenvalue measure is a property of the language, and a trim automaton and
-its minimal quotient short-circuit to the same eigenvalue, so the product is
-measured as ``intersect`` returns it, trim but not minimized.  Where one
-operand's language lies inside the other's (``is_included``), that operand's
-language is the shared one and no product is built.  Short-circuiting before
-intersecting would make the loop-back marker part of the compared languages,
-so it is structurally impossible here: ``intersect`` rejects short-circuited
-inputs.
+operand, then measure their intersection short-circuited.  Where one
+operand's language lies inside the other's (``is_included``), that
+operand's language is the shared one.  Otherwise the product is walked,
+never built as a ``Dfa``: ``automata.product_rows`` numbers the live
+state pairs, the chi moves to the start are added, and the moves are
+counted into the matrix that the eigen solve reads.  That is the matrix of
+``short_circuit(intersect(x, y))``, trim but not minimized, which has the
+eigenvalue of its minimal quotient.  The chi moves are added only after
+intersecting, so the loop-back marker is never part of the compared
+languages.
 
 A specification and an event log (``precision``, ``recall``) are compared
 without an automaton of the log.  The log's language and its intersection
@@ -38,17 +39,17 @@ from .automata import (
     accepts,
     as_dfa,
     count_words,
-    intersect,
     is_included,
     minimize,
-    short_circuit,
+    product_rows,
 )
+from .labels import CHI
 from .logs import EventLog
 from .spectral import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
     EigenResult,
-    adjacency_matrix,
+    SparseMatrix,
     length_profile_eigenvalue,
     perron_frobenius,
 )
@@ -95,15 +96,28 @@ class MeasureReport:
     runtime_ms: float = 0.0
 
 
+def _shared_eig(x: Dfa, y: Dfa, tol: float, max_iter: int) -> tuple[float, AutomatonStats]:
+    """Eigenvalue measure of ``L(x) & L(y)``, with the size and solve behind it.
+
+    The matrix is that of ``short_circuit(intersect(x, y))``, but neither DFA
+    is built: each accept state's row of the trim product gains a chi move
+    to the start, and the rows are counted directly.
+    """
+    rows, accepting = product_rows(x, y)
+    for p in accepting:
+        rows[p][CHI] = 0
+    result = perron_frobenius(SparseMatrix.from_moves(rows), tol, max_iter)
+    return result.value, AutomatonStats(len(rows), sum(map(len, rows)), result)
+
+
 def measure(d: Dfa, kind: MeasureKind, tol: float, max_iter: int) -> tuple[float, AutomatonStats]:
-    """Measure of ``L(d)``, with the size and solve behind it; ``d`` must be trim."""
+    """Measure of ``L(d)``, with the size and solve behind it; ``d`` must be minimal.
+
+    ``d`` is its own product with itself, numbered as ``minimize`` numbers it.
+    """
     if kind is MeasureKind.CARDINALITY:
         return float(count_words(d)), AutomatonStats(d.state_count, len(d.transitions))
-    circuited = short_circuit(d)
-    result = perron_frobenius(adjacency_matrix(circuited), tol, max_iter)
-    return result.value, AutomatonStats(
-        circuited.state_count, len(circuited.transitions), result
-    )
+    return _shared_eig(d, d, tol, max_iter)
 
 
 def eig_short_circuit_measure(
@@ -212,7 +226,7 @@ def _pair_reports(
     elif den_rel is not None and is_included(m_rel, m_ret):
         shared = den_rel
     else:
-        shared = measure(intersect(m_ret, m_rel), kind, tol, max_iter)
+        shared = _shared_eig(m_ret, m_rel, tol, max_iter)
     precision_report = _assemble(kind, shared, den_ret, _elapsed_ms(started))
     recall_report = None
     if den_rel is not None:
@@ -283,7 +297,8 @@ def precision_and_recall(
     operand's language contains the other's, the contained operand's own
     measure is the shared one, and the quotient over it is exactly 1.0 from
     that one solve.  Otherwise the numerator stats describe the trim product
-    of the two minimal automata, which is not minimized.
+    of the two minimal automata, short-circuited, which is walked and solved
+    but never built as a ``Dfa`` or minimized.
     """
     pr, rc = _pair_reports(ret, rel, tol, max_iter, want_recall=True)
     assert rc is not None
@@ -301,8 +316,9 @@ def coverage(
     Equals 1.0 exactly when ``L(x)`` is contained in ``L(y)``: then the
     shared language is ``L(x)`` and one solve serves both sides, so the
     numerator stats are those of ``x``.  Otherwise the numerator stats
-    describe the trim product of the two minimal automata, which is not
-    minimized.  An empty ``L(x)`` is reported as undefined.
+    describe the trim product of the two minimal automata, short-circuited,
+    which is walked and solved but never built as a ``Dfa`` or minimized.
+    An empty ``L(x)`` is reported as undefined.
     """
     report, _ = _pair_reports(x, y, tol, max_iter, want_recall=False)
     return report

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .automata import Dfa
+from .labels import Label
 
 #: Relative Rayleigh-quotient change below which a solve counts as converged.
 DEFAULT_TOLERANCE = 1e-9
@@ -25,40 +26,69 @@ DEFAULT_TOLERANCE = 1e-9
 DEFAULT_MAX_ITERATIONS = 300_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SparseMatrix:
     """Square non-negative integer matrix in coordinate form.
 
-    Absent coordinates are zero; stored weights are at least one and each
-    ``(row, col)`` pair appears at most once.
+    ``rows``, ``cols`` and ``weights`` list the nonzero entries in
+    ``(row, col)`` order: absent coordinates are zero, stored weights are at
+    least one and each ``(row, col)`` pair appears at most once.
     """
 
     order: int
-    entries: tuple[tuple[int, int, int], ...]
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
+    weights: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
-        if self.order < 1:
+    def __init__(self, order: int, entries: Iterable[tuple[int, int, int]]):
+        entries = sorted(entries)
+        if order < 1:
             raise ValueError("invariant violated: order must be at least 1")
         seen: set[tuple[int, int]] = set()
-        for row, col, weight in self.entries:
-            if not (0 <= row < self.order and 0 <= col < self.order):
+        for row, col, weight in entries:
+            if not (0 <= row < order and 0 <= col < order):
                 raise ValueError("invariant violated: entry index out of range")
             if weight < 1:
                 raise ValueError("invariant violated: entry weight must be positive")
             if (row, col) in seen:
                 raise ValueError("invariant violated: duplicate entry coordinates")
             seen.add((row, col))
+        rows, cols, weights = zip(*entries) if entries else ((), (), ())
+        vars(self).update(order=order, rows=rows, cols=cols, weights=weights)
+
+    @classmethod
+    def from_moves(cls, table: list[dict[Label, int]]) -> SparseMatrix:
+        """Count of labels moving state ``i`` to ``j`` in a table like ``Dfa.rows``.
+
+        Each state's targets are sorted on their own and counted in runs, so
+        the entries come out in order and need no check.
+        """
+        froms: list[int] = []
+        tos: list[int] = []
+        counts: list[int] = []
+        for p, row in enumerate(table):
+            last = -1
+            for q in sorted(row.values()):
+                if q == last:
+                    counts[-1] += 1
+                else:
+                    froms.append(p)
+                    tos.append(q)
+                    counts.append(1)
+                    last = q
+        m = cls.__new__(cls)
+        vars(m).update(order=len(table), rows=tuple(froms), cols=tuple(tos), weights=tuple(counts))
+        return m
+
+    @property
+    def entries(self) -> tuple[tuple[int, int, int], ...]:
+        """The ``(row, col, weight)`` triples in ``(row, col)`` order."""
+        return tuple(zip(self.rows, self.cols, self.weights))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> SparseMatrix:
         """Build from a dense row-major listing (zeros dropped)."""
-        entries = tuple(
-            (i, j, int(w))
-            for i, row in enumerate(rows)
-            for j, w in enumerate(row)
-            if w
-        )
+        entries = ((i, j, int(w)) for i, row in enumerate(rows) for j, w in enumerate(row) if w)
         return cls(len(rows), entries)
 
     def to_rows(self) -> list[list[int]]:
@@ -80,12 +110,7 @@ class EigenResult:
 
 def adjacency_matrix(d: Dfa) -> SparseMatrix:
     """Count of labels moving state ``i`` to state ``j``, as a sparse matrix."""
-    weights: dict[tuple[int, int], int] = {}
-    for p, _, q in d.transitions:
-        weights[(p, q)] = weights.get((p, q), 0) + 1
-    return SparseMatrix(
-        d.state_count, tuple((p, q, w) for (p, q), w in weights.items())
-    )
+    return SparseMatrix.from_moves(d.rows)
 
 
 def perron_frobenius(
@@ -101,11 +126,11 @@ def perron_frobenius(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if not m.entries:
+    if not m.rows:
         return EigenResult(0.0, 0, True, 0.0)
-    rows = np.fromiter((e[0] for e in m.entries), dtype=np.intp)
-    cols = np.fromiter((e[1] for e in m.entries), dtype=np.intp)
-    weights = np.fromiter((e[2] for e in m.entries), dtype=np.float64)
+    rows = np.array(m.rows, dtype=np.intp)
+    cols = np.array(m.cols, dtype=np.intp)
+    weights = np.array(m.weights, dtype=np.float64)
 
     x = np.full(m.order, 1.0 / math.sqrt(m.order))
     rayleigh = math.inf
@@ -159,14 +184,3 @@ def length_profile_eigenvalue(profile: Mapping[int, int]) -> EigenResult:
     # 1/hi is within a factor hi/lo of the radius, from below.
     return EigenResult(1.0 / hi, steps, True, hi / lo - 1.0)
 
-
-def entropy(d: Dfa) -> float:
-    """Base-2 logarithm of the dominant adjacency eigenvalue.
-
-    Callers are expected to pass an ergodic (short-circuited) automaton with
-    a nonempty language; the empty language has no entropy.
-    """
-    result = perron_frobenius(adjacency_matrix(d))
-    if result.value <= 0.0:
-        raise ValueError("entropy undefined: empty language")
-    return math.log2(result.value)

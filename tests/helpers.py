@@ -70,7 +70,7 @@ def bounded_language_nfa(a: Nfa, alphabet: list[Label], max_len: int) -> set[tup
 
 
 def bounded_language_dfa(d: Dfa, max_len: int) -> set[tuple[Label, ...]]:
-    """Accepted word set up to ``max_len`` by replaying the partial map."""
+    """Accepted word set up to ``max_len`` by replaying the transitions."""
     accepted: set[tuple[Label, ...]] = set()
     frontier: list[tuple[tuple[Label, ...], int]] = [((), d.start)]
     if d.start in d.accepts:
@@ -78,7 +78,7 @@ def bounded_language_dfa(d: Dfa, max_len: int) -> set[tuple[Label, ...]]:
     for _ in range(max_len):
         nxt = []
         for word, state in frontier:
-            for (src, lab), dst in d.step.items():
+            for src, lab, dst in d.transitions:
                 if src != state:
                     continue
                 grown = word + (lab,)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from entroscope import label
+from entroscope import empty_language_automaton, label
 from entroscope.cli import main
 from entroscope.formats import read_automaton, write_automaton, write_log
 from helpers import bounded_language_dfa, word_log
@@ -79,6 +79,14 @@ class TestMeasureCommands:
         assert capsys.readouterr().out == "eigenvalue = 1.513\n"
         assert main(["entropy", str(retry_spec_file)]) == 0
         assert capsys.readouterr().out == "entropy = 0.597\n"
+
+    def test_entropy_of_empty_language_exits_3(self, capsys, tmp_path):
+        empty = tmp_path / "empty.json"
+        empty.write_text(write_automaton(empty_language_automaton()), encoding="utf-8")
+        assert main(["eigenvalue", str(empty)]) == 0
+        assert capsys.readouterr().out == "eigenvalue = 0.000\n"
+        assert main(["entropy", str(empty)]) == 3
+        assert "entropy undefined for the empty language" in capsys.readouterr().err
 
     def test_parse_error_exits_2(self, capsys, tmp_path, small_log_file):
         bad = tmp_path / "bad.json"

@@ -175,6 +175,33 @@ class TestXes:
         with pytest.raises(FormatError, match="XML"):
             read_xes("<log><trace>")
 
+    @staticmethod
+    def lifecycle_log(*events: tuple[str, str | None]) -> str:
+        def event(name: str, transition: str | None) -> str:
+            attrs = f'<string key="concept:name" value="{name}"/>'
+            if transition:
+                attrs += f'<string key="lifecycle:transition" value="{transition}"/>'
+            return f"<event>{attrs}</event>"
+
+        return f"<log><trace>{''.join(event(n, t) for n, t in events)}</trace></log>"
+
+    def test_start_and_complete_count_once(self):
+        events = [("A", "start"), ("A", "complete"), ("B", "START"), ("B", "Complete"), ("C", None)]
+        parsed = read_xes(self.lifecycle_log(*events))
+        assert multiplicity(parsed, Trace.of("A", "B", "C")) == 1
+        assert parsed.total_count == 1
+
+    def test_trace_of_start_events_only_is_empty(self):
+        parsed = read_xes(self.lifecycle_log(("A", "start"), ("B", "start")))
+        assert multiplicity(parsed, Trace(())) == 1
+
+    def test_lifecycle_before_name_is_read(self):
+        text = (
+            '<log><trace><event><string key="lifecycle:transition" value="start"/>'
+            '<string key="concept:name" value="A"/></event></trace></log>'
+        )
+        assert multiplicity(read_xes(text), Trace(())) == 1
+
 
 class TestDot:
     def test_retry_spec_renders_all_states(self):

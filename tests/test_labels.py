@@ -23,4 +23,4 @@ def test_pickled_automata_round_trip_equal():
     for d in (m, short_circuit(m)):
         back = pickle.loads(pickle.dumps(d))
         assert back == d
-        assert back.step == d.step and back.edge_labels == d.edge_labels
+        assert back.rows == d.rows and back.alphabet == d.alphabet

@@ -1,13 +1,21 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from entroscope import (
+    SILENT,
+    AutomatonStats,
     Dfa,
+    EigenResult,
     EventLog,
     InfiniteLanguageError,
     MeasureKind,
+    Nfa,
     Trace,
     coverage,
     determinize,
@@ -219,6 +227,72 @@ class TestCoverage:
     def test_empty_first_operand_is_flagged(self):
         report = coverage(empty_language_automaton(), retry_spec())
         assert report.undefined
+
+
+def nth_from_end(n: int, markers: str, alphabet: str, silent_skip: bool = False) -> Nfa:
+    """Words over ``alphabet`` whose n-th symbol from the end is one of ``markers``."""
+    labs = [label(ch) for ch in alphabet]
+    moves = {(0, lab, 0) for lab in labs} | {(0, label(m), 1) for m in markers}
+    moves |= {(i, lab, i + 1) for i in range(1, n) for lab in labs}
+    if silent_skip:
+        moves.add((1, SILENT, 2))
+    return Nfa(n + 1, frozenset(labs), frozenset(moves), 0, frozenset({n}))
+
+
+def stats(states: int, transitions: int, value: float, iterations: int, residual: float):
+    return AutomatonStats(states, transitions, EigenResult(value, iterations, True, residual))
+
+
+#: Coverage reports of pairs where neither language contains the other, so
+#: the shared measure is solved on the short-circuited product.  Frozen from
+#: the release that still built the product as a ``Dfa``.
+PRODUCT_COVERAGE_CASES = [
+    (
+        (nth_from_end(3, "a", "ab"), nth_from_end(4, "b", "ab")),
+        (0.9386203027661584, 2.177817363668024, 2.3202325341247074, 75),
+        stats(23, 50, 2.177817363668024, 42, 9.791251761350047e-10),
+        stats(8, 20, 2.3202325341247074, 33, 7.649466448780037e-10),
+    ),
+    (
+        (nth_from_end(5, "a", "abc"), nth_from_end(2, "ac", "abc")),
+        (0.981016284754029, 3.168968007050821, 3.2302909302319875, 96),
+        stats(72, 240, 3.168968007050821, 46, 5.314701454923553e-10),
+        stats(32, 112, 3.2302909302319875, 50, 6.579056911906476e-10),
+    ),
+    (
+        (nth_from_end(4, "b", "ab", silent_skip=True), nth_from_end(3, "a", "abc")),
+        (0.9050262200555834, 2.177817363773248, 2.406358308204037, 81),
+        stats(19, 42, 2.177817363773248, 42, 9.71007310461715e-10),
+        stats(9, 23, 2.406358308204037, 39, 8.431256559070249e-10),
+    ),
+]
+
+
+@pytest.mark.parametrize("pair, values, numerator, denominator", PRODUCT_COVERAGE_CASES)
+def test_product_coverage_is_frozen(pair, values, numerator, denominator):
+    report = coverage(*pair)
+    got = (report.value, report.numerator_value, report.denominator_value, report.iterations)
+    assert got == values
+    assert report.numerator == numerator and report.denominator == denominator
+    assert report.converged
+
+
+def test_coverage_loads_no_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    script = (
+        "import sys, entroscope\n"
+        "a = entroscope.label('a')\n"
+        "x = entroscope.Dfa(2, {a}, {(0, a, 1), (1, a, 0)}, 0, {0})\n"
+        "y = entroscope.Dfa(3, {a}, {(0, a, 1), (1, a, 2), (2, a, 0)}, 0, {0})\n"
+        "assert 0.0 < entroscope.coverage(x, y).value < 1.0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout == "[]\n"
 
 
 class TestRepresentationIndependence:

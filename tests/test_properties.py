@@ -1,9 +1,13 @@
 """Invariant suites over randomly generated automata, logs, and word sets."""
 
+from collections import Counter
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entroscope import measures
 from entroscope import (
     CHI,
     Dfa,
@@ -14,6 +18,7 @@ from entroscope import (
     Nfa,
     Trace,
     accepts,
+    adjacency_matrix,
     as_dfa,
     canonicalize,
     count_words,
@@ -27,6 +32,7 @@ from entroscope import (
     is_trim,
     label,
     minimize,
+    perron_frobenius,
     precision,
     precision_and_recall,
     prefix_tree_acceptor,
@@ -34,7 +40,6 @@ from entroscope import (
     short_circuit,
     trim,
 )
-from entroscope.labels import sort_key
 from helpers import ABC, bounded_language_dfa, bounded_language_nfa, bounded_words
 
 NOISE = label("z")  # never in a spec alphabet
@@ -84,9 +89,7 @@ def specs_and_logs(draw, max_traces=6, max_len=60):
     """
     spec = draw(nfas())
     d = determinize(spec)
-    moves: dict[int, list] = {}
-    for (p, lab), q in sorted(d.step.items(), key=lambda m: (m[0][0], sort_key(m[0][1]))):
-        moves.setdefault(p, []).append((lab, q))
+    moves = {p: list(row.items()) for p, row in enumerate(d.rows) if row}
     traces = []
     for _ in range(draw(st.integers(0, max_traces))):
         length = draw(st.integers(0, max_len))
@@ -312,3 +315,35 @@ def test_containment_in_a_larger_automaton_gives_exact_ones():
     assert coverage(ab_star, counter).value == 1.0
     pr, rc = precision_and_recall(counter, ab_star)
     assert rc.value == 1.0 and pr.value < 1.0
+
+
+def counted_entries(d: Dfa) -> tuple[int, list[tuple[int, int, int]]]:
+    """Order and ``(row, col, label count)`` entries of ``d``, counted from its triples."""
+    counts = Counter((p, q) for p, _, q in d.transitions)
+    return d.state_count, sorted((p, q, w) for (p, q), w in counts.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfa_pairs())
+def test_measure_path_solves_the_short_circuited_product(pair):
+    x, y = pair
+    mx, my = minimize(as_dfa(x)), minimize(as_dfa(y))
+    # A minimal operand is its own product with itself, numbered alike.
+    assert intersect(mx, mx) == mx and intersect(my, my) == my
+    for a, b, ma, mb in ((x, y, mx, my), (y, x, my, mx)):
+        solved = []
+
+        def spy(matrix, tol, max_iter):
+            solved.append((matrix.order, list(matrix.entries)))
+            return perron_frobenius(matrix, tol, max_iter)
+
+        with mock.patch.object(measures, "perron_frobenius", spy):
+            report = coverage(a, b)
+        own = short_circuit(ma)
+        measured = [own] if is_included(ma, mb) else [own, short_circuit(intersect(ma, mb))]
+        assert solved == [counted_entries(sc) for sc in measured]
+        for sc in measured:
+            matrix = adjacency_matrix(sc)
+            assert (matrix.order, list(matrix.entries)) == counted_entries(sc)
+        for stats, sc in ((report.numerator, measured[-1]), (report.denominator, own)):
+            assert (stats.states, stats.transitions) == (sc.state_count, len(sc.transitions))
