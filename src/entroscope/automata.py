@@ -8,10 +8,10 @@ a pure function returning fresh automata.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .labels import CHI, SILENT, Label, sort_key
 
@@ -446,21 +446,18 @@ def is_ergodic(a: Nfa) -> bool:
     return _spans(a, [0], [0])
 
 
-def _topological_order(forward: list[list[int]]) -> list[int] | None:
+def _topological_order(forward: Sequence[Iterable[int]]) -> list[int] | None:
     """Topological order of the graph with these successor lists, or None if it has a cycle."""
     indegree = [0] * len(forward)
     for targets in forward:
         for q in targets:
             indegree[q] += 1
-    queue = deque(q for q, degree in enumerate(indegree) if degree == 0)
-    order = []
-    while queue:
-        p = queue.popleft()
-        order.append(p)
+    order = [q for q, degree in enumerate(indegree) if degree == 0]
+    for p in order:  # ``order`` grows as states lose their last predecessor
         for q in forward[p]:
             indegree[q] -= 1
             if indegree[q] == 0:
-                queue.append(q)
+                order.append(q)
     return order if len(order) == len(forward) else None
 
 
@@ -469,36 +466,34 @@ def has_finite_language(d: Dfa) -> bool:
     return _topological_order(_graph(trim(d))[0]) is not None
 
 
+def length_profile(
+    rows: Sequence[Mapping[Label, int]], accepting: Iterable[int], start: int = 0
+) -> dict[int, int]:
+    """Exact number of accepted words of each length, shortest first, of a trim move table.
+
+    ``rows`` is a table like ``Dfa.rows`` or the one ``product_rows`` returns.
+    Paths from ``start`` are counted per length in topological order; a cycle,
+    which in a trim table lies on accepted words, raises ``InfiniteLanguageError``.
+    """
+    order = _topological_order([row.values() for row in rows])
+    if order is None:
+        raise InfiniteLanguageError("language is infinite: a cycle survives trimming")
+    paths: list[Counter[int]] = [Counter() for _ in rows]
+    paths[start][0] = 1
+    final, profile = set(accepting), Counter()
+    for p in order:
+        if p in final:
+            profile.update(paths[p])
+        longer = {k + 1: c for k, c in paths[p].items()}
+        for q in rows[p].values():
+            paths[q].update(longer)
+    return dict(sorted(profile.items()))
+
+
 def count_words(d: Dfa) -> int:
     """Exact number of accepted words of a finite-language automaton."""
     t = trim(d)
-    forward, _ = _graph(t)
-    order = _topological_order(forward)
-    if order is None:
-        raise InfiniteLanguageError("language is infinite: a cycle survives trimming")
-    words = [0] * t.state_count
-    for p in reversed(order):
-        total = 1 if p in t.accepts else 0
-        for q in forward[p]:
-            total += words[q]
-        words[p] = total
-    return words[t.start]
-
-
-def count_words_of_length(d: Dfa, n: int) -> int:
-    """Number of accepted words of exactly length ``n`` (exact integers)."""
-    if n < 0:
-        raise ValueError("word length must be non-negative")
-    paths = [0] * d.state_count
-    paths[d.start] = 1
-    edges = [(p, q) for p, _, q in d.transitions]
-    for _ in range(n):
-        nxt = [0] * d.state_count
-        for p, q in edges:
-            if paths[p]:
-                nxt[q] += paths[p]
-        paths = nxt
-    return sum(paths[q] for q in d.accepts)
+    return sum(length_profile(t.rows, t.accepts, t.start).values())
 
 
 def accepts(d: Dfa, word: Sequence[Label]) -> bool:

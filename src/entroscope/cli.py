@@ -4,9 +4,9 @@ Each measure command takes only the options that change its output:
 ``precision`` takes ``--measure --tol --max-iter --format --out``, ``recall``
 ``--measure --format --out``, ``coverage`` ``--tol --max-iter --format --out``,
 ``eigenvalue`` and ``entropy`` ``--tol --max-iter --out``, and ``cardinality``
-``--out``.  ``--tol`` and ``--max-iter`` bound a power iteration, which
-``recall`` and ``cardinality`` do not run; without ``--max-iter`` the cap is
-read from ``ENTROSCOPE_MAX_ITER``.
+``--out``.  ``--tol`` and ``--max-iter`` bound a power iteration, which runs
+only over an infinite language, never in ``recall`` or ``cardinality``;
+without ``--max-iter`` the cap is read from ``ENTROSCOPE_MAX_ITER``.
 
 Exit codes: 0 success (including flagged non-convergence, which warns on
 stderr), 2 usage errors and parse errors on input files, 3 measure not

@@ -3,14 +3,15 @@
 The general solver is a power iteration on the diagonally shifted matrix
 ``M + I``.  The shift makes every irreducible non-negative matrix primitive,
 so the iteration cannot oscillate on periodic structures such as cycle
-automata; the reported value is ``rho(M) = rho(M + I) - 1``.  Finite
-languages need no matrix: ``length_profile_eigenvalue`` takes their
-short-circuit eigenvalue from the number of words of each length.
+automata; the reported value is ``rho(M) = rho(M + I) - 1``.  It serves
+infinite languages only: ``length_profile_eigenvalue`` takes the eigenvalue
+of a finite one from the number of words of each length, with no matrix.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -160,18 +161,24 @@ def length_profile_eigenvalue(profile: Mapping[int, int]) -> EigenResult:
     length ``k``, each followed by the loop-back.  So the spectral radius is
     ``1 / z*``, where ``z*`` is the unique root in ``(0, 1]`` of
     ``sum_k c_k z^(k+1) = 1``.  The left side increases with ``z``, so
-    bisection brackets ``z*`` until the bracket stops shrinking in floating
-    point, with no iteration cap.
+    bisection brackets ``z*``, summing terms in length order, until the
+    bracket stops shrinking in floating point, with no iteration cap.  Counts
+    past float range are first rescaled: ``z = w / r`` with ``r = max_k
+    c_k^(1/(k+1)) <= 1/z*`` keeps ``w*`` in ``(0, 1]`` and coefficients <= 1.
 
     ``iterations`` counts the bisection steps and ``residual`` is the width of
     the final bracket on the value, relative to the value.  The empty
     profile, the empty language, measures 0.
     """
-    terms = [(k + 1, c) for k, c in profile.items() if c]
+    terms = sorted((k + 1, c) for k, c in profile.items() if c)
     if any(e < 1 or c < 0 for e, c in terms):
         raise ValueError("length profile needs non-negative lengths and counts")
     if not terms:
         return EigenResult(0.0, 0, True, 0.0)
+    log_r = 0.0
+    if max(c for _, c in terms) > sys.float_info.max:
+        log_r = max(math.log2(c) / e for e, c in terms)
+        terms = [(e, 2.0 ** (math.log2(c) - e * log_r)) for e, c in terms]
     lo, hi = 0.0, 1.0
     steps = 0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
@@ -182,5 +189,4 @@ def length_profile_eigenvalue(profile: Mapping[int, int]) -> EigenResult:
             hi = mid
     # The sum is at least 1 at hi and below 1 at lo, so the value
     # 1/hi is within a factor hi/lo of the radius, from below.
-    return EigenResult(1.0 / hi, steps, True, hi / lo - 1.0)
-
+    return EigenResult(2.0**log_r / hi, steps, True, hi / lo - 1.0)

@@ -89,6 +89,22 @@ def bounded_language_dfa(d: Dfa, max_len: int) -> set[tuple[Label, ...]]:
     return accepted
 
 
+def count_words_of_length(d: Dfa, n: int) -> int:
+    """Oracle word count of exactly length ``n``: paths pushed along the raw triples.
+
+    It takes a step per length rather than an order of the states, so it
+    counts the words of a cyclic automaton as well.
+    """
+    paths = [0] * d.state_count
+    paths[d.start] = 1
+    for _ in range(n):
+        nxt = [0] * d.state_count
+        for p, _, q in d.transitions:
+            nxt[q] += paths[p]
+        paths = nxt
+    return sum(paths[q] for q in d.accepts)
+
+
 def random_nfa(
     rng: random.Random,
     max_states: int = 8,

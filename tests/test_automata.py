@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,6 @@ from entroscope import (
     as_dfa,
     canonicalize,
     count_words,
-    count_words_of_length,
     determinize,
     empty_language_automaton,
     has_finite_language,
@@ -22,6 +22,7 @@ from entroscope import (
     is_included,
     is_trim,
     label,
+    length_profile,
     minimize,
     prefix_tree_acceptor,
     short_circuit,
@@ -366,21 +367,32 @@ class TestCountWords:
             checked += 1
             assert count_words(d) == len(bounded_language_dfa(d, 12))
 
+    def test_profile_is_the_length_histogram_on_random_acyclic(self):
+        rng = random.Random(29)
+        checked = 0
+        while checked < 40:
+            d = random_dfa(rng, max_states=12)
+            if not has_finite_language(d):
+                continue
+            checked += 1
+            t = trim(d)
+            histogram = Counter(map(len, bounded_language_dfa(d, 12)))
+            assert length_profile(t.rows, t.accepts, t.start) == histogram
+            m = minimize(d)
+            assert length_profile(m.rows, m.accepts) == histogram
 
-class TestCountWordsOfLength:
-    def test_retry_language_has_one_word_of_length_four(self):
-        d = determinize(retry_spec())
-        assert count_words_of_length(d, 4) == 1
+    def test_profile_of_a_cycle_raises(self):
+        m = minimize(determinize(retry_spec()))
+        with pytest.raises(InfiniteLanguageError):
+            length_profile(m.rows, m.accepts)
 
-    def test_length_zero_is_start_acceptance(self):
-        d = determinize(retry_spec())
-        assert count_words_of_length(d, 0) == 1
-        no_eps = Dfa(2, frozenset({a}), frozenset({(0, a, 1)}), 0, frozenset({1}))
-        assert count_words_of_length(no_eps, 0) == 0
-
-    def test_short_circuited_single_word(self):
-        word = Dfa(2, frozenset({a}), frozenset({(0, a, 1)}), 0, frozenset({1}))
-        assert count_words_of_length(short_circuit(word), 3) == 1
+    def test_profile_counts_past_float_range(self):
+        # All 26^250 words of length 250: a chain with 26 labels per step.
+        labels = [label(f"l{i}") for i in range(26)]
+        moves = {(i, lab, i + 1) for i in range(250) for lab in labels}
+        d = Dfa(251, frozenset(labels), frozenset(moves), 0, frozenset({250}))
+        assert length_profile(d.rows, d.accepts) == {250: 26**250}
+        assert count_words(d) == 26**250
 
 
 class TestAccepts:

@@ -1,14 +1,23 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from entroscope import empty_language_automaton, label
+from entroscope import (
+    as_dfa,
+    eig_short_circuit_measure,
+    empty_language_automaton,
+    label,
+    precision,
+    recall,
+)
 from entroscope.cli import main
-from entroscope.formats import read_automaton, write_automaton, write_log
+from entroscope.formats import read_automaton, read_log, write_automaton, write_log
 from helpers import bounded_language_dfa, word_log
 from login_fixtures import flexible_spec, retry_spec, small_log, two_word_spec
 
@@ -333,6 +342,56 @@ class TestFamilies:
         lines = (tmp_path / "permutations_log.log").read_text().splitlines()
         assert len(lines) == 5
         assert lines[0] == "a b c d e"
+
+
+def _family(tmp_path: Path, *args: str) -> Path:
+    """Write a family's files with the ``family`` command; return their directory."""
+    assert main(["family", *args, "--out", str(tmp_path)]) == 0
+    return tmp_path
+
+
+def _profile_root(lengths: list[int]) -> float:
+    """The root in (0, 1] of sum_k z^(k+1) = 1 over these word lengths, by numpy.roots."""
+    degree = max(lengths) + 1
+    coefficients = [0.0] * (degree + 1)  # highest power first
+    for k in lengths:
+        coefficients[degree - (k + 1)] += 1.0
+    coefficients[degree] -= 1.0
+    (root,) = [r.real for r in np.roots(coefficients) if abs(r.imag) < 1e-9 and r.real > 0]
+    return root
+
+
+class TestFamilyClosedForms:
+    """The paper's families against values worked out without the library's solvers."""
+
+    @pytest.mark.parametrize("x", range(2, 21))
+    def test_bounded_repeat(self, capsys, tmp_path, x):
+        fam = _family(tmp_path, "bounded-repeat", "--x", str(x))
+        spec = read_automaton((fam / f"bounded_repeat_{x:02d}.json").read_text())
+        log = read_log((fam / "bounded_repeat_log.log").read_text())
+        # The spec is a^i b for i <= x, one word per length 1..x+1; the log
+        # holds b, ab and aab.  The eigenvalue of each is 1/z*.
+        want = _profile_root(list(range(1, x + 2))) / _profile_root([1, 2, 3])
+        assert precision(spec, log).value == pytest.approx(want, rel=1e-12)
+        assert recall(spec, log).value == 1.0
+
+    def test_kleene(self, capsys, tmp_path):
+        spec = read_automaton((_family(tmp_path, "kleene") / "kleene.json").read_text())
+        value = eig_short_circuit_measure(as_dfa(spec))
+        assert value == pytest.approx((1 + math.sqrt(5)) / 2, rel=1e-12)
+
+    @pytest.mark.parametrize("count", [5, 7, 60, 120])
+    def test_permutations(self, capsys, tmp_path, count):
+        fam = _family(tmp_path, "permutations", "--count", str(count))
+        spec = read_automaton((fam / f"permutations_{count:03d}.json").read_text())
+        value = eig_short_circuit_measure(as_dfa(spec))
+        assert value == pytest.approx(count ** (1 / 6), rel=1e-12)
+
+    def test_parallel_block(self, capsys, tmp_path):
+        fam = _family(tmp_path, "parallel-block")
+        spec = read_automaton((fam / "parallel_block.json").read_text())
+        value = eig_short_circuit_measure(as_dfa(spec))
+        assert value == pytest.approx(120 ** (1 / 6), rel=1e-12)
 
 
 def _cli_output(*args: str, hash_seed: str) -> bytes:

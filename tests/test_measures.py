@@ -61,6 +61,16 @@ class TestEigMeasure:
     def test_empty_language_is_zero(self):
         assert eig_short_circuit_measure(empty_language_automaton()) == 0.0
 
+    def test_all_words_of_one_long_length(self):
+        # 26^250 words: a 251-state chain, short-circuited, with 26 moves per step.
+        labels = [label(f"l{i:02d}") for i in range(26)]
+        moves = {(i, lab, i + 1) for i in range(250) for lab in labels}
+        spec = Dfa(251, frozenset(labels), frozenset(moves), 0, frozenset({250}))
+        report = precision(spec, EventLog([Trace(tuple(labels[:1] * 250))]))
+        assert report.converged
+        assert report.denominator_value == pytest.approx(26 ** (250 / 251), rel=1e-12)
+        assert (report.denominator.states, report.denominator.transitions) == (251, 250 * 26 + 1)
+
     def test_rejects_short_circuited_input(self):
         sc = short_circuit(Dfa(1, frozenset(), frozenset(), 0, frozenset({0})))
         with pytest.raises(ValueError, match="short-circuited"):

@@ -1,5 +1,7 @@
 """Invariant suites over randomly generated automata, logs, and word sets."""
 
+import dataclasses
+import random
 from collections import Counter
 from unittest import mock
 
@@ -25,6 +27,7 @@ from entroscope import (
     coverage,
     determinize,
     eig_short_circuit_measure,
+    has_finite_language,
     intersect,
     is_deterministic,
     is_ergodic,
@@ -230,7 +233,7 @@ def test_log_measures_match_the_prefix_tree_pipeline(case):
     for got, want in ((got_p, want_p), (got_r, want_r)):
         assert want.converged and got.converged
         for field in ("numerator_value", "denominator_value", "value"):
-            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-7)
+            assert getattr(got, field) == getattr(want, field)
         assert (got.undefined, got.division_by_zero) == (want.undefined, want.division_by_zero)
 
     shared = count_words(intersect(determinize(spec), tree))
@@ -244,6 +247,57 @@ def test_log_measures_match_the_prefix_tree_pipeline(case):
         return
     card_p = precision(spec, log, MeasureKind.CARDINALITY)
     assert (card_p.numerator_value, card_p.denominator_value) == (shared, spec_words)
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs_and_logs())
+def test_a_log_over_its_own_prefix_tree_is_exactly_one(case):
+    _, log = case
+    if not log.total_count:
+        return
+    assert precision(prefix_tree_acceptor(log), log).value == 1.0
+
+
+def lasso_log(seed: int) -> EventLog:
+    """Eight traces of 100 to 156 events over eight labels, sharing a 50-event prefix."""
+    rng = random.Random(seed)
+    labels = [label(f"op{i}") for i in range(8)]
+    prefix = [rng.choice(labels) for _ in range(50)]
+    return EventLog(
+        [
+            Trace(tuple(prefix + [rng.choice(labels) for _ in range(size - 50)]))
+            for size in range(100, 157, 8)
+        ]
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_long_log_over_its_own_prefix_tree_is_exactly_one(seed):
+    log = lasso_log(seed)
+    report = precision(prefix_tree_acceptor(log), log)
+    assert report.value == 1.0 and report.converged
+    assert report.numerator_value == recall(prefix_tree_acceptor(log), log).denominator_value
+
+
+def without_runtime(report):
+    return dataclasses.replace(report, runtime_ms=0.0)
+
+
+def test_trace_order_does_not_change_the_reports():
+    rng = random.Random(31)
+    a, b, c = ABC
+    # Even count of a; b and c keep the parity.
+    moves = {(p, a, 1 - p) for p in (0, 1)} | {(p, lab, p) for p in (0, 1) for lab in (b, c)}
+    spec = Dfa(2, frozenset(ABC), frozenset(moves), 0, frozenset({0}))
+    for _ in range(300):
+        traces = [
+            Trace(tuple(rng.choice(ABC) for _ in range(rng.randint(0, 12))))
+            for _ in range(rng.randint(1, 8))
+        ]
+        shuffled = rng.sample(traces, len(traces))
+        for measure in (precision, recall):
+            first, second = (measure(spec, EventLog(t)) for t in (traces, shuffled))
+            assert without_runtime(first) == without_runtime(second)
 
 
 def silent_union(x: Nfa, z: Nfa) -> Nfa:
@@ -341,9 +395,30 @@ def test_measure_path_solves_the_short_circuited_product(pair):
             report = coverage(a, b)
         own = short_circuit(ma)
         measured = [own] if is_included(ma, mb) else [own, short_circuit(intersect(ma, mb))]
-        assert solved == [counted_entries(sc) for sc in measured]
+        # The spy sees infinite languages only: a product with a finite
+        # operand is finite too.
+        finite = has_finite_language(ma), has_finite_language(ma) or has_finite_language(mb)
+        assert solved == [counted_entries(sc) for sc, f in zip(measured, finite) if not f]
         for sc in measured:
             matrix = adjacency_matrix(sc)
             assert (matrix.order, list(matrix.entries)) == counted_entries(sc)
         for stats, sc in ((report.numerator, measured[-1]), (report.denominator, own)):
             assert (stats.states, stats.transitions) == (sc.state_count, len(sc.transitions))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfa_pairs())
+def test_a_finite_operand_sends_no_matrix_to_the_power_iteration(pair):
+    mx, my = (minimize(as_dfa(a)) for a in pair)
+    if not (has_finite_language(mx) or has_finite_language(my)):
+        return
+    solved = []
+
+    def spy(matrix, tol, max_iter):
+        solved.append((matrix.order, list(matrix.entries)))
+        return perron_frobenius(matrix, tol, max_iter)
+
+    with mock.patch.object(measures, "perron_frobenius", spy):
+        precision_and_recall(*pair)
+    infinite = [m for m in (mx, my) if not has_finite_language(m)]
+    assert solved == [counted_entries(short_circuit(m)) for m in infinite]

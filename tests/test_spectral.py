@@ -7,7 +7,6 @@ from entroscope import (
     Dfa,
     SparseMatrix,
     adjacency_matrix,
-    count_words_of_length,
     determinize,
     empty_language_automaton,
     is_ergodic,
@@ -17,7 +16,7 @@ from entroscope import (
     perron_frobenius,
     short_circuit,
 )
-from helpers import random_dfa
+from helpers import count_words_of_length, random_dfa
 from login_fixtures import retry_spec
 
 a, b = label("a"), label("b")
@@ -181,6 +180,21 @@ class TestLengthProfileEigenvalue:
 
     def test_zero_counts_are_ignored(self):
         assert length_profile_eigenvalue({3: 2, 5: 0}) == length_profile_eigenvalue({3: 2})
+
+    def test_value_does_not_depend_on_the_order_of_the_lengths(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            items = [(rng.randint(0, 40), rng.randint(1, 9)) for _ in range(rng.randint(2, 8))]
+            profile = dict(items)
+            shuffled = dict(rng.sample(list(profile.items()), len(profile)))
+            assert length_profile_eigenvalue(shuffled) == length_profile_eigenvalue(profile)
+
+    @pytest.mark.parametrize("n", [1, 250, 2000])
+    def test_counts_past_float_range(self, n):
+        # All words of length n over 26 labels: 26^n of them, far past a float at n = 250.
+        result = length_profile_eigenvalue({n: 26**n})
+        assert result.converged
+        assert result.value == pytest.approx(26 ** (n / (n + 1)), rel=1e-12)
 
     def test_rejects_negative_lengths_and_counts(self):
         for bad in ({-1: 1}, {2: -1}):
