@@ -4,6 +4,12 @@ The automaton document is JSON; the log document is plain text with one
 trace per line.  The silent marker is encoded as a null (or absent) label
 field, never as a string, and the short-circuit marker is never serialised
 at all (DOT excepted, for inspection).
+
+XES is read in one streaming expat pass, without an element tree, and only
+a subset of it: ``trace`` elements, the ``event`` elements directly inside
+them, and each event's ``concept:name`` and ``lifecycle:transition``
+``string`` attributes.  Log-level and trace-level attributes, extensions,
+classifiers, globals and every other attribute type are skipped.
 """
 
 from __future__ import annotations
@@ -12,8 +18,8 @@ import csv
 import io
 import json
 import math
-import xml.etree.ElementTree as ElementTree
 from typing import Any
+from xml.parsers import expat
 
 from .automata import Nfa
 from .labels import SILENT, Label, label, sort_key
@@ -192,45 +198,79 @@ def write_log(log: EventLog) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _local_name(tag: str) -> str:
-    return tag.rpartition("}")[2]
-
-
 def read_xes(text: str) -> EventLog:
-    """Minimal XES reader: traces, events, and their concept:name strings.
+    """Streaming XES reader: traces, events, and their concept:name strings.
 
-    An event counts only if its lifecycle:transition is absent or
-    ``complete`` (in any case), so an activity recorded by its start and
-    its completion occurs once.
+    One expat pass reads the document and no element tree is built.
+    Elements match by local name in any namespace; an unbound prefix is a
+    parse error.  Every ``trace`` element is a trace, numbered in document
+    order, a nested one included.  An ``event`` counts only as a direct
+    child of a trace, and a ``string`` attribute only as a direct child of
+    such an event; all else is skipped.  An event's first ``concept:name``
+    value is its name, and it counts only if its lifecycle:transition is
+    absent or ``complete`` (in any case), so an activity recorded by its
+    start and its completion occurs once.  Traces are counted as tuples of
+    names while parsing, so labels and ``Trace`` objects are made once per
+    distinct trace.
     """
+    parser = expat.ParserCreate(None, "}")
+    local_names: dict[str, str] = {}
+    counts: dict[tuple[str, ...], int] = {}
+    depth = traces_seen = 0
+    # The innermost open trace: its depth (-1 while none is open, so that no
+    # element is its child), index and names so far, and its open event's
+    # name and lifecycle.  A trace nested in it saves these on ``outer`` and
+    # restores them when it ends.  They are closure variables rather than
+    # attributes of an object because the handlers run once per element.
+    trace_depth, index, names = -1, 0, []
+    in_event, name, lifecycle = False, None, None
+    outer: list[tuple] = []
+
+    def start(tag: str, attrs: dict[str, str]) -> None:
+        nonlocal depth, traces_seen, trace_depth, index, names, in_event, name, lifecycle
+        depth += 1
+        local = local_names.get(tag)
+        if local is None:
+            local = local_names[tag] = tag.rpartition("}")[2]
+        if local == "string":
+            if in_event and depth == trace_depth + 2:
+                key = attrs.get("key")
+                if key == "concept:name":
+                    if name is None:
+                        name = attrs.get("value")
+                elif key == "lifecycle:transition":
+                    lifecycle = attrs.get("value")
+        elif local == "event":
+            if depth == trace_depth + 1:
+                in_event, name, lifecycle = True, None, None
+        elif local == "trace":
+            outer.append((trace_depth, index, names, in_event, name, lifecycle))
+            trace_depth, index, names, in_event = depth, traces_seen, [], False
+            traces_seen += 1
+
+    def end(tag: str) -> None:
+        nonlocal depth, trace_depth, index, names, in_event, name, lifecycle
+        if depth == trace_depth:
+            trace = tuple(names)
+            counts[trace] = counts.get(trace, 0) + 1
+            trace_depth, index, names, in_event, name, lifecycle = outer.pop()
+        elif in_event and depth == trace_depth + 1:
+            in_event = False
+            if lifecycle is None or lifecycle.lower() == "complete":
+                if name is None:
+                    _fail(f"trace {index}", "event missing a concept:name attribute")
+                if name == RESERVED_LABEL:
+                    _fail(f"trace {index}", f"{RESERVED_LABEL!r} is reserved")
+                names.append(name)
+        depth -= 1
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
     try:
-        root = ElementTree.fromstring(text)
-    except ElementTree.ParseError as exc:
+        parser.Parse(text, True)
+    except expat.ExpatError as exc:
         raise FormatError(f"XML parse error: {exc}") from None
-    traces: list[Trace] = []
-    trace_elements = [el for el in root.iter() if _local_name(el.tag) == "trace"]
-    for t_index, trace_el in enumerate(trace_elements):
-        events: list[Label] = []
-        for event_el in trace_el:
-            if _local_name(event_el.tag) != "event":
-                continue
-            name = lifecycle = None
-            for attr in event_el:
-                if _local_name(attr.tag) == "string":
-                    key = attr.get("key")
-                    if key == "concept:name" and name is None:
-                        name = attr.get("value")
-                    elif key == "lifecycle:transition":
-                        lifecycle = attr.get("value")
-            if lifecycle is not None and lifecycle.lower() != "complete":
-                continue
-            if name is None:
-                _fail(f"trace {t_index}", "event missing a concept:name attribute")
-            if name == RESERVED_LABEL:
-                _fail(f"trace {t_index}", f"{RESERVED_LABEL!r} is reserved")
-            events.append(label(name))
-        traces.append(Trace(tuple(events)))
-    return EventLog(traces)
+    return EventLog({Trace(tuple(map(label, trace))): mult for trace, mult in counts.items()})
 
 
 def _dot_escape(text: str) -> str:
@@ -252,13 +292,20 @@ def export_dot(a: Nfa) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
 def report_fields(r: MeasureReport) -> dict[str, Any]:
-    """Stable flat field mapping shared by the JSON and CSV writers."""
+    """Stable flat field mapping shared by the JSON and CSV writers.
+
+    A value, numerator or denominator beyond float range is written as None.
+    """
     return {
         "kind": _KIND_TOKENS[r.kind],
-        "numerator": r.numerator_value,
-        "denominator": r.denominator_value,
-        "value": None if math.isinf(r.value) else r.value,
+        "numerator": _finite_or_none(r.numerator_value),
+        "denominator": _finite_or_none(r.denominator_value),
+        "value": _finite_or_none(r.value),
         "undefined": r.undefined,
         "division_by_zero": r.division_by_zero,
         "converged": r.converged,

@@ -42,7 +42,7 @@ from .automata import (
     minimize,
     product_rows,
 )
-from .labels import CHI
+from .labels import CHI, Label
 from .logs import EventLog
 from .spectral import (
     DEFAULT_MAX_ITERATIONS,
@@ -95,6 +95,29 @@ class MeasureReport:
     runtime_ms: float = 0.0
 
 
+def _is_finite(d: Dfa) -> bool:
+    """Whether a trim ``d`` has a finite language: one topological pass over its rows."""
+    return _topological_order([row.values() for row in d.rows]) is not None
+
+
+def _eig(
+    rows: list[dict[Label, int]], accepting: list[int], finite: bool, tol: float, max_iter: int
+) -> tuple[float, AutomatonStats]:
+    """Eigenvalue measure of a trim move table, with its short-circuited size and solve.
+
+    A finite language is solved by its length profile; otherwise chi moves
+    are added to ``rows`` in place and the power iteration runs.
+    """
+    size = len(rows), sum(map(len, rows)) + len(accepting)
+    if finite:
+        result = length_profile_eigenvalue(length_profile(rows, accepting))
+    else:
+        for p in accepting:
+            rows[p][CHI] = 0
+        result = perron_frobenius(SparseMatrix.from_moves(rows), tol, max_iter)
+    return result.value, AutomatonStats(*size, result)
+
+
 def _shared_eig(x: Dfa, y: Dfa, tol: float, max_iter: int) -> tuple[float, AutomatonStats]:
     """Eigenvalue measure of ``L(x) & L(y)``, with the size and solve behind it.
 
@@ -106,25 +129,21 @@ def _shared_eig(x: Dfa, y: Dfa, tol: float, max_iter: int) -> tuple[float, Autom
     under 0.12 ms.  The stats are the short-circuited trim product's size.
     """
     rows, accepting = product_rows(x, y)
-    size = len(rows), sum(map(len, rows)) + len(accepting)
-    operands = (x,) if x is y else (x, y)
-    if any(_topological_order([row.values() for row in d.rows]) is not None for d in operands):
-        result = length_profile_eigenvalue(length_profile(rows, accepting))
-    else:
-        for p in accepting:
-            rows[p][CHI] = 0
-        result = perron_frobenius(SparseMatrix.from_moves(rows), tol, max_iter)
-    return result.value, AutomatonStats(*size, result)
+    return _eig(rows, accepting, _is_finite(x) or _is_finite(y), tol, max_iter)
 
 
-def measure(d: Dfa, kind: MeasureKind, tol: float, max_iter: int) -> tuple[float, AutomatonStats]:
+def measure(
+    d: Dfa, kind: MeasureKind, tol: float, max_iter: int
+) -> tuple[int | float, AutomatonStats]:
     """Measure of ``L(d)``, with the size and solve behind it; ``d`` must be minimal.
 
-    ``d`` is its own product with itself, numbered as ``minimize`` numbers it.
+    The cardinality is the exact word count, an ``int``.  The eigenvalue is
+    solved on a copy of ``d``'s own rows: numbered as ``minimize`` numbers
+    them, they are ``product_rows(d, d)``.
     """
     if kind is MeasureKind.CARDINALITY:
-        return float(count_words(d)), AutomatonStats(d.state_count, len(d.transitions))
-    return _shared_eig(d, d, tol, max_iter)
+        return count_words(d), AutomatonStats(d.state_count, len(d.transitions))
+    return _eig([dict(row) for row in d.rows], sorted(d.accepts), _is_finite(d), tol, max_iter)
 
 
 def eig_short_circuit_measure(
@@ -143,7 +162,9 @@ def _length_profiles(spec: Dfa, log: EventLog) -> tuple[Counter[int], Counter[in
     return shared, Counter(len(trace) for trace, _ in log)
 
 
-def _profile_measure(profile: Counter[int], kind: MeasureKind) -> tuple[float, AutomatonStats]:
+def _profile_measure(
+    profile: Counter[int], kind: MeasureKind
+) -> tuple[int | float, AutomatonStats]:
     """Measure of a finite language given by its length profile.
 
     The stats describe the graph whose eigenvalue that is: the chain
@@ -153,7 +174,7 @@ def _profile_measure(profile: Counter[int], kind: MeasureKind) -> tuple[float, A
     longest = max(profile, default=0)
     states, transitions = longest + 1, longest + len(profile)
     if kind is MeasureKind.CARDINALITY:
-        return float(sum(profile.values())), AutomatonStats(states, transitions)
+        return sum(profile.values()), AutomatonStats(states, transitions)
     result = length_profile_eigenvalue(profile)
     return result.value, AutomatonStats(states, transitions, result)
 
@@ -162,18 +183,30 @@ def _elapsed_ms(started: float) -> float:
     return (time.perf_counter() - started) * 1000.0
 
 
+def _as_float(x: int | float) -> float:
+    """``x`` as a float; an integer beyond float range is ``math.inf``."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 def _assemble(
     kind: MeasureKind,
-    numerator: tuple[float, AutomatonStats],
-    denominator: tuple[float, AutomatonStats],
+    numerator: tuple[int | float, AutomatonStats],
+    denominator: tuple[int | float, AutomatonStats],
     runtime_ms: float,
 ) -> MeasureReport:
+    """The quotient report; exact cardinalities are divided as integers, correctly rounded."""
     num_value, num_stats = numerator
     den_value, den_stats = denominator
     undefined = division_by_zero = False
-    if den_value > 0.0:
-        value = num_value / den_value
-    elif num_value == 0.0:
+    if den_value > 0:
+        try:
+            value = num_value / den_value
+        except OverflowError:
+            value = math.inf
+    elif num_value == 0:
         value, undefined = 0.0, True
     else:
         value, division_by_zero = math.inf, True
@@ -182,8 +215,8 @@ def _assemble(
     solves = [s.eigen for s in stats if s.eigen is not None]
     return MeasureReport(
         kind=kind,
-        numerator_value=num_value,
-        denominator_value=den_value,
+        numerator_value=_as_float(num_value),
+        denominator_value=_as_float(den_value),
         value=value,
         undefined=undefined,
         division_by_zero=division_by_zero,

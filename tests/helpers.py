@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import xml.etree.ElementTree as ElementTree
 from collections import deque
 
 from entroscope import Dfa, EventLog, Label, Nfa, Trace, label
+from entroscope.formats import RESERVED_LABEL, FormatError, _fail
 from entroscope.labels import SILENT, sort_key
 
 ABC = [label("a"), label("b"), label("c")]
@@ -103,6 +105,49 @@ def count_words_of_length(d: Dfa, n: int) -> int:
             nxt[q] += paths[p]
         paths = nxt
     return sum(paths[q] for q in d.accepts)
+
+
+def _local_name(tag: str) -> str:
+    return tag.rpartition("}")[2]
+
+
+def tree_read_xes(text: str) -> EventLog:
+    """Oracle XES reader: the whole element tree first, then its traces in document order."""
+    try:
+        root = ElementTree.fromstring(text)
+    except ElementTree.ParseError as exc:
+        raise FormatError(f"XML parse error: {exc}") from None
+    traces: list[Trace] = []
+    trace_elements = [el for el in root.iter() if _local_name(el.tag) == "trace"]
+    for t_index, trace_el in enumerate(trace_elements):
+        events: list[Label] = []
+        for event_el in trace_el:
+            if _local_name(event_el.tag) != "event":
+                continue
+            name = lifecycle = None
+            for attr in event_el:
+                if _local_name(attr.tag) == "string":
+                    key = attr.get("key")
+                    if key == "concept:name" and name is None:
+                        name = attr.get("value")
+                    elif key == "lifecycle:transition":
+                        lifecycle = attr.get("value")
+            if lifecycle is not None and lifecycle.lower() != "complete":
+                continue
+            if name is None:
+                _fail(f"trace {t_index}", "event missing a concept:name attribute")
+            if name == RESERVED_LABEL:
+                _fail(f"trace {t_index}", f"{RESERVED_LABEL!r} is reserved")
+            events.append(label(name))
+        traces.append(Trace(tuple(events)))
+    return EventLog(traces)
+
+
+def all_words_of_length(n: int, width: int = 26) -> tuple[Dfa, list[Label]]:
+    """A chain of ``n + 1`` states accepting every word of length ``n`` over ``width`` labels."""
+    labels = [label(f"l{i:02d}") for i in range(width)]
+    moves = {(i, lab, i + 1) for i in range(n) for lab in labels}
+    return Dfa(n + 1, frozenset(labels), frozenset(moves), 0, frozenset({n})), labels
 
 
 def random_nfa(

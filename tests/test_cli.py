@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from entroscope import (
+    EventLog,
+    Trace,
     as_dfa,
     eig_short_circuit_measure,
     empty_language_automaton,
@@ -18,7 +20,7 @@ from entroscope import (
 )
 from entroscope.cli import main
 from entroscope.formats import read_automaton, read_log, write_automaton, write_log
-from helpers import bounded_language_dfa, word_log
+from helpers import all_words_of_length, bounded_language_dfa, word_log
 from login_fixtures import flexible_spec, retry_spec, small_log, two_word_spec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -54,6 +56,18 @@ class TestMeasureCommands:
     def test_recall_text(self, capsys, retry_spec_file, small_log_file):
         assert main(["recall", str(retry_spec_file), str(small_log_file)]) == 0
         assert capsys.readouterr().out == "recall = 0.897\n"
+
+    def test_cardinality_precision_beyond_float_range(self, capsys, tmp_path):
+        spec, labels = all_words_of_length(220)  # 26^220 words, more than the largest float
+        spec_file, log_file = tmp_path / "big.json", tmp_path / "one.log"
+        spec_file.write_text(write_automaton(spec), encoding="utf-8")
+        log = EventLog([Trace(tuple(labels[:1] * 220))])
+        log_file.write_text(write_log(log), encoding="utf-8")
+        args = ["precision", str(spec_file), str(log_file), "--measure", "card", "--format", "json"]
+        assert main(args) == 0
+        fields = json.loads(capsys.readouterr().out)
+        assert fields["numerator"] == 1.0
+        assert (fields["denominator"], fields["value"]) == (None, 1 / 26**220)
 
     def test_cardinality_recall(self, capsys, two_word_spec_file, tmp_path):
         log_file = tmp_path / "ext.log"

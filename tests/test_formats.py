@@ -1,7 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entroscope import (
     CHI,
@@ -27,7 +33,7 @@ from entroscope.formats import (
     write_log,
     write_report,
 )
-from helpers import random_log, random_nfa, word_log
+from helpers import random_log, random_nfa, tree_read_xes, word_log
 from login_fixtures import retry_spec, small_log
 
 RETRY_SPEC_DOC = """
@@ -201,6 +207,117 @@ class TestXes:
             '<string key="concept:name" value="A"/></event></trace></log>'
         )
         assert multiplicity(read_xes(text), Trace(())) == 1
+
+
+    def test_reserved_label_names_the_trace(self):
+        text = (
+            '<log><trace><event><string key="concept:name" value="A"/></event></trace>'
+            '<trace><event><string key="concept:name" value="__chi__"/></event></trace></log>'
+        )
+        with pytest.raises(FormatError, match=r"trace 1: '__chi__' is reserved"):
+            read_xes(text)
+
+    def test_unbound_prefix_is_a_parse_error(self):
+        with pytest.raises(FormatError, match="XML parse error: unbound prefix"):
+            read_xes("<log><x:trace/></log>")
+
+    def test_trace_level_concept_name_is_no_event(self):
+        text = '<log><trace><string key="concept:name" value="case-1"/></trace></log>'
+        parsed = read_xes(text)
+        assert multiplicity(parsed, Trace(())) == 1
+        assert parsed.total_count == 1
+
+    def test_reading_builds_no_element_tree(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        script = (
+            "import sys\n"
+            "from entroscope.formats import read_xes\n"
+            f"assert read_xes({MINIMAL_XES!r}).total_count == 2\n"
+            "print(sorted(m for m in sys.modules if m.startswith('xml.etree')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout == "[]\n"
+
+
+#: Attribute values as they appear in the document, entity references included.
+_XES_NAMES = ["A", "B", "a&amp;b", "caf&#233;", "caf\u00e9", ""]
+_XES_LIFECYCLES = ["complete", "COMPLETE", "Complete", "start", "Start", "suspend"]
+_XES_COMMENT = "<!-- <event/> -->"
+
+
+@st.composite
+def _pick(draw, parts: list) -> str:
+    """One of ``parts``: a strategy, or a fixed string; one listed twice is drawn twice as often."""
+    part = parts[draw(st.integers(0, len(parts) - 1))]
+    return part if isinstance(part, str) else draw(part)
+
+
+@st.composite
+def _xes_attributes(draw, inner: st.SearchStrategy[str] | None) -> str:
+    """One attribute element of any type and key, ``inner`` ones nested in it."""
+    tag = draw(st.sampled_from(["string", "x:string", "int", "date"]))
+    key = draw(st.sampled_from(["concept:name", "lifecycle:transition", "org:resource"]))
+    value = draw(st.sampled_from(_XES_LIFECYCLES if key == "lifecycle:transition" else _XES_NAMES))
+    attrs = f' key="{key}"' + (f' value="{value}"' if draw(st.integers(0, 9)) else "")
+    nested = draw(st.lists(inner, max_size=2)) if inner is not None else []
+    return f"<{tag}{attrs}>{''.join(nested)}</{tag}>"
+
+
+@st.composite
+def _xes_events(draw, others: st.SearchStrategy[str]) -> str:
+    """An event among ``others``, rarely unnamed or with the reserved name."""
+    # The rare choices sit mid-list: the first and last entries are drawn most.
+    name = draw(st.sampled_from(_XES_NAMES * 8 + ["__chi__", None, "&#95;_chi__"] + _XES_NAMES * 8))
+    named = "" if name is None else f'<string key="concept:name" value="{name}"/>'
+    before, after = draw(st.lists(others, max_size=2)), draw(st.lists(others, max_size=2))
+    tag = draw(st.sampled_from(["event", "x:event"]))
+    return f"<{tag}>{''.join(before)}{named}{''.join(after)}</{tag}>"
+
+
+@st.composite
+def _xes_traces(draw, children: st.SearchStrategy[str]) -> str:
+    tag = draw(st.sampled_from(["trace", "x:trace"]))
+    return f"<{tag}>{''.join(draw(st.lists(children, min_size=1, max_size=6)))}</{tag}>"
+
+
+_ATTRIBUTE = _xes_attributes(None)
+# An event inside an attribute is no event of the trace.
+_NESTED_ATTRIBUTE = _xes_attributes(
+    _pick([_ATTRIBUTE, '<event><string key="concept:name" value="B"/></event>'])
+)
+_EVENT = _xes_events(_pick([_NESTED_ATTRIBUTE, _XES_COMMENT]))
+_INNER_TRACE = _xes_traces(_pick([_EVENT] * 6 + [_NESTED_ATTRIBUTE, _XES_COMMENT]))
+# Rarely, a trace nested in a trace or in one of its events.
+_OUTER_EVENT = _xes_events(_pick([_NESTED_ATTRIBUTE] * 4 + [_XES_COMMENT, _INNER_TRACE]))
+_TRACE = _xes_traces(_pick([_OUTER_EVENT] * 6 + [_NESTED_ATTRIBUTE, _XES_COMMENT, _INNER_TRACE]))
+
+
+@st.composite
+def xes_documents(draw) -> str:
+    """A log of traces, events outside any trace, log attributes and comments."""
+    parts = _pick([_TRACE] * 4 + [_EVENT, _ATTRIBUTE, _XES_COMMENT])
+    children = draw(st.lists(parts, min_size=1, max_size=5))
+    namespace = ' xmlns="http://www.xes-standard.org/"' if draw(st.booleans()) else ""
+    return (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<log{namespace} xmlns:x="http://www.xes-standard.org/">{"".join(children)}</log>\n'
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(xes_documents())
+def test_streaming_xes_reader_matches_the_tree_oracle(text):
+    try:
+        expected = tree_read_xes(text)
+    except FormatError:
+        with pytest.raises(FormatError):
+            read_xes(text)
+        return
+    assert read_xes(text) == expected
 
 
 class TestDot:

@@ -30,7 +30,8 @@ from entroscope import (
     recall,
     short_circuit,
 )
-from helpers import word_log
+from entroscope.formats import report_fields
+from helpers import all_words_of_length, word_log
 from login_fixtures import (
     anything_spec,
     extended_log,
@@ -75,6 +76,33 @@ class TestEigMeasure:
         sc = short_circuit(Dfa(1, frozenset(), frozenset(), 0, frozenset({0})))
         with pytest.raises(ValueError, match="short-circuited"):
             eig_short_circuit_measure(sc)
+
+
+def written_quotient(report):
+    """Numerator, denominator and value as the report writers emit them."""
+    fields = report_fields(report)
+    return fields["numerator"], fields["denominator"], fields["value"]
+
+
+class TestCardinalityBeyondFloatRange:
+    # 26^220 words exceed the largest float, about 1.8e308.
+    def test_precision_divides_the_exact_counts(self):
+        spec, labels = all_words_of_length(220)
+        log = EventLog([Trace(tuple(labels[:1] * 220))])
+        report = precision(spec, log, MeasureKind.CARDINALITY)
+        assert report.value == 1 / 26**220
+        assert (report.numerator_value, report.denominator_value) == (1.0, math.inf)
+        assert not (report.undefined or report.division_by_zero)
+        assert written_quotient(report) == (1.0, None, 1 / 26**220)
+
+    def test_a_quotient_beyond_float_range_is_infinite(self):
+        big, labels = all_words_of_length(220)
+        one = prefix_tree_acceptor(EventLog([Trace(tuple(labels[:1] * 220))]))
+        report = quotient(MeasureKind.CARDINALITY, big, one)
+        values = (report.value, report.numerator_value, report.denominator_value)
+        assert values == (math.inf, math.inf, 1.0)
+        assert not report.division_by_zero
+        assert written_quotient(report) == (None, 1.0, None)
 
 
 class TestQuotient:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entroscope import measures
+from entroscope.automata import product_rows
 from entroscope import (
     CHI,
     Dfa,
@@ -128,6 +129,14 @@ def test_minimize_preserves_language_and_is_idempotent(aut):
     assert bounded_language_dfa(m, 6) == bounded_language_dfa(d, 6)
     assert minimize(m) == m
     assert is_trim(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nfas())
+def test_a_minimal_dfa_is_its_own_product_table(aut):
+    # ``measure`` solves a minimal DFA's own rows in place of its self-product.
+    m = minimize(determinize(aut))
+    assert product_rows(m, m) == ([dict(row) for row in m.rows], sorted(m.accepts))
 
 
 @settings(max_examples=100, deadline=None)
