@@ -226,8 +226,16 @@ def _spans(a: Nfa, sources: Iterable[int], sinks: Iterable[int]) -> bool:
     return reached and len(_closure(sinks, backward.__getitem__)) == n
 
 
-def _restrict(a: Nfa, keep: set[int]) -> Nfa:
-    """``a`` on the states in ``keep``, renumbered in order; empty if the start is dropped."""
+def trim(a: Nfa) -> Nfa:
+    """Drop states that are unreachable or cannot reach an accept state.
+
+    The language is preserved.  The kept states are renumbered in order.  If
+    nothing useful remains the canonical empty-language automaton (over the
+    same alphabet) is returned; an already-trim automaton is returned
+    unchanged.
+    """
+    forward, backward = _graph(a)
+    keep = _closure([a.start], forward.__getitem__) & _closure(a.accepts, backward.__getitem__)
     if a.start not in keep:
         return type(a)(1, a.alphabet, frozenset(), 0, frozenset())
     if len(keep) == a.state_count:
@@ -241,18 +249,6 @@ def _restrict(a: Nfa, keep: set[int]) -> Nfa:
     return type(a)(len(order), a.alphabet, transitions, remap[a.start], accepts)
 
 
-def trim(a: Nfa) -> Nfa:
-    """Drop states that are unreachable or cannot reach an accept state.
-
-    The language is preserved.  If nothing useful remains the canonical
-    empty-language automaton (over the same alphabet) is returned; an
-    already-trim automaton is returned unchanged.
-    """
-    forward, backward = _graph(a)
-    reachable = _closure([a.start], forward.__getitem__)
-    return _restrict(a, reachable & _closure(a.accepts, backward.__getitem__))
-
-
 def canonicalize(d: Dfa) -> Dfa:
     """Renumber states breadth-first, exploring labels in sorted order.
 
@@ -263,36 +259,29 @@ def canonicalize(d: Dfa) -> Dfa:
     return _explore(d.start, lambda p: d.rows[p].items(), d.accepts.__contains__, d.alphabet)
 
 
-def minimize(d: Dfa) -> Dfa:
-    """Minimal trim DFA for ``L(d)`` (Hopcroft partition refinement).
+def minimize(d: Nfa) -> Dfa:
+    """Minimal trim DFA for ``L(d)`` (Hopcroft partition refinement on ``as_dfa(d)``).
 
     The transition function stays partial; missing moves act as an implicit
-    dead state during refinement but are never materialised.  The blocks are
-    numbered breadth-first directly, as ``canonicalize`` would number them,
-    so language-equal inputs minimise to structurally identical automata.
+    dead state during refinement but are never materialised.  No ``trim`` is
+    needed: dead states share the dead state's block, and only blocks
+    reachable from the start's are numbered, breadth-first as
+    ``canonicalize`` would number them, so language-equal inputs minimise to
+    structurally identical automata.  A dead start gives the empty automaton.
     """
-    t = as_dfa(trim(d))
-    if not t.accepts:
-        return t
+    t = as_dfa(d)
     labels = sorted(t.alphabet, key=sort_key)
     sink = t.state_count
     states = range(t.state_count)
 
-    predecessors: dict[Label, dict[int, list[int]]] = {lab: {} for lab in labels}
-    for lab in labels:
-        by_target = predecessors[lab]
+    predecessors: dict[Label, dict[int, list[int]]] = {lab: {sink: [sink]} for lab in labels}
+    for lab, by_target in predecessors.items():
         for p in states:
-            q = t.rows[p].get(lab, sink)
-            by_target.setdefault(q, []).append(p)
-        by_target.setdefault(sink, []).append(sink)
+            by_target.setdefault(t.rows[p].get(lab, sink), []).append(p)
 
-    accepting = frozenset(t.accepts)
     rest = frozenset(set(states) - t.accepts | {sink})
-    partition: set[frozenset[int]] = {accepting} | ({rest} if rest else set())
-    block_of: dict[int, frozenset[int]] = {}
-    for block in partition:
-        for q in block:
-            block_of[q] = block
+    partition: set[frozenset[int]] = {t.accepts, rest} - {frozenset()}
+    block_of = {q: block for block in partition for q in block}
     worklist: set[tuple[frozenset[int], Label]] = {
         (block, lab) for block in partition for lab in labels
     }
@@ -311,13 +300,8 @@ def minimize(d: Dfa) -> Dfa:
                 continue
             part_in = frozenset(inside)
             part_out = block - part_in
-            partition.remove(block)
-            partition.add(part_in)
-            partition.add(part_out)
-            for q in part_in:
-                block_of[q] = part_in
-            for q in part_out:
-                block_of[q] = part_out
+            block_of.update(dict.fromkeys(part_in, part_in))
+            block_of.update(dict.fromkeys(part_out, part_out))
             for any_lab in labels:
                 if (block, any_lab) in worklist:
                     worklist.remove((block, any_lab))
@@ -335,7 +319,9 @@ def minimize(d: Dfa) -> Dfa:
                 yield lab, block_of[q]
 
     start = block_of[t.start]
-    return _explore(start, moves, lambda block: block <= accepting, t.alphabet)
+    if start is sink_block:
+        return empty_language_automaton(t.alphabet)
+    return _explore(start, moves, lambda block: block <= t.accepts, t.alphabet)
 
 
 def short_circuit(d: Dfa) -> Dfa:
@@ -355,17 +341,20 @@ def short_circuit(d: Dfa) -> Dfa:
     return Dfa(d.state_count, d.alphabet | {CHI}, d.transitions | loops, d.start, d.accepts)
 
 
-def product_rows(x: Dfa, y: Dfa) -> tuple[list[dict[Label, int]], list[int]]:
-    """``Dfa.rows`` and accept states of the trim product of ``x`` and ``y``.
+def product_rows(x: Dfa, y: Dfa) -> tuple[list[dict[Label, int]], list[int], bool, bool]:
+    """``Dfa.rows`` and accept states of the trim product of ``x`` and ``y``, and two flags.
 
     Pairs, coded as ``px * y.state_count + py``, are numbered breadth-first
     with labels in sorted order, as ``_explore`` numbers states.  Pairs that
     one backward ``_closure`` from the accepting pairs misses are dropped and
-    the rest keep their order, as in ``_restrict``; a dead start leaves one
+    the rest keep their order, as in ``trim``; a dead start leaves one
     state with no move.
+
+    The flags are ``L(x) <= L(y)`` and ``L(y) <= L(x)``: the first is false
+    once a reached pair has an accept or a move of ``x`` that ``y`` cannot
+    match, and the second likewise.  Each is exact when its left operand is
+    trim, so that every state lies on an accepted word.
     """
-    if x.short_circuited or y.short_circuited:
-        raise ValueError("intersection operands must not be short-circuited")
     width, x_rows, y_rows = y.state_count, x.rows, y.rows
     start = x.start * width + y.start
     index = {start: 0}
@@ -373,13 +362,15 @@ def product_rows(x: Dfa, y: Dfa) -> tuple[list[dict[Label, int]], list[int]]:
     rows: list[dict[Label, int]] = []
     backward: list[list[int]] = [[]]
     accepting: list[int] = []
+    x_in_y = y_in_x = True
     for here, pair in enumerate(pairs):  # ``pairs`` grows as pairs are found
         px, py = divmod(pair, width)
-        if px in x.accepts and py in y.accepts:
+        in_x, in_y = px in x.accepts, py in y.accepts
+        if in_x and in_y:
             accepting.append(here)
-        y_row = y_rows[py]
+        x_row, y_row = x_rows[px], y_rows[py]
         row = {}
-        for lab, qx in x_rows[px].items():
+        for lab, qx in x_row.items():
             qy = y_row.get(lab)
             if qy is not None:
                 target = qx * width + qy
@@ -391,15 +382,22 @@ def product_rows(x: Dfa, y: Dfa) -> tuple[list[dict[Label, int]], list[int]]:
                 row[lab] = there
                 backward[there].append(here)
         rows.append(row)
+        x_in_y = x_in_y and in_y >= in_x and len(row) == len(x_row)
+        y_in_x = y_in_x and in_x >= in_y and len(row) == len(y_row)
     live = _closure(accepting, backward.__getitem__)
     if 0 not in live:
-        return [{}], []
+        return [{}], [], x_in_y, y_in_x
     if len(live) < len(rows):
         keep = sorted(live)
         number = {old: new for new, old in enumerate(keep)}
         rows = [{lab: number[q] for lab, q in rows[p].items() if q in number} for p in keep]
         accepting = [number[p] for p in accepting]
-    return rows, accepting
+    return rows, accepting, x_in_y, y_in_x
+
+
+def _refuse_short_circuited(x: Dfa, y: Dfa) -> None:
+    if x.short_circuited or y.short_circuited:
+        raise ValueError("intersection operands must not be short-circuited")
 
 
 def intersect(x: Dfa, y: Dfa) -> Dfa:
@@ -409,7 +407,8 @@ def intersect(x: Dfa, y: Dfa) -> Dfa:
     alphabet therefore never contribute words.  Every explored pair is
     reachable, so only dead pairs, which reach no accepting pair, are pruned.
     """
-    rows, accepting = product_rows(x, y)
+    _refuse_short_circuited(x, y)
+    rows, accepting, _, _ = product_rows(x, y)
     transitions = frozenset((p, lab, q) for p, row in enumerate(rows) for lab, q in row.items())
     return Dfa(len(rows), x.alphabet & y.alphabet, transitions, 0, frozenset(accepting))
 
@@ -417,28 +416,15 @@ def intersect(x: Dfa, y: Dfa) -> Dfa:
 def is_included(x: Dfa, y: Dfa) -> bool:
     """True iff ``L(x)`` is a subset of ``L(y)``; ``x`` must be trim.
 
-    Walks the state pairs reachable on the moves of ``x`` and stops at the
-    first move or accept of ``x`` that ``y`` cannot match.  Every state of a
-    trim ``x`` lies on an accepted word, so that mismatch is a word of
-    ``L(x)`` outside ``L(y)``.
+    The first flag of ``product_rows(x, y)``: the walk meets no pair where
+    ``x`` accepts or moves and ``y`` cannot match it.  Every state of a trim
+    ``x`` lies on an accepted word, so such a mismatch is a word of ``L(x)``
+    outside ``L(y)``.  It walks the whole product, even past an early
+    mismatch, as ``measures`` needs the walk anyway.
     """
     if not is_trim(x):
         raise ValueError("is_included requires a trim first operand")
-    start = (x.start, y.start)
-    seen = {start}
-    stack = [start]
-    while stack:
-        px, py = stack.pop()
-        if px in x.accepts and py not in y.accepts:
-            return False
-        for lab, qx in x.rows[px].items():
-            qy = y.rows[py].get(lab)
-            if qy is None:
-                return False
-            if (qx, qy) not in seen:
-                seen.add((qx, qy))
-                stack.append((qx, qy))
-    return True
+    return product_rows(x, y)[2]
 
 
 def is_ergodic(a: Nfa) -> bool:

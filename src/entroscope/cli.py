@@ -9,9 +9,9 @@ only over an infinite language, never in ``recall`` or ``cardinality``;
 without ``--max-iter`` the cap is read from ``ENTROSCOPE_MAX_ITER``.
 
 Exit codes: 0 success (including flagged non-convergence, which warns on
-stderr), 2 usage errors and parse errors on input files, 3 measure not
-applicable to the input: cardinality of an infinite language or entropy of
-the empty language.
+stderr), 2 usage errors and parse errors on input files, text that is not
+UTF-8 included, 3 measure not applicable to the input: cardinality of an
+infinite language or entropy of the empty language.
 """
 
 from __future__ import annotations
@@ -143,13 +143,20 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text, encoding="utf-8")
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # a parse error, reported with the file's name
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def _load_automaton(path: Path) -> Nfa:
-    return read_automaton(path.read_text(encoding="utf-8"))
+    return read_automaton(_read_text(path))
 
 
 def _sniff(path: Path) -> tuple[Nfa | EventLog, str | None]:
     """The automaton and its name, or the XES or line log, that ``path`` holds."""
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return read_named_automaton(text)

@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from typing import Any
 from xml.parsers import expat
 
@@ -170,31 +171,41 @@ def read_log(text: str) -> EventLog:
     """Parse the line-based log format.
 
     One trace per line, events separated by single spaces; a fully empty
-    line is the empty trace and ``#`` starts a comment line.
+    line is the empty trace and ``#`` starts a comment line.  Lines are
+    counted first, so each distinct line is checked and made a ``Trace``
+    once; an error names the first line that holds the bad text.
     """
-    traces: list[Trace] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    traces: dict[Trace, int] = {}
+    for line, mult in Counter(lines).items():
         if line.startswith("#"):
             continue
-        if line == "":
-            traces.append(Trace(()))
-            continue
         events = []
-        for pos, token in enumerate(line.split(" "), start=1):
-            if token == "":
-                _fail(f"line {lineno}, event {pos}", "empty event name (double space?)")
-            if token == RESERVED_LABEL:
-                _fail(f"line {lineno}, event {pos}", f"{RESERVED_LABEL!r} is reserved")
+        for pos, token in enumerate(line.split(" ") if line else (), start=1):
+            if token in ("", RESERVED_LABEL):
+                where = f"line {lines.index(line) + 1}, event {pos}"
+                if token:
+                    _fail(where, f"{RESERVED_LABEL!r} is reserved")
+                _fail(where, "empty event name (double space?)")
             events.append(label(token))
-        traces.append(Trace(tuple(events)))
+        traces[Trace(tuple(events))] = mult
     return EventLog(traces)
 
 
 def write_log(log: EventLog) -> str:
-    """Serialise a log; repeated lines encode multiplicities."""
+    """Serialise a log; repeated lines encode multiplicities.
+
+    A trace that would read back differently raises FormatError naming it.
+    """
     lines = []
     for trace, mult in sorted(log, key=lambda item: tuple(sort_key(lab) for lab in item[0])):
-        lines.extend([" ".join(lab.display for lab in trace)] * mult)
+        names = [lab.display for lab in trace]
+        for name in names:
+            if name == RESERVED_LABEL or " " in name or name.splitlines() != [name]:
+                _fail(f"trace {names}", f"{name!r} is reserved, empty, or holds a space or newline")
+        if names and names[0].startswith("#"):
+            _fail(f"trace {names}", f"first label {names[0]!r} would start a comment line")
+        lines.extend([" ".join(names)] * mult)
     return "".join(line + "\n" for line in lines)
 
 

@@ -1,13 +1,15 @@
 """Language measures, quotients, and the precision/recall/coverage pipeline.
 
 Two automata (``coverage``, ``precision_and_recall``, ``quotient``) are
-compared in one fixed order: determinize if needed, trim and minimize each
-operand, then measure their intersection short-circuited.  Where one
-operand's language lies inside the other's (``is_included``), that
-operand's language is the shared one.  Otherwise ``automata.product_rows``
-walks the trim product, never built as a ``Dfa``, whose eigenvalue is that
-of its minimal quotient.  The chi moves are added only after intersecting,
-so the loop-back marker is never part of the compared languages.
+compared in one fixed order: trim each operand, so dead states never enter
+the subset construction, determinize it if needed and minimize it, then
+measure their intersection short-circuited.  One ``automata.product_rows``
+walk per pair gives the trim product, never built as a ``Dfa``, whose
+eigenvalue is that of its minimal quotient, and tells whether one operand's
+language lies inside the other's; if so, that operand's language is the
+shared one and its own solve serves.  The chi moves are added only after
+intersecting, so the loop-back marker is never part of the compared
+languages.
 
 A finite language is measured by its length profile, the number of distinct
 words of each length: its cardinality is their sum and its eigenvalue comes
@@ -16,10 +18,10 @@ equal numbers by any route.  The power iteration serves infinite ones.
 
 A specification and an event log (``precision``, ``recall``) are compared
 without an automaton of the log.  The shared language is the set of
-distinct traces that the minimal specification DFA accepts on replay; a
-label outside the specification alphabet fails to move, just as
-``intersect`` keeps only the common alphabet.  Only the specification's own
-measure needs an automaton.
+distinct traces that a specification DFA accepts on replay; a label outside
+the specification alphabet fails to move, just as ``intersect`` keeps only
+the common alphabet.  Acceptance is a property of the language, so only the
+specification's own measure, in ``precision``, needs its minimal DFA.
 """
 
 from __future__ import annotations
@@ -33,14 +35,15 @@ from enum import Enum
 from .automata import (
     Dfa,
     Nfa,
+    _refuse_short_circuited,
     _topological_order,
     accepts,
     as_dfa,
     count_words,
-    is_included,
     length_profile,
     minimize,
     product_rows,
+    trim,
 )
 from .labels import CHI, Label
 from .logs import EventLog
@@ -118,20 +121,6 @@ def _eig(
     return result.value, AutomatonStats(*size, result)
 
 
-def _shared_eig(x: Dfa, y: Dfa, tol: float, max_iter: int) -> tuple[float, AutomatonStats]:
-    """Eigenvalue measure of ``L(x) & L(y)``, with the size and solve behind it.
-
-    ``x`` and ``y`` are minimal, so trim: one topological pass over each tells
-    if its language is finite, and if one is, the product's length profile is
-    solved.  Two infinite operands go to the power iteration even where the
-    product is finite, as ``a*b & ab*`` is: on the benchmark's coverage pairs
-    a product cycle search takes 0.7-2.6 ms (about 5%), the operand passes
-    under 0.12 ms.  The stats are the short-circuited trim product's size.
-    """
-    rows, accepting = product_rows(x, y)
-    return _eig(rows, accepting, _is_finite(x) or _is_finite(y), tol, max_iter)
-
-
 def measure(
     d: Dfa, kind: MeasureKind, tol: float, max_iter: int
 ) -> tuple[int | float, AutomatonStats]:
@@ -139,7 +128,7 @@ def measure(
 
     The cardinality is the exact word count, an ``int``.  The eigenvalue is
     solved on a copy of ``d``'s own rows: numbered as ``minimize`` numbers
-    them, they are ``product_rows(d, d)``.
+    them, they are the rows ``product_rows(d, d)`` walks.
     """
     if kind is MeasureKind.CARDINALITY:
         return count_words(d), AutomatonStats(d.state_count, len(d.transitions))
@@ -228,10 +217,6 @@ def _assemble(
     )
 
 
-def _prepare(a: Nfa) -> Dfa:
-    return minimize(as_dfa(a))
-
-
 def quotient(
     kind: MeasureKind,
     numerator: Dfa,
@@ -241,27 +226,36 @@ def quotient(
 ) -> MeasureReport:
     """Measure of the first language over the measure of the second."""
     started = time.perf_counter()
-    num = measure(_prepare(numerator), kind, tol, max_iter)
-    den = measure(_prepare(denominator), kind, tol, max_iter)
+    num = measure(minimize(as_dfa(trim(numerator))), kind, tol, max_iter)
+    den = measure(minimize(as_dfa(trim(denominator))), kind, tol, max_iter)
     return _assemble(kind, num, den, _elapsed_ms(started))
 
 
 def _pair_reports(
     ret: Nfa, rel: Nfa, tol: float, max_iter: int, want_recall: bool
 ) -> tuple[MeasureReport, MeasureReport | None]:
-    """Eigenvalue precision of ``ret`` against ``rel`` and, if wanted, recall."""
+    """Eigenvalue precision of ``ret`` against ``rel`` and, if wanted, recall.
+
+    Minimal operands are trim, so their one product walk decides inclusion.
+    Without one, the product's length profile is solved if an operand is
+    finite.  Two infinite operands go to the power iteration even where the
+    product is finite, as ``a*b & ab*`` is: on the benchmark's coverage
+    pairs a product cycle search takes 0.7-2.6 ms (about 5%), the operand
+    passes under 0.12 ms.
+    """
     kind = MeasureKind.SHORT_CIRCUIT_EIGENVALUE
     started = time.perf_counter()
-    m_ret = _prepare(ret)
-    m_rel = _prepare(rel)
+    m_ret, m_rel = (minimize(as_dfa(trim(a))) for a in (ret, rel))
     den_ret = measure(m_ret, kind, tol, max_iter)
     den_rel = measure(m_rel, kind, tol, max_iter) if want_recall else None
-    if is_included(m_ret, m_rel):
+    rows, accepting, ret_in_rel, rel_in_ret = product_rows(m_ret, m_rel)
+    if ret_in_rel:
         shared = den_ret
-    elif den_rel is not None and is_included(m_rel, m_ret):
+    elif den_rel is not None and rel_in_ret:
         shared = den_rel
     else:
-        shared = _shared_eig(m_ret, m_rel, tol, max_iter)
+        _refuse_short_circuited(m_ret, m_rel)
+        shared = _eig(rows, accepting, _is_finite(m_ret) or _is_finite(m_rel), tol, max_iter)
     precision_report = _assemble(kind, shared, den_ret, _elapsed_ms(started))
     recall_report = None
     if den_rel is not None:
@@ -290,7 +284,7 @@ def precision(
     cardinality kind additionally rejects infinite specification languages.
     """
     started = time.perf_counter()
-    m_spec = _prepare(spec)
+    m_spec = minimize(as_dfa(trim(spec)))
     shared, _ = _length_profiles(m_spec, log)
     numerator = _profile_measure(shared, kind)
     denominator = measure(m_spec, kind, tol, max_iter)
@@ -306,12 +300,13 @@ def recall(
 
     Both languages are finite, so both are measured by their length
     profiles, as in ``precision``: the distinct traces that ``spec`` accepts
-    over all distinct traces.  There is no power iteration to bound, and each
-    side's stats describe the graph of its length profile.  An empty log
-    yields an undefined-flagged report.
+    over all distinct traces.  The traces are replayed on ``as_dfa(spec)``,
+    not minimized: acceptance depends on the language alone.  There is no
+    power iteration to bound, and each side's stats describe the graph of
+    its length profile.  An empty log yields an undefined-flagged report.
     """
     started = time.perf_counter()
-    shared, recorded = _length_profiles(_prepare(spec), log)
+    shared, recorded = _length_profiles(as_dfa(spec), log)
     numerator = _profile_measure(shared, kind)
     denominator = _profile_measure(recorded, kind)
     return _assemble(kind, numerator, denominator, _elapsed_ms(started))

@@ -31,15 +31,42 @@ def _closure(a: Nfa, states: set[int]) -> frozenset[int]:
     return frozenset(seen)
 
 
+def _step(a: Nfa, states: frozenset[int], lab: Label) -> frozenset[int]:
+    """States after ``lab`` from ``states``, silent closure included."""
+    return _closure(a, {dst for src, lab2, dst in a.transitions if src in states and lab2 == lab})
+
+
 def nfa_accepts(a: Nfa, word: tuple[Label, ...]) -> bool:
     """Oracle acceptance: subset replay with silent closure, no powerset DFA."""
     current = _closure(a, {a.start})
     for lab in word:
-        step = {dst for src, lab2, dst in a.transitions if src in current and lab2 == lab}
-        current = _closure(a, step)
+        current = _step(a, current, lab)
         if not current:
             return False
     return bool(current & a.accepts)
+
+
+def language_included(x: Nfa, y: Nfa) -> bool:
+    """Oracle ``L(x) <= L(y)``: a breadth-first search for a word of ``x`` that ``y`` rejects.
+
+    Each word is replayed on both automata by subset replay.  Words that
+    leave both in the same state sets have the same futures, so only the
+    first of them is extended; there are finitely many such pairs of sets.
+    """
+    alphabet = sorted(x.alphabet, key=sort_key)
+    first = (_closure(x, {x.start}), _closure(y, {y.start}))
+    seen = {first}
+    queue = deque(seen)
+    while queue:
+        in_x, in_y = queue.popleft()
+        if in_x & x.accepts and not in_y & y.accepts:
+            return False
+        for lab in alphabet:
+            after = _step(x, in_x, lab), _step(y, in_y, lab)
+            if after[0] and after not in seen:
+                seen.add(after)
+                queue.append(after)
+    return True
 
 
 def bounded_words(alphabet: list[Label], max_len: int):
@@ -59,10 +86,9 @@ def bounded_language_nfa(a: Nfa, alphabet: list[Label], max_len: int) -> set[tup
         nxt = []
         for word, states in frontier:
             for lab in alphabet:
-                step = {dst for src, lab2, dst in a.transitions if src in states and lab2 == lab}
-                if not step:
+                closed = _step(a, states, lab)
+                if not closed:
                     continue
-                closed = _closure(a, step)
                 grown = word + (lab,)
                 if closed & a.accepts:
                     accepted.add(grown)

@@ -34,6 +34,7 @@ from helpers import (
     bounded_language_dfa,
     bounded_language_nfa,
     random_dfa,
+    random_nfa,
     sorted_words,
 )
 from login_fixtures import retry_spec, small_log, two_word_spec, word_log
@@ -209,6 +210,23 @@ class TestMinimize:
             m = minimize(d)
             assert bounded_language_dfa(m, 6) == bounded_language_dfa(d, 6)
             assert is_trim(m)
+
+    def test_a_dead_start_gives_the_canonical_empty_automaton(self):
+        # State 2 accepts and loops, but the start cannot reach it.
+        d = Dfa(3, frozenset({a, b}), frozenset({(0, a, 1), (1, b, 0), (2, b, 2)}), 0, {2})
+        assert minimize(d) == empty_language_automaton({a, b})
+
+    def test_dead_and_unreachable_states_need_no_trim_first(self):
+        rng = random.Random(29)
+        untrimmed = 0
+        for i in range(400):
+            d = random_dfa(rng) if i % 2 else random_nfa(rng)
+            # A random start leaves states unreachable as well as dead.
+            start = rng.randrange(d.state_count)
+            d = type(d)(d.state_count, d.alphabet, d.transitions, start, d.accepts)
+            untrimmed += not is_trim(as_dfa(d))
+            assert minimize(d) == minimize(trim(d))
+        assert untrimmed > 200
 
 
 class TestShortCircuit:

@@ -316,6 +316,36 @@ class TestInspectAndConvert:
     def test_convert_automaton_to_log_fails(self, capsys, retry_spec_file):
         assert main(["convert", str(retry_spec_file), "--to", "log"]) == 2
 
+    def test_convert_to_a_log_that_reads_back_differently_exits_2(self, capsys, tmp_path):
+        xes = tmp_path / "spaced.xes"
+        xes.write_text(
+            '<log><trace><event><string key="concept:name" value="a b"/></event></trace></log>',
+            encoding="utf-8",
+        )
+        assert main(["convert", str(xes), "--to", "log"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: trace ['a b']: ")
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            (
+                "latin1.xes",
+                '<?xml version="1.0" encoding="ISO-8859-1"?>\n'
+                '<log><trace><event><string key="concept:name" value="caf\u00e9"/></event>'
+                "</trace></log>\n".encode("latin-1"),
+            ),
+            ("bytes.log", b"a b\nc \xff\n"),
+        ],
+        ids=["latin-1 xes", "line log with 0xff"],
+    )
+    def test_a_file_that_is_not_utf8_exits_2(self, capsys, tmp_path, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert main(["inspect", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode")
+
 
 class TestFamilies:
     def test_bounded_repeat_language(self, capsys, tmp_path):

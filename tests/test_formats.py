@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from entroscope import (
     short_circuit,
 )
 from entroscope.formats import (
+    RESERVED_LABEL,
     FormatError,
     export_dot,
     read_automaton,
@@ -152,6 +154,48 @@ class TestLogDocuments:
         for _ in range(50):
             log = random_log(rng)
             assert read_log(write_log(log)) == log
+
+    def test_error_names_the_first_line_of_a_repeated_bad_line(self):
+        with pytest.raises(FormatError, match="^line 3, event 2:"):
+            read_log("a\n# x  y\nb  c\na\nb  c\n")
+
+    @pytest.mark.parametrize(
+        "names, problem",
+        [
+            (["a b", "c"], "'a b' is reserved, empty, or holds a space or newline"),
+            (["#x"], "first label '#x' would start a comment line"),
+            ([""], "'' is reserved, empty"),
+            (["a\u2028b"], r"'a\u2028b' is reserved"),
+            (["a", "__chi__"], "'__chi__' is reserved"),
+        ],
+    )
+    def test_a_trace_that_reads_back_differently_is_refused(self, names, problem):
+        log = EventLog([Trace.of("ok"), Trace.of(*names)])
+        with pytest.raises(FormatError, match=rf"^trace \[.*\]: .*{re.escape(problem)}"):
+            write_log(log)
+
+
+def _writable(name: str) -> bool:
+    return name not in ("", RESERVED_LABEL) and " " not in name and name.splitlines() == [name]
+
+
+TRICKY_NAMES = st.sampled_from(["a", "#", "#a", "a#", " ", "a\r", RESERVED_LABEL, ""])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.one_of(TRICKY_NAMES, st.text()), max_size=4), max_size=5))
+def test_every_log_write_log_accepts_round_trips(traces):
+    log = EventLog([Trace.of(*names) for names in traces])
+    try:
+        text = write_log(log)
+    except FormatError:
+        assert any(
+            not all(map(_writable, names)) or names[0].startswith("#")
+            for names in traces
+            if names
+        )
+    else:
+        assert read_log(text) == log
 
 
 MINIMAL_XES = """<?xml version="1.0" encoding="UTF-8"?>

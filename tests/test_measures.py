@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -30,6 +31,7 @@ from entroscope import (
     recall,
     short_circuit,
 )
+from entroscope import measures
 from entroscope.formats import report_fields
 from helpers import all_words_of_length, word_log
 from login_fixtures import (
@@ -160,6 +162,17 @@ class TestPrecisionRecall:
         report = recall(retry_spec(), small_log(), CARD)
         assert report.value == 0.5  # abde is the only fitting trace of two
 
+    @pytest.mark.parametrize("kind", [EIG, CARD])
+    def test_recall_replays_the_log_without_minimizing(self, monkeypatch, kind):
+        want = recall(retry_spec(), small_log(), kind)
+
+        def refuse(d):
+            raise AssertionError("recall called minimize")
+
+        monkeypatch.setattr(measures, "minimize", refuse)
+        report = recall(retry_spec(), small_log(), kind)
+        assert dataclasses.replace(report, runtime_ms=want.runtime_ms) == want
+
     def test_recall_is_one_when_spec_covers_log(self):
         report = recall(anything_spec(), small_log())
         assert report.value == 1.0
@@ -265,6 +278,12 @@ class TestCoverage:
     def test_empty_first_operand_is_flagged(self):
         report = coverage(empty_language_automaton(), retry_spec())
         assert report.undefined
+
+    def test_short_circuited_operands_are_refused_unless_one_language_holds_the_other(self):
+        sc = short_circuit(minimize(retry_spec()))
+        assert coverage(sc, sc).value == 1.0
+        with pytest.raises(ValueError, match="short-circuited"):
+            coverage(sc, flexible_spec())
 
 
 def nth_from_end(n: int, markers: str, alphabet: str, silent_skip: bool = False) -> Nfa:

@@ -44,7 +44,13 @@ from entroscope import (
     short_circuit,
     trim,
 )
-from helpers import ABC, bounded_language_dfa, bounded_language_nfa, bounded_words
+from helpers import (
+    ABC,
+    bounded_language_dfa,
+    bounded_language_nfa,
+    bounded_words,
+    language_included,
+)
 
 NOISE = label("z")  # never in a spec alphabet
 
@@ -136,7 +142,7 @@ def test_minimize_preserves_language_and_is_idempotent(aut):
 def test_a_minimal_dfa_is_its_own_product_table(aut):
     # ``measure`` solves a minimal DFA's own rows in place of its self-product.
     m = minimize(determinize(aut))
-    assert product_rows(m, m) == ([dict(row) for row in m.rows], sorted(m.accepts))
+    assert product_rows(m, m) == ([dict(row) for row in m.rows], sorted(m.accepts), True, True)
 
 
 @settings(max_examples=100, deadline=None)
@@ -360,6 +366,40 @@ def test_pair_measures_match_the_minimal_product_pipeline(pair):
     for report, own in ((cov, mx), (pr, mx), (rc, my)):
         if not report.undefined:
             assert (report.value == 1.0) == same_automaton(product, own)
+
+
+def test_product_walk_flags_are_the_word_level_inclusions():
+    outcomes = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(nfa_pairs())
+    def check(pair):
+        x, y = pair
+        mx, my = minimize(x), minimize(y)
+        flags = product_rows(mx, my)[2:]
+        assert flags == (language_included(x, y), language_included(y, x))
+        outcomes.update(flags)
+
+    check()
+    assert outcomes == {True, False}
+
+
+@settings(max_examples=100, deadline=None)
+@given(nfa_pairs(), st.sampled_from(["coverage", "precision_and_recall"]))
+def test_pair_measures_walk_each_pair_once(pair, name):
+    walks = []
+
+    def spy(x, y):
+        walks.append((x, y))
+        return product_rows(x, y)
+
+    with mock.patch.object(measures, "product_rows", spy), mock.patch.object(
+        measures, "minimize", wraps=minimize
+    ) as prepared:
+        getattr(measures, name)(*pair)
+    assert walks == [tuple(minimize(a) for a in pair)]
+    # Each operand is trimmed, then determinized, once; minimize is given the DFA.
+    assert [c.args for c in prepared.call_args_list] == [(as_dfa(trim(a)),) for a in pair]
 
 
 def test_containment_in_a_larger_automaton_gives_exact_ones():
