@@ -395,9 +395,10 @@ def product_rows(x: Dfa, y: Dfa) -> tuple[list[dict[Label, int]], list[int], boo
     return rows, accepting, x_in_y, y_in_x
 
 
-def _refuse_short_circuited(x: Dfa, y: Dfa) -> None:
-    if x.short_circuited or y.short_circuited:
-        raise ValueError("intersection operands must not be short-circuited")
+def _refuse_short_circuited(*operands: Nfa) -> None:
+    """Reject a short-circuited operand: chi marks no event, so it is no compared language."""
+    if any(a.short_circuited for a in operands):
+        raise ValueError("operands must not be short-circuited")
 
 
 def intersect(x: Dfa, y: Dfa) -> Dfa:
@@ -432,24 +433,37 @@ def is_ergodic(a: Nfa) -> bool:
     return _spans(a, [0], [0])
 
 
-def _topological_order(forward: Sequence[Iterable[int]]) -> list[int] | None:
-    """Topological order of the graph with these successor lists, or None if it has a cycle."""
-    indegree = [0] * len(forward)
-    for targets in forward:
+def _topological_order(start: int, successors: Callable[[int], Iterable[int]]) -> list[int] | None:
+    """The states reachable from ``start`` in topological order, or None at the first cycle.
+
+    Depth-first: a state is listed after its successors, and the list is
+    reversed.  A successor still on the search path closes a cycle.
+    """
+    finished: list[int] = []
+    listed = {start: False}  # False while the state is on the search path
+    path = [(start, iter(successors(start)))]
+    while path:
+        p, targets = path[-1]
         for q in targets:
-            indegree[q] += 1
-    order = [q for q, degree in enumerate(indegree) if degree == 0]
-    for p in order:  # ``order`` grows as states lose their last predecessor
-        for q in forward[p]:
-            indegree[q] -= 1
-            if indegree[q] == 0:
-                order.append(q)
-    return order if len(order) == len(forward) else None
+            seen = listed.get(q)
+            if seen is None:
+                listed[q] = False
+                path.append((q, iter(successors(q))))
+                break
+            if not seen:
+                return None
+        else:
+            path.pop()
+            listed[p] = True
+            finished.append(p)
+    finished.reverse()
+    return finished
 
 
 def has_finite_language(d: Dfa) -> bool:
     """True iff no directed cycle survives trimming."""
-    return _topological_order(_graph(trim(d))[0]) is not None
+    t = trim(d)
+    return _topological_order(t.start, _graph(t)[0].__getitem__) is not None
 
 
 def length_profile(
@@ -458,10 +472,11 @@ def length_profile(
     """Exact number of accepted words of each length, shortest first, of a trim move table.
 
     ``rows`` is a table like ``Dfa.rows`` or the one ``product_rows`` returns.
-    Paths from ``start`` are counted per length in topological order; a cycle,
-    which in a trim table lies on accepted words, raises ``InfiniteLanguageError``.
+    Paths from ``start`` are counted per length in topological order.  The
+    search for it stops at the first cycle, which in a trim table lies on
+    accepted words, and raises ``InfiniteLanguageError``, cheaply.
     """
-    order = _topological_order([row.values() for row in rows])
+    order = _topological_order(start, lambda p: rows[p].values())
     if order is None:
         raise InfiniteLanguageError("language is infinite: a cycle survives trimming")
     paths: list[Counter[int]] = [Counter() for _ in rows]

@@ -8,15 +8,20 @@ Each measure command takes only the options that change its output:
 only over an infinite language, never in ``recall`` or ``cardinality``;
 without ``--max-iter`` the cap is read from ``ENTROSCOPE_MAX_ITER``.
 
+Input files are read as bytes.  XES goes to ``read_xes`` undecoded, so its
+XML declaration names the encoding; automata and line logs are UTF-8, a
+byte-order mark allowed.
+
 Exit codes: 0 success (including flagged non-convergence, which warns on
-stderr), 2 usage errors and parse errors on input files, text that is not
-UTF-8 included, 3 measure not applicable to the input: cardinality of an
-infinite language or entropy of the empty language.
+stderr), 2 usage errors and parse errors on input files, an automaton or
+line log that is not UTF-8 included, 3 measure not applicable to the input:
+cardinality of an infinite language or entropy of the empty language.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import itertools
 import math
 import os
@@ -143,25 +148,26 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text, encoding="utf-8")
 
 
-def _read_text(path: Path) -> str:
+def _decode(data: bytes, path: Path) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:  # a parse error, reported with the file's name
         raise FormatError(f"{path}: {exc}") from None
 
 
 def _load_automaton(path: Path) -> Nfa:
-    return read_automaton(_read_text(path))
+    return read_automaton(_decode(path.read_bytes(), path))
 
 
 def _sniff(path: Path) -> tuple[Nfa | EventLog, str | None]:
     """The automaton and its name, or the XES or line log, that ``path`` holds."""
-    text = _read_text(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    data = path.read_bytes()
+    head = data.removeprefix(codecs.BOM_UTF8).lstrip()[:1]
+    if head == b"<":
+        return read_xes(data), None
+    text = _decode(data, path)
+    if head == b"{":
         return read_named_automaton(text)
-    if stripped.startswith("<"):
-        return read_xes(text), None
     return read_log(text), None
 
 
@@ -312,31 +318,6 @@ def _kleene_automaton() -> Dfa:
     )
 
 
-def _parallel_block_automaton() -> Dfa:
-    symbols = [label(c) for c in "abcde"]
-    subsets = {frozenset(): 0}
-    transitions = set()
-    queue = [frozenset()]
-    while queue:
-        done = queue.pop()
-        here = subsets[done]
-        for sym in symbols:
-            if sym in done:
-                continue
-            target = done | {sym}
-            if target not in subsets:
-                subsets[target] = len(subsets)
-                queue.append(target)
-            transitions.add((here, sym, subsets[target]))
-    return Dfa(
-        len(subsets),
-        frozenset(symbols),
-        frozenset(transitions),
-        0,
-        frozenset({subsets[frozenset(symbols)]}),
-    )
-
-
 def _run_family(args: argparse.Namespace) -> int:
     out_dir: Path = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -356,19 +337,17 @@ def _run_family(args: argparse.Namespace) -> int:
         save("bounded_repeat_log.log", write_log(_word_log(["b", "ab", "aab"])))
     elif args.name == "kleene":
         save("kleene.json", write_automaton(_kleene_automaton()))
-    elif args.name == "permutations":
-        count = 120 if args.count is None else args.count
+    else:  # the parallel block is all 120 permutations
+        block = args.name == "parallel-block"
+        count = 120 if block or args.count is None else args.count
         if not 5 <= count <= 120:
             print("error: --count must be in [5..120]", file=sys.stderr)
             return EXIT_PARSE
-        words = _permutation_words(count)
-        save(
-            f"permutations_{count:03d}.json",
-            write_automaton(minimize(prefix_tree_acceptor(_word_log(words)))),
-        )
-        save("permutations_log.log", write_log(_word_log(_permutation_words(5))))
-    else:
-        save("parallel_block.json", write_automaton(_parallel_block_automaton()))
+        tree = prefix_tree_acceptor(_word_log(_permutation_words(count)))
+        name = "parallel_block.json" if block else f"permutations_{count:03d}.json"
+        save(name, write_automaton(minimize(tree)))
+        if not block:
+            save("permutations_log.log", write_log(_word_log(_permutation_words(5))))
     for path in written:
         print(path)
     return EXIT_OK

@@ -209,10 +209,12 @@ def write_log(log: EventLog) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def read_xes(text: str) -> EventLog:
+def read_xes(text: str | bytes) -> EventLog:
     """Streaming XES reader: traces, events, and their concept:name strings.
 
-    One expat pass reads the document and no element tree is built.
+    One expat pass reads the document and no element tree is built.  Bytes
+    are decoded as the byte-order mark or XML declaration says; a ``str``'s
+    declared encoding is ignored.
     Elements match by local name in any namespace; an unbound prefix is a
     parse error.  Every ``trace`` element is a trace, numbered in document
     order, a nested one included.  An ``event`` counts only as a direct

@@ -11,10 +11,11 @@ shared one and its own solve serves.  The chi moves are added only after
 intersecting, so the loop-back marker is never part of the compared
 languages.
 
-A finite language is measured by its length profile, the number of distinct
-words of each length: its cardinality is their sum and its eigenvalue comes
-from ``spectral.length_profile_eigenvalue``, so equal finite languages get
-equal numbers by any route.  The power iteration serves infinite ones.
+``_measure`` measures every automaton's language, and its move table picks
+the solver.  A finite language is measured by its length profile, the number
+of distinct words of each length: its cardinality is their sum and its
+eigenvalue comes from ``spectral.length_profile_eigenvalue``, so equal finite
+languages get equal numbers by any route; power iteration serves the rest.
 
 A specification and an event log (``precision``, ``recall``) are compared
 without an automaton of the log.  The shared language is the set of
@@ -31,15 +32,15 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from typing import Collection, Mapping
 
 from .automata import (
     Dfa,
+    InfiniteLanguageError,
     Nfa,
     _refuse_short_circuited,
-    _topological_order,
     accepts,
     as_dfa,
-    count_words,
     length_profile,
     minimize,
     product_rows,
@@ -98,27 +99,32 @@ class MeasureReport:
     runtime_ms: float = 0.0
 
 
-def _is_finite(d: Dfa) -> bool:
-    """Whether a trim ``d`` has a finite language: one topological pass over its rows."""
-    return _topological_order([row.values() for row in d.rows]) is not None
+def _measure(
+    rows: list[dict[Label, int]],
+    accepting: Collection[int],
+    kind: MeasureKind,
+    tol: float,
+    max_iter: int,
+) -> tuple[int | float, AutomatonStats]:
+    """Measure of the language of a trim move table started at 0, with its size and solve.
 
-
-def _eig(
-    rows: list[dict[Label, int]], accepting: list[int], finite: bool, tol: float, max_iter: int
-) -> tuple[float, AutomatonStats]:
-    """Eigenvalue measure of a trim move table, with its short-circuited size and solve.
-
-    A finite language is solved by its length profile; otherwise chi moves
-    are added to ``rows`` in place and the power iteration runs.
+    A finite language is measured by its length profile.  Otherwise the
+    cardinality raises ``InfiniteLanguageError`` and the eigenvalue is solved
+    by power iteration with a chi move from each accept state to the start.
     """
-    size = len(rows), sum(map(len, rows)) + len(accepting)
-    if finite:
-        result = length_profile_eigenvalue(length_profile(rows, accepting))
-    else:
+    try:
+        value, chain = _profile_measure(length_profile(rows, accepting), kind)
+        result = chain.eigen
+    except InfiniteLanguageError:
+        if kind is MeasureKind.CARDINALITY:
+            raise
+        table = list(rows)
         for p in accepting:
-            rows[p][CHI] = 0
-        result = perron_frobenius(SparseMatrix.from_moves(rows), tol, max_iter)
-    return result.value, AutomatonStats(*size, result)
+            table[p] = {**rows[p], CHI: 0}
+        result = perron_frobenius(SparseMatrix.from_moves(table), tol, max_iter)
+        value = result.value
+    chi = len(accepting) if kind is MeasureKind.SHORT_CIRCUIT_EIGENVALUE else 0
+    return value, AutomatonStats(len(rows), sum(map(len, rows)) + chi, result)
 
 
 def measure(
@@ -126,21 +132,17 @@ def measure(
 ) -> tuple[int | float, AutomatonStats]:
     """Measure of ``L(d)``, with the size and solve behind it; ``d`` must be minimal.
 
-    The cardinality is the exact word count, an ``int``.  The eigenvalue is
-    solved on a copy of ``d``'s own rows: numbered as ``minimize`` numbers
-    them, they are the rows ``product_rows(d, d)`` walks.
+    Numbered as ``minimize`` numbers them, ``d``'s own rows are the ones
+    ``product_rows(d, d)`` walks.  The cardinality is an exact ``int``.
     """
-    if kind is MeasureKind.CARDINALITY:
-        return count_words(d), AutomatonStats(d.state_count, len(d.transitions))
-    return _eig([dict(row) for row in d.rows], sorted(d.accepts), _is_finite(d), tol, max_iter)
+    return _measure(d.rows, d.accepts, kind, tol, max_iter)
 
 
 def eig_short_circuit_measure(
     d: Dfa, tol: float = DEFAULT_TOLERANCE, max_iter: int = DEFAULT_MAX_ITERATIONS
 ) -> float:
     """Dominant eigenvalue of the short-circuited minimal automaton of ``L(d)``."""
-    if d.short_circuited:
-        raise ValueError("input is already short-circuited")
+    _refuse_short_circuited(d)
     value, _ = measure(minimize(d), MeasureKind.SHORT_CIRCUIT_EIGENVALUE, tol, max_iter)
     return value
 
@@ -152,7 +154,7 @@ def _length_profiles(spec: Dfa, log: EventLog) -> tuple[Counter[int], Counter[in
 
 
 def _profile_measure(
-    profile: Counter[int], kind: MeasureKind
+    profile: Mapping[int, int], kind: MeasureKind
 ) -> tuple[int | float, AutomatonStats]:
     """Measure of a finite language given by its length profile.
 
@@ -225,6 +227,7 @@ def quotient(
     max_iter: int = DEFAULT_MAX_ITERATIONS,
 ) -> MeasureReport:
     """Measure of the first language over the measure of the second."""
+    _refuse_short_circuited(numerator, denominator)
     started = time.perf_counter()
     num = measure(minimize(as_dfa(trim(numerator))), kind, tol, max_iter)
     den = measure(minimize(as_dfa(trim(denominator))), kind, tol, max_iter)
@@ -237,12 +240,11 @@ def _pair_reports(
     """Eigenvalue precision of ``ret`` against ``rel`` and, if wanted, recall.
 
     Minimal operands are trim, so their one product walk decides inclusion.
-    Without one, the product's length profile is solved if an operand is
-    finite.  Two infinite operands go to the power iteration even where the
-    product is finite, as ``a*b & ab*`` is: on the benchmark's coverage
-    pairs a product cycle search takes 0.7-2.6 ms (about 5%), the operand
-    passes under 0.12 ms.
+    Without one, the walked product is measured by ``_measure`` like an
+    operand, so a finite product is solved exactly by its length profile
+    even where both operands are infinite, as for ``a*b & ab*``.
     """
+    _refuse_short_circuited(ret, rel)
     kind = MeasureKind.SHORT_CIRCUIT_EIGENVALUE
     started = time.perf_counter()
     m_ret, m_rel = (minimize(as_dfa(trim(a))) for a in (ret, rel))
@@ -254,8 +256,7 @@ def _pair_reports(
     elif den_rel is not None and rel_in_ret:
         shared = den_rel
     else:
-        _refuse_short_circuited(m_ret, m_rel)
-        shared = _eig(rows, accepting, _is_finite(m_ret) or _is_finite(m_rel), tol, max_iter)
+        shared = _measure(rows, accepting, kind, tol, max_iter)
     precision_report = _assemble(kind, shared, den_ret, _elapsed_ms(started))
     recall_report = None
     if den_rel is not None:
@@ -283,6 +284,7 @@ def precision(
     An empty specification language yields an undefined-flagged report; the
     cardinality kind additionally rejects infinite specification languages.
     """
+    _refuse_short_circuited(spec)
     started = time.perf_counter()
     m_spec = minimize(as_dfa(trim(spec)))
     shared, _ = _length_profiles(m_spec, log)
@@ -305,6 +307,7 @@ def recall(
     power iteration to bound, and each side's stats describe the graph of
     its length profile.  An empty log yields an undefined-flagged report.
     """
+    _refuse_short_circuited(spec)
     started = time.perf_counter()
     shared, recorded = _length_profiles(as_dfa(spec), log)
     numerator = _profile_measure(shared, kind)

@@ -133,6 +133,25 @@ def count_words_of_length(d: Dfa, n: int) -> int:
     return sum(paths[q] for q in d.accepts)
 
 
+def kahn_order(forward: list[list[int]]) -> list[int] | None:
+    """Oracle topological order of all states of a graph given by successor lists.
+
+    Kahn's algorithm: in-degrees first, then states as they lose their last
+    predecessor.  None if a cycle leaves some state with a predecessor.
+    """
+    indegree = [0] * len(forward)
+    for targets in forward:
+        for q in targets:
+            indegree[q] += 1
+    order = [q for q, degree in enumerate(indegree) if degree == 0]
+    for p in order:  # ``order`` grows as states lose their last predecessor
+        for q in forward[p]:
+            indegree[q] -= 1
+            if indegree[q] == 0:
+                order.append(q)
+    return order if len(order) == len(forward) else None
+
+
 def _local_name(tag: str) -> str:
     return tag.rpartition("}")[2]
 

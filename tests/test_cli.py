@@ -1,3 +1,4 @@
+import codecs
 import json
 import math
 import os
@@ -268,9 +269,10 @@ class TestInspectAndConvert:
             return wrapper
 
         monkeypatch.setattr(Path, "read_text", counted(Path.read_text))
+        monkeypatch.setattr(Path, "read_bytes", counted(Path.read_bytes))
         monkeypatch.setattr(json, "loads", counted(json.loads))
         assert main(["inspect", str(retry_spec_file)]) == 0
-        assert sorted(calls) == ["loads", "read_text"]  # read and parsed once
+        assert sorted(calls) == ["loads", "read_bytes"]  # read and parsed once
         out = capsys.readouterr().out
         assert "name: retry-login" in out
         assert "deterministic: false" in out
@@ -329,22 +331,48 @@ class TestInspectAndConvert:
 
     @pytest.mark.parametrize(
         "name, content",
-        [
-            (
-                "latin1.xes",
-                '<?xml version="1.0" encoding="ISO-8859-1"?>\n'
-                '<log><trace><event><string key="concept:name" value="caf\u00e9"/></event>'
-                "</trace></log>\n".encode("latin-1"),
-            ),
-            ("bytes.log", b"a b\nc \xff\n"),
-        ],
-        ids=["latin-1 xes", "line log with 0xff"],
+        [("bytes.log", b"a b\nc \xff\n")],
+        ids=["line log with 0xff"],
     )
     def test_a_file_that_is_not_utf8_exits_2(self, capsys, tmp_path, name, content):
         path = tmp_path / name
         path.write_bytes(content)
         assert main(["inspect", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode")
+
+    def test_an_xes_file_is_decoded_as_it_declares(self, capsys, tmp_path):
+        path = tmp_path / "latin1.xes"
+        path.write_bytes(
+            '<?xml version="1.0" encoding="ISO-8859-1"?>\n'
+            '<log><trace><event><string key="concept:name" value="caf\u00e9"/></event>'
+            "</trace></log>\n".encode("latin-1")
+        )
+        assert main(["convert", str(path), "--to", "log"]) == 0
+        assert capsys.readouterr().out == "caf\u00e9\n"
+
+    @pytest.mark.parametrize(
+        "name, text, expected",
+        [
+            (
+                "bom.xes",
+                '<?xml version="1.0" encoding="UTF-8"?>\n'
+                '<log><trace><event><string key="concept:name" value="a"/></event></trace></log>',
+                ["type: log", "distinct_traces: 1", "total_traces: 1"],
+            ),
+            ("bom.log", "a b\na b\n", ["type: log", "distinct_traces: 1", "total_traces: 2"]),
+            (
+                "bom.json",
+                '{"alphabet": ["a"], "states": 1, "start": 0, "accepts": [0], "transitions": []}',
+                ["type: automaton", "states: 1"],
+            ),
+        ],
+        ids=["xes", "line log", "automaton"],
+    )
+    def test_a_utf8_byte_order_mark_is_skipped(self, capsys, tmp_path, name, text, expected):
+        path = tmp_path / name
+        path.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        assert main(["inspect", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[: len(expected)] == expected
 
 
 class TestFamilies:

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -279,11 +280,25 @@ class TestCoverage:
         report = coverage(empty_language_automaton(), retry_spec())
         assert report.undefined
 
-    def test_short_circuited_operands_are_refused_unless_one_language_holds_the_other(self):
-        sc = short_circuit(minimize(retry_spec()))
-        assert coverage(sc, sc).value == 1.0
-        with pytest.raises(ValueError, match="short-circuited"):
-            coverage(sc, flexible_spec())
+
+#: Every entry point that takes an automaton, called with a short-circuited one.
+SHORT_CIRCUITED_CALLS = {
+    "quotient": lambda sc: quotient(EIG, sc, sc),
+    "coverage": lambda sc: coverage(sc, sc),
+    "precision_and_recall": lambda sc: precision_and_recall(flexible_spec(), sc),
+    "precision": lambda sc: precision(sc, small_log()),
+    "recall": lambda sc: recall(sc, small_log()),
+    "eig_short_circuit_measure": eig_short_circuit_measure,
+}
+
+
+@pytest.mark.parametrize("name", SHORT_CIRCUITED_CALLS)
+def test_short_circuited_operands_are_refused(name):
+    # Refused even where one language holds the other, and before any work.
+    sc = short_circuit(minimize(retry_spec()))
+    with mock.patch.object(measures, "minimize", side_effect=AssertionError("minimized")):
+        with pytest.raises(ValueError, match="operands must not be short-circuited"):
+            SHORT_CIRCUITED_CALLS[name](sc)
 
 
 def nth_from_end(n: int, markers: str, alphabet: str, silent_skip: bool = False) -> Nfa:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entroscope import measures
-from entroscope.automata import product_rows
+from entroscope.automata import _topological_order, product_rows
 from entroscope import (
     CHI,
     Dfa,
@@ -35,6 +35,8 @@ from entroscope import (
     is_included,
     is_trim,
     label,
+    length_profile,
+    length_profile_eigenvalue,
     minimize,
     perron_frobenius,
     precision,
@@ -49,6 +51,7 @@ from helpers import (
     bounded_language_dfa,
     bounded_language_nfa,
     bounded_words,
+    kahn_order,
     language_included,
 )
 
@@ -444,9 +447,8 @@ def test_measure_path_solves_the_short_circuited_product(pair):
             report = coverage(a, b)
         own = short_circuit(ma)
         measured = [own] if is_included(ma, mb) else [own, short_circuit(intersect(ma, mb))]
-        # The spy sees infinite languages only: a product with a finite
-        # operand is finite too.
-        finite = has_finite_language(ma), has_finite_language(ma) or has_finite_language(mb)
+        # The spy sees infinite languages only.
+        finite = has_finite_language(ma), has_finite_language(intersect(ma, mb))
         assert solved == [counted_entries(sc) for sc, f in zip(measured, finite) if not f]
         for sc in measured:
             matrix = adjacency_matrix(sc)
@@ -471,3 +473,66 @@ def test_a_finite_operand_sends_no_matrix_to_the_power_iteration(pair):
         precision_and_recall(*pair)
     infinite = [m for m in (mx, my) if not has_finite_language(m)]
     assert solved == [counted_entries(short_circuit(m)) for m in infinite]
+
+
+@st.composite
+def move_tables(draw, max_states=8):
+    """Successor lists, parallel moves included, and a start state; about half only move up."""
+    n = draw(st.integers(1, max_states))
+    forward_only = draw(st.booleans())
+    forward = []
+    for p in range(n):
+        targets = draw(st.lists(st.integers(0, n - 1), max_size=3))
+        forward.append([q for q in targets if q > p] if forward_only else targets)
+    return forward, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(move_tables())
+def test_topological_order_lists_the_reachable_states_unless_they_hold_a_cycle(table):
+    forward, start = table
+    reachable = [start]
+    for p in reachable:  # ``reachable`` grows as states are found
+        for q in forward[p]:
+            if q not in reachable:
+                reachable.append(q)
+    number = {p: i for i, p in enumerate(reachable)}
+    oracle = kahn_order([[number[q] for q in forward[p]] for p in reachable])
+    order = _topological_order(start, forward.__getitem__)
+    if oracle is None:
+        assert order is None
+    else:
+        assert order is not None and sorted(order) == sorted(reachable)
+        position = {p: i for i, p in enumerate(order)}
+        assert all(position[p] < position[q] for p in order for q in forward[p])
+
+
+def profile_solves_a_finite_product_of_infinite_operands(x: Nfa, y: Nfa) -> bool:
+    """Check the shared measure of such a pair against its walked product; False if not one."""
+    mx, my = minimize(as_dfa(x)), minimize(as_dfa(y))
+    if has_finite_language(mx) or has_finite_language(my):
+        return False
+    rows, accepting, _, _ = product_rows(mx, my)
+    try:
+        want = length_profile_eigenvalue(length_profile(rows, accepting))
+    except InfiniteLanguageError:
+        return False
+    pr, rc = precision_and_recall(x, y)
+    assert coverage(x, y).numerator.eigen == want
+    assert pr.numerator.eigen == want and rc.numerator.eigen == want
+    return True
+
+
+def test_a_finite_product_of_infinite_operands_is_solved_by_its_profile():
+    a, b = ABC[:2]
+    a_star_b = Dfa(2, frozenset({a, b}), frozenset({(0, a, 0), (0, b, 1)}), 0, frozenset({1}))
+    a_b_star = Dfa(2, frozenset({a, b}), frozenset({(0, a, 1), (1, b, 1)}), 0, frozenset({1}))
+    assert profile_solves_a_finite_product_of_infinite_operands(a_star_b, a_b_star)
+    # The shared language is {ab}, one word of length 2: z^3 = 1, so the eigenvalue is 1.
+    assert coverage(a_star_b, a_b_star).numerator_value == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfa_pairs())
+def test_finite_products_of_infinite_operands_are_solved_by_their_profiles(pair):
+    profile_solves_a_finite_product_of_infinite_operands(*pair)
