@@ -238,7 +238,8 @@ def _run_scalar_command(args: argparse.Namespace) -> int:
         _emit(f"cardinality = {value}\n", args.out)
         return EXIT_OK
     max_iter = _max_iter(args)
-    value, stats = measure(minimize(d), MeasureKind.SHORT_CIRCUIT_EIGENVALUE, args.tol, max_iter)
+    kind = MeasureKind.SHORT_CIRCUIT_EIGENVALUE
+    value, stats = measure(minimize(d).arrays, kind, args.tol, max_iter)
     if not stats.eigen.converged:
         _warn_unconverged(max_iter)
     if args.command == "eigenvalue":

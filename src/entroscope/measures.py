@@ -3,17 +3,18 @@
 Two automata (``coverage``, ``precision_and_recall``, ``quotient``) are
 compared in one fixed order: trim each operand, so dead states never enter
 the subset construction, determinize it if needed and minimize it, then
-measure their intersection short-circuited.  One ``automata.product_rows``
-walk per pair gives the trim product, never built as a ``Dfa``, whose
-eigenvalue is that of its minimal quotient, and tells whether one operand's
-language lies inside the other's; if so, that operand's language is the
-shared one and its own solve serves.  The chi moves are added only after
-intersecting, so the loop-back marker is never part of the compared
-languages.
+measure their intersection short-circuited.  One ``automata.product_moves``
+walk per pair, on int arrays, gives the trim product, never built as a
+``Dfa``, whose eigenvalue is that of its minimal quotient, and tells whether
+one operand's language lies inside the other's; if so, that operand's
+language is the shared one and its own solve serves.  The chi moves are
+added only after intersecting, so the loop-back marker is never part of the
+compared languages.
 
-``_measure`` measures every automaton's language, and its move table picks
-the solver.  A finite language is measured by its length profile, the number
-of distinct words of each length: its cardinality is their sum and its
+``measure`` measures every automaton's language from its ``Moves``, the
+walked product's or a minimal operand's own, and the table picks the
+solver.  A finite language is measured by its length profile, the number of
+distinct words of each length: its cardinality is their sum and its
 eigenvalue comes from ``spectral.length_profile_eigenvalue``, so equal finite
 languages get equal numbers by any route; power iteration serves the rest.
 
@@ -32,21 +33,22 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Mapping
+from typing import Mapping
+
+import numpy as np
 
 from .automata import (
     Dfa,
     InfiniteLanguageError,
+    Moves,
     Nfa,
     _refuse_short_circuited,
     accepts,
     as_dfa,
-    length_profile,
     minimize,
-    product_rows,
+    product_moves,
     trim,
 )
-from .labels import CHI, Label
 from .logs import EventLog
 from .spectral import (
     DEFAULT_MAX_ITERATIONS,
@@ -99,43 +101,32 @@ class MeasureReport:
     runtime_ms: float = 0.0
 
 
-def _measure(
-    rows: list[dict[Label, int]],
-    accepting: Collection[int],
-    kind: MeasureKind,
-    tol: float,
-    max_iter: int,
+def measure(
+    moves: Moves, kind: MeasureKind, tol: float, max_iter: int
 ) -> tuple[int | float, AutomatonStats]:
-    """Measure of the language of a trim move table started at 0, with its size and solve.
+    """Measure of the language of a trim move table, with its size and solve.
 
-    A finite language is measured by its length profile.  Otherwise the
-    cardinality raises ``InfiniteLanguageError`` and the eigenvalue is solved
-    by power iteration with a chi move from each accept state to the start.
+    The table is a walked product or a minimal DFA's own ``Dfa.arrays``,
+    which are the moves ``product_moves(d, d)`` would walk.  A finite
+    language is measured by its length profile, and its cardinality is an
+    exact ``int``.  Otherwise the cardinality raises
+    ``InfiniteLanguageError`` and the eigenvalue is solved by power
+    iteration with a chi move from each accept state to the start.
     """
     try:
-        value, chain = _profile_measure(length_profile(rows, accepting), kind)
+        value, chain = _profile_measure(moves.length_profile(), kind)
         result = chain.eigen
     except InfiniteLanguageError:
         if kind is MeasureKind.CARDINALITY:
             raise
-        table = list(rows)
-        for p in accepting:
-            table[p] = {**rows[p], CHI: 0}
-        result = perron_frobenius(SparseMatrix.from_moves(table), tol, max_iter)
+        loops = np.full(moves.accepting.size, moves.start, dtype=moves.targets.dtype)
+        sources = np.concatenate((moves.sources, moves.accepting))
+        targets = np.concatenate((moves.targets, loops))
+        matrix = SparseMatrix.from_moves(moves.order, sources, targets)
+        result = perron_frobenius(matrix, tol, max_iter)
         value = result.value
-    chi = len(accepting) if kind is MeasureKind.SHORT_CIRCUIT_EIGENVALUE else 0
-    return value, AutomatonStats(len(rows), sum(map(len, rows)) + chi, result)
-
-
-def measure(
-    d: Dfa, kind: MeasureKind, tol: float, max_iter: int
-) -> tuple[int | float, AutomatonStats]:
-    """Measure of ``L(d)``, with the size and solve behind it; ``d`` must be minimal.
-
-    Numbered as ``minimize`` numbers them, ``d``'s own rows are the ones
-    ``product_rows(d, d)`` walks.  The cardinality is an exact ``int``.
-    """
-    return _measure(d.rows, d.accepts, kind, tol, max_iter)
+    chi = moves.accepting.size if kind is MeasureKind.SHORT_CIRCUIT_EIGENVALUE else 0
+    return value, AutomatonStats(moves.order, moves.sources.size + chi, result)
 
 
 def eig_short_circuit_measure(
@@ -143,7 +134,7 @@ def eig_short_circuit_measure(
 ) -> float:
     """Dominant eigenvalue of the short-circuited minimal automaton of ``L(d)``."""
     _refuse_short_circuited(d)
-    value, _ = measure(minimize(d), MeasureKind.SHORT_CIRCUIT_EIGENVALUE, tol, max_iter)
+    value, _ = measure(minimize(d).arrays, MeasureKind.SHORT_CIRCUIT_EIGENVALUE, tol, max_iter)
     return value
 
 
@@ -229,8 +220,8 @@ def quotient(
     """Measure of the first language over the measure of the second."""
     _refuse_short_circuited(numerator, denominator)
     started = time.perf_counter()
-    num = measure(minimize(as_dfa(trim(numerator))), kind, tol, max_iter)
-    den = measure(minimize(as_dfa(trim(denominator))), kind, tol, max_iter)
+    num = measure(minimize(as_dfa(trim(numerator))).arrays, kind, tol, max_iter)
+    den = measure(minimize(as_dfa(trim(denominator))).arrays, kind, tol, max_iter)
     return _assemble(kind, num, den, _elapsed_ms(started))
 
 
@@ -240,7 +231,7 @@ def _pair_reports(
     """Eigenvalue precision of ``ret`` against ``rel`` and, if wanted, recall.
 
     Minimal operands are trim, so their one product walk decides inclusion.
-    Without one, the walked product is measured by ``_measure`` like an
+    Without one, the walked product is measured by ``measure`` like an
     operand, so a finite product is solved exactly by its length profile
     even where both operands are infinite, as for ``a*b & ab*``.
     """
@@ -248,15 +239,15 @@ def _pair_reports(
     kind = MeasureKind.SHORT_CIRCUIT_EIGENVALUE
     started = time.perf_counter()
     m_ret, m_rel = (minimize(as_dfa(trim(a))) for a in (ret, rel))
-    den_ret = measure(m_ret, kind, tol, max_iter)
-    den_rel = measure(m_rel, kind, tol, max_iter) if want_recall else None
-    rows, accepting, ret_in_rel, rel_in_ret = product_rows(m_ret, m_rel)
+    den_ret = measure(m_ret.arrays, kind, tol, max_iter)
+    den_rel = measure(m_rel.arrays, kind, tol, max_iter) if want_recall else None
+    product, ret_in_rel, rel_in_ret = product_moves(m_ret, m_rel)
     if ret_in_rel:
         shared = den_ret
     elif den_rel is not None and rel_in_ret:
         shared = den_rel
     else:
-        shared = _measure(rows, accepting, kind, tol, max_iter)
+        shared = measure(product, kind, tol, max_iter)
     precision_report = _assemble(kind, shared, den_ret, _elapsed_ms(started))
     recall_report = None
     if den_rel is not None:
@@ -289,7 +280,7 @@ def precision(
     m_spec = minimize(as_dfa(trim(spec)))
     shared, _ = _length_profiles(m_spec, log)
     numerator = _profile_measure(shared, kind)
-    denominator = measure(m_spec, kind, tol, max_iter)
+    denominator = measure(m_spec.arrays, kind, tol, max_iter)
     return _assemble(kind, numerator, denominator, _elapsed_ms(started))
 
 

@@ -6,6 +6,8 @@ so the iteration cannot oscillate on periodic structures such as cycle
 automata; the reported value is ``rho(M) = rho(M + I) - 1``.  It serves
 infinite languages only: ``length_profile_eigenvalue`` takes the eigenvalue
 of a finite one from the number of words of each length, with no matrix.
+A ``SparseMatrix`` holds numpy arrays: ``from_moves`` counts the move arrays
+of ``automata.Moves`` and the solver iterates on them as they are.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .automata import Dfa
-from .labels import Label
 
 #: Relative Rayleigh-quotient change below which a solve counts as converged.
 DEFAULT_TOLERANCE = 1e-9
@@ -27,19 +28,20 @@ DEFAULT_TOLERANCE = 1e-9
 DEFAULT_MAX_ITERATIONS = 300_000
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class SparseMatrix:
     """Square non-negative integer matrix in coordinate form.
 
-    ``rows``, ``cols`` and ``weights`` list the nonzero entries in
-    ``(row, col)`` order: absent coordinates are zero, stored weights are at
-    least one and each ``(row, col)`` pair appears at most once.
+    The int64 arrays ``rows``, ``cols`` and ``weights`` list the nonzero
+    entries in ``(row, col)`` order: absent coordinates are zero, stored
+    weights are at least one and each ``(row, col)`` pair appears at most
+    once.  Two matrices compare by identity; compare their ``entries``.
     """
 
     order: int
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    weights: tuple[int, ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
 
     def __init__(self, order: int, entries: Iterable[tuple[int, int, int]]):
         entries = sorted(entries)
@@ -54,37 +56,34 @@ class SparseMatrix:
             if (row, col) in seen:
                 raise ValueError("invariant violated: duplicate entry coordinates")
             seen.add((row, col))
-        rows, cols, weights = zip(*entries) if entries else ((), (), ())
+        rows, cols, weights = np.array(entries, dtype=np.int64).reshape(-1, 3).T.copy()
         vars(self).update(order=order, rows=rows, cols=cols, weights=weights)
 
     @classmethod
-    def from_moves(cls, table: list[dict[Label, int]]) -> SparseMatrix:
-        """Count of labels moving state ``i`` to ``j`` in a table like ``Dfa.rows``.
+    def from_moves(cls, order: int, sources: np.ndarray, targets: np.ndarray) -> SparseMatrix:
+        """Count of moves from state ``i`` to state ``j``, given as parallel arrays.
 
-        Each state's targets are sorted on their own and counted in runs, so
-        the entries come out in order and need no check.
+        The codes ``i * order + j``, sorted, are counted in runs, so the
+        entries come out in order and need no check.
         """
-        froms: list[int] = []
-        tos: list[int] = []
-        counts: list[int] = []
-        for p, row in enumerate(table):
-            last = -1
-            for q in sorted(row.values()):
-                if q == last:
-                    counts[-1] += 1
-                else:
-                    froms.append(p)
-                    tos.append(q)
-                    counts.append(1)
-                    last = q
+        codes = np.multiply(sources, order, dtype=np.int64)
+        codes += targets
+        codes = codes[np.argsort(codes, kind="stable")]
+        steps = np.empty(codes.size, dtype=np.int64)  # nonzero where a run of equal codes ends
+        steps[:-1] = codes[1:] - codes[:-1]
+        steps[-1:] = 1
+        ends = steps.nonzero()[0]
+        weights = ends + 1
+        weights[1:] = ends[1:] - ends[:-1]
+        rows, cols = np.divmod(codes[ends], order)
         m = cls.__new__(cls)
-        vars(m).update(order=len(table), rows=tuple(froms), cols=tuple(tos), weights=tuple(counts))
+        vars(m).update(order=order, rows=rows, cols=cols, weights=weights)
         return m
 
     @property
     def entries(self) -> tuple[tuple[int, int, int], ...]:
         """The ``(row, col, weight)`` triples in ``(row, col)`` order."""
-        return tuple(zip(self.rows, self.cols, self.weights))
+        return tuple(zip(self.rows.tolist(), self.cols.tolist(), self.weights.tolist()))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> SparseMatrix:
@@ -111,7 +110,8 @@ class EigenResult:
 
 def adjacency_matrix(d: Dfa) -> SparseMatrix:
     """Count of labels moving state ``i`` to state ``j``, as a sparse matrix."""
-    return SparseMatrix.from_moves(d.rows)
+    m = d.arrays
+    return SparseMatrix.from_moves(m.order, m.sources, m.targets)
 
 
 def perron_frobenius(
@@ -127,11 +127,9 @@ def perron_frobenius(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if not m.rows:
+    if not m.rows.size:
         return EigenResult(0.0, 0, True, 0.0)
-    rows = np.array(m.rows, dtype=np.intp)
-    cols = np.array(m.cols, dtype=np.intp)
-    weights = np.array(m.weights, dtype=np.float64)
+    rows, cols, weights = m.rows, m.cols, m.weights.astype(np.float64)
 
     x = np.full(m.order, 1.0 / math.sqrt(m.order))
     rayleigh = math.inf
@@ -140,12 +138,15 @@ def perron_frobenius(
         # y = (M + I) x; the shift keeps the iteration primitive.
         y = x + np.bincount(rows, weights=weights * x[cols], minlength=m.order)
         estimate = float(x @ y)
-        change = abs(estimate - rayleigh) / estimate
+        residual = abs(estimate - rayleigh) / estimate
         # The Rayleigh quotient can plateau transiently on non-symmetric
-        # matrices, so convergence also demands a small eigen-residual.
-        residual = max(change, float(np.linalg.norm(y - estimate * x)) / estimate)
+        # matrices, so convergence also demands a small eigen-residual,
+        # needed only once the quotient has settled or at the cap.
+        if residual <= tol or iteration == max_iter:
+            off = y - estimate * x
+            residual = max(residual, math.sqrt(off @ off) / estimate)
         rayleigh = estimate
-        x = y / np.linalg.norm(y)
+        x = y / math.sqrt(y @ y)
         if residual <= tol:
             return EigenResult(rayleigh - 1.0, iteration, True, residual)
     return EigenResult(rayleigh - 1.0, max_iter, False, residual)

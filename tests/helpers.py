@@ -152,6 +152,61 @@ def kahn_order(forward: list[list[int]]) -> list[int] | None:
     return order if len(order) == len(forward) else None
 
 
+def product_rows(x: Dfa, y: Dfa) -> tuple[list[dict[Label, int]], list[int], bool, bool]:
+    """Reference product walk: ``Dfa.rows`` and accept states of the trim product, and two flags.
+
+    One pair at a time: pairs, coded as ``px * y.state_count + py``, are
+    numbered breadth-first in a dict, with labels in sorted order.  Pairs
+    that reach no accepting pair are dropped and the rest keep their order;
+    a dead start leaves one state with no move.  The flags are ``L(x) <=
+    L(y)`` and ``L(y) <= L(x)``: the first is false once a reached pair has
+    an accept or a move of ``x`` that ``y`` cannot match, and the second
+    likewise.
+    """
+    width, x_rows, y_rows = y.state_count, x.rows, y.rows
+    start = x.start * width + y.start
+    index = {start: 0}
+    pairs = [start]
+    rows: list[dict[Label, int]] = []
+    backward: list[list[int]] = [[]]
+    accepting: list[int] = []
+    x_in_y = y_in_x = True
+    for here, pair in enumerate(pairs):  # ``pairs`` grows as pairs are found
+        px, py = divmod(pair, width)
+        in_x, in_y = px in x.accepts, py in y.accepts
+        if in_x and in_y:
+            accepting.append(here)
+        x_row, y_row = x_rows[px], y_rows[py]
+        row = {}
+        for lab, qx in x_row.items():
+            qy = y_row.get(lab)
+            if qy is not None:
+                target = qx * width + qy
+                there = index.get(target)
+                if there is None:
+                    there = index[target] = len(pairs)
+                    pairs.append(target)
+                    backward.append([])
+                row[lab] = there
+                backward[there].append(here)
+        rows.append(row)
+        x_in_y = x_in_y and in_y >= in_x and len(row) == len(x_row)
+        y_in_x = y_in_x and in_x >= in_y and len(row) == len(y_row)
+    live = set(accepting)
+    stack = list(live)
+    while stack:
+        for p in backward[stack.pop()]:
+            if p not in live:
+                live.add(p)
+                stack.append(p)
+    if 0 not in live:
+        return [{}], [], x_in_y, y_in_x
+    keep = sorted(live)
+    number = {old: new for new, old in enumerate(keep)}
+    rows = [{lab: number[q] for lab, q in rows[p].items() if q in number} for p in keep]
+    return rows, [number[p] for p in accepting], x_in_y, y_in_x
+
+
 def _local_name(tag: str) -> str:
     return tag.rpartition("}")[2]
 

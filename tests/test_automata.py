@@ -360,6 +360,11 @@ class TestFiniteLanguage:
         )
         assert has_finite_language(aut)
 
+    def test_a_silent_loop_adds_no_word(self):
+        # {a}: the silent loop on the accept state is no cycle of the DFA.
+        aut = Nfa(2, frozenset({a}), frozenset({(0, a, 1), (1, SILENT, 1)}), 0, frozenset({1}))
+        assert has_finite_language(aut)
+
 
 class TestCountWords:
     def test_two_word_spec(self):

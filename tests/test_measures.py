@@ -18,6 +18,7 @@ from entroscope import (
     InfiniteLanguageError,
     MeasureKind,
     Nfa,
+    SparseMatrix,
     Trace,
     coverage,
     determinize,
@@ -25,6 +26,7 @@ from entroscope import (
     empty_language_automaton,
     label,
     minimize,
+    perron_frobenius,
     precision,
     precision_and_recall,
     prefix_tree_acceptor,
@@ -347,6 +349,18 @@ def test_product_coverage_is_frozen(pair, values, numerator, denominator):
     assert got == values
     assert report.numerator == numerator and report.denominator == denominator
     assert report.converged
+
+
+def test_a_capped_solve_reports_its_eigen_residual():
+    # At the third step the quotient still moves by 1.1%, and the vector is
+    # off by 4.0%: the residual reported at the cap is the larger of the two.
+    m = SparseMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1], [1, 0, 0, 0]])
+    result = perron_frobenius(m, max_iter=3)
+    assert (result.value, result.residual, result.converged) == (
+        1.5276073619631902,
+        0.03951170047597019,
+        False,
+    )
 
 
 def test_coverage_loads_no_scipy():

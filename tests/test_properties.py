@@ -5,12 +5,14 @@ import random
 from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entroscope import measures
-from entroscope.automata import _topological_order, product_rows
+from entroscope.automata import _topological_order, product_moves
+from entroscope.labels import sort_key
 from entroscope import (
     CHI,
     Dfa,
@@ -28,6 +30,7 @@ from entroscope import (
     coverage,
     determinize,
     eig_short_circuit_measure,
+    empty_language_automaton,
     has_finite_language,
     intersect,
     is_deterministic,
@@ -35,7 +38,6 @@ from entroscope import (
     is_included,
     is_trim,
     label,
-    length_profile,
     length_profile_eigenvalue,
     minimize,
     perron_frobenius,
@@ -53,6 +55,7 @@ from helpers import (
     bounded_words,
     kahn_order,
     language_included,
+    product_rows,
 )
 
 NOISE = label("z")  # never in a spec alphabet
@@ -145,7 +148,7 @@ def test_minimize_preserves_language_and_is_idempotent(aut):
 def test_a_minimal_dfa_is_its_own_product_table(aut):
     # ``measure`` solves a minimal DFA's own rows in place of its self-product.
     m = minimize(determinize(aut))
-    assert product_rows(m, m) == ([dict(row) for row in m.rows], sorted(m.accepts), True, True)
+    assert walked_rows(m, m) == ([dict(row) for row in m.rows], sorted(m.accepts), True, True)
 
 
 @settings(max_examples=100, deadline=None)
@@ -335,6 +338,41 @@ def nfa_pairs(draw):
     return x, silent_union(x, z) if draw(st.booleans()) else z
 
 
+def walked_rows(x: Dfa, y: Dfa) -> tuple[list[dict], list[int], bool, bool]:
+    """``product_moves(x, y)`` in the shape of the reference walk ``product_rows``."""
+    m, x_in_y, y_in_x = product_moves(x, y)
+    moves = list(zip(m.sources.tolist(), m.columns.tolist(), m.targets.tolist()))
+    assert [move[:2] for move in moves] == sorted({move[:2] for move in moves})
+    assert m.labels == sorted(x.alphabet & y.alphabet, key=sort_key)
+    rows: list[dict] = [{} for _ in range(m.order)]
+    for p, column, q in moves:
+        rows[p][m.labels[column]] = q
+    return rows, m.accepting.tolist(), x_in_y, y_in_x
+
+
+def relabeled(a: Nfa, names: str) -> Nfa:
+    """``a`` with its labels ``a``, ``b``, ``c`` renamed to the labels in ``names``."""
+    rename = dict(zip(ABC, map(label, names)))
+    moves = {(p, rename.get(lab, lab), q) for p, lab, q in a.transitions}
+    return Nfa(a.state_count, frozenset(map(rename.get, a.alphabet)), moves, a.start, a.accepts)
+
+
+A_STAR = Dfa(1, frozenset(ABC[:1]), frozenset({(0, ABC[0], 0)}), 0, frozenset({0}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(nfa_pairs(), st.sampled_from(["abc", "abd", "xyz"]), st.booleans())
+@example((A_STAR, A_STAR), "xyz", True)  # disjoint alphabets
+@example((A_STAR, empty_language_automaton(ABC)), "abc", True)  # dead start
+@example((Nfa(2, frozenset(ABC), {(0, ABC[0], 1)}, 0, {0}), A_STAR), "abc", False)  # dead pair
+def test_the_array_walk_numbers_and_flags_pairs_as_the_reference_walk(pair, names, minimal):
+    x, y = determinize(pair[0]), determinize(relabeled(pair[1], names))
+    if minimal:
+        x, y = minimize(x), minimize(y)
+    assert walked_rows(x, y) == product_rows(x, y)
+    assert walked_rows(y, x) == product_rows(y, x)
+
+
 def same_automaton(a: Dfa, b: Dfa) -> bool:
     """Equal states, transitions, start and accepts; alphabets may differ."""
     return (a.state_count, a.transitions, a.start, a.accepts) == (
@@ -379,7 +417,7 @@ def test_product_walk_flags_are_the_word_level_inclusions():
     def check(pair):
         x, y = pair
         mx, my = minimize(x), minimize(y)
-        flags = product_rows(mx, my)[2:]
+        flags = product_moves(mx, my)[1:]
         assert flags == (language_included(x, y), language_included(y, x))
         outcomes.update(flags)
 
@@ -394,9 +432,9 @@ def test_pair_measures_walk_each_pair_once(pair, name):
 
     def spy(x, y):
         walks.append((x, y))
-        return product_rows(x, y)
+        return product_moves(x, y)
 
-    with mock.patch.object(measures, "product_rows", spy), mock.patch.object(
+    with mock.patch.object(measures, "product_moves", spy), mock.patch.object(
         measures, "minimize", wraps=minimize
     ) as prepared:
         getattr(measures, name)(*pair)
@@ -498,7 +536,9 @@ def test_topological_order_lists_the_reachable_states_unless_they_hold_a_cycle(t
                 reachable.append(q)
     number = {p: i for i, p in enumerate(reachable)}
     oracle = kahn_order([[number[q] for q in forward[p]] for p in reachable])
-    order = _topological_order(start, forward.__getitem__)
+    offsets = np.cumsum([0, *map(len, forward)])
+    targets = np.array([q for row in forward for q in row], dtype=np.int32)
+    order = _topological_order(offsets, targets, start)
     if oracle is None:
         assert order is None
     else:
@@ -512,9 +552,9 @@ def profile_solves_a_finite_product_of_infinite_operands(x: Nfa, y: Nfa) -> bool
     mx, my = minimize(as_dfa(x)), minimize(as_dfa(y))
     if has_finite_language(mx) or has_finite_language(my):
         return False
-    rows, accepting, _, _ = product_rows(mx, my)
+    product, _, _ = product_moves(mx, my)
     try:
-        want = length_profile_eigenvalue(length_profile(rows, accepting))
+        want = length_profile_eigenvalue(product.length_profile())
     except InfiniteLanguageError:
         return False
     pr, rc = precision_and_recall(x, y)
