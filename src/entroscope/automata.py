@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,26 +75,6 @@ class Moves(NamedTuple):
             for q in targets[offsets[p] : offsets[p + 1]].tolist():
                 paths[q].update(longer)
         return dict(sorted(profile.items()))
-
-
-def _tabulate(rows: Sequence[Mapping[Label, int]], accepting: Iterable[int], start: int) -> Moves:
-    """``Moves`` of a table like ``Dfa.rows``, over the sorted labels that it uses.
-
-    The arrays are of numpy's index type, which counting and indexing use
-    without a conversion; only a walked product, which can be large, keeps
-    its moves in int32.
-    """
-    labels = sorted({lab for row in rows for lab in row}, key=sort_key)
-    column = {lab: i for i, lab in enumerate(labels)}
-    return Moves(
-        labels,
-        np.array([0, *accumulate(map(len, rows))], dtype=np.intp),
-        np.array([p for p, row in enumerate(rows) for _ in row], dtype=np.intp),
-        np.array([column[lab] for row in rows for lab in row], dtype=np.intp),
-        np.array([q for row in rows for q in row.values()], dtype=np.intp),
-        np.array(sorted(accepting), dtype=np.intp),
-        start,
-    )
 
 
 def _check(cond: bool, invariant: str) -> None:
@@ -178,8 +158,24 @@ class Dfa(Nfa):
 
     @cached_property
     def arrays(self) -> Moves:
-        """The partial transition function as ``Moves``."""
-        return _tabulate(self.rows, self.accepts, self.start)
+        """The partial transition function as ``Moves``, over the sorted labels that it uses.
+
+        The arrays are of numpy's index type, which counting and indexing use
+        without a conversion; only a walked product, which can be large, keeps
+        its moves in int32.
+        """
+        rows = self.rows
+        labels = sorted({lab for row in rows for lab in row}, key=sort_key)
+        column = {lab: i for i, lab in enumerate(labels)}
+        return Moves(
+            labels,
+            np.array([0, *accumulate(map(len, rows))], dtype=np.intp),
+            np.array([p for p, row in enumerate(rows) for _ in row], dtype=np.intp),
+            np.array([column[lab] for row in rows for lab in row], dtype=np.intp),
+            np.array([q for row in rows for q in row.values()], dtype=np.intp),
+            np.array(sorted(self.accepts), dtype=np.intp),
+            self.start,
+        )
 
 
 def empty_language_automaton(alphabet: Iterable[Label] = ()) -> Dfa:
@@ -474,7 +470,9 @@ def product_moves(x: Dfa, y: Dfa) -> tuple[Moves, bool, bool]:
     The flags are ``L(x) <= L(y)`` and ``L(y) <= L(x)``: the first is false
     once a reached pair has an accept or a move of ``x`` that ``y`` cannot
     match, and the second likewise.  Each is exact when its left operand is
-    trim, so that every state lies on an accepted word.
+    trim, so that every state lies on an accepted word, as a minimal DFA is.
+    The measures read the moves and both flags of minimal operands;
+    ``intersect`` builds its ``Dfa`` from the moves alone.
     """
     labels = sorted(x.alphabet & y.alphabet, key=sort_key)
     x_table, x_accepts, x_degree = _operand(x, labels)
@@ -541,20 +539,6 @@ def intersect(x: Dfa, y: Dfa) -> Dfa:
     return Dfa(m.order, x.alphabet & y.alphabet, transitions, 0, frozenset(m.accepting.tolist()))
 
 
-def is_included(x: Dfa, y: Dfa) -> bool:
-    """True iff ``L(x)`` is a subset of ``L(y)``; ``x`` must be trim.
-
-    The first flag of ``product_moves(x, y)``: the walk meets no pair where
-    ``x`` accepts or moves and ``y`` cannot match it.  Every state of a trim
-    ``x`` lies on an accepted word, so such a mismatch is a word of ``L(x)``
-    outside ``L(y)``.  It walks the whole product, even past an early
-    mismatch, as ``measures`` needs the walk anyway.
-    """
-    if not is_trim(x):
-        raise ValueError("is_included requires a trim first operand")
-    return product_moves(x, y)[1]
-
-
 def is_ergodic(a: Nfa) -> bool:
     """True iff the transition graph is strongly connected, labels ignored."""
     return _spans(a, [0], [0])
@@ -596,13 +580,6 @@ def has_finite_language(d: Nfa) -> bool:
     """True iff no directed cycle survives trimming ``as_dfa(d)``."""
     t = trim(as_dfa(d)).arrays
     return _topological_order(t.offsets, t.targets, t.start) is not None
-
-
-def length_profile(
-    rows: Sequence[Mapping[Label, int]], accepting: Iterable[int], start: int = 0
-) -> dict[int, int]:
-    """``Moves.length_profile`` of a trim table like ``Dfa.rows``, started at ``start``."""
-    return _tabulate(rows, accepting, start).length_profile()
 
 
 def count_words(d: Dfa) -> int:

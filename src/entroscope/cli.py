@@ -215,12 +215,12 @@ def _load_spec_and_log(args: argparse.Namespace) -> tuple[Nfa, EventLog]:
 
 def _run_quotient_command(args: argparse.Namespace) -> int:
     if args.command == "recall":
-        report = recall(*_load_spec_and_log(args), MeasureKind.from_name(args.measure))
+        report = recall(*_load_spec_and_log(args), MeasureKind(args.measure))
     else:
         max_iter = _max_iter(args)
         if args.command == "precision":
             spec, log = _load_spec_and_log(args)
-            report = precision(spec, log, MeasureKind.from_name(args.measure), args.tol, max_iter)
+            report = precision(spec, log, MeasureKind(args.measure), args.tol, max_iter)
         else:
             x = _load_automaton(args.x)
             y = _load_automaton(args.y)
@@ -280,7 +280,7 @@ def _run_inspect(args: argparse.Namespace) -> int:
             f"deterministic: {str(deterministic).lower()}",
             f"trim: {str(is_trim(value)).lower()}",
             f"ergodic: {str(is_ergodic(value)).lower()}",
-            f"finite_language: {str(has_finite_language(as_dfa(value))).lower()}",
+            f"finite_language: {str(has_finite_language(value)).lower()}",
         ]
     else:
         lines += [

@@ -25,15 +25,10 @@ from xml.parsers import expat
 from .automata import Nfa
 from .labels import SILENT, Label, label, sort_key
 from .logs import EventLog, Trace
-from .measures import MeasureKind, MeasureReport
+from .measures import MeasureReport
 
 #: Reserved label string, rejected everywhere in user input.
 RESERVED_LABEL = "__chi__"
-
-_KIND_TOKENS = {
-    MeasureKind.CARDINALITY: "card",
-    MeasureKind.SHORT_CIRCUIT_EIGENVALUE: "eig",
-}
 
 
 class FormatError(ValueError):
@@ -220,11 +215,11 @@ def read_xes(text: str | bytes) -> EventLog:
     order, a nested one included.  An ``event`` counts only as a direct
     child of a trace, and a ``string`` attribute only as a direct child of
     such an event; all else is skipped.  An event's first ``concept:name``
-    value is its name, and it counts only if its lifecycle:transition is
-    absent or ``complete`` (in any case), so an activity recorded by its
-    start and its completion occurs once.  Traces are counted as tuples of
-    names while parsing, so labels and ``Trace`` objects are made once per
-    distinct trace.
+    value is its name, which must be nonempty, as every label must.  The
+    event counts only if its lifecycle:transition is absent or ``complete``
+    (in any case), so an activity recorded by its start and its completion
+    occurs once.  Traces are counted as tuples of names while parsing, so
+    labels and ``Trace`` objects are made once per distinct trace.
     """
     parser = expat.ParserCreate(None, "}")
     local_names: dict[str, str] = {}
@@ -270,8 +265,9 @@ def read_xes(text: str | bytes) -> EventLog:
         elif in_event and depth == trace_depth + 1:
             in_event = False
             if lifecycle is None or lifecycle.lower() == "complete":
-                if name is None:
-                    _fail(f"trace {index}", "event missing a concept:name attribute")
+                if not name:
+                    what = "missing a" if name is None else "with an empty"
+                    _fail(f"trace {index}", f"event {what} concept:name attribute")
                 if name == RESERVED_LABEL:
                     _fail(f"trace {index}", f"{RESERVED_LABEL!r} is reserved")
                 names.append(name)
@@ -315,7 +311,7 @@ def report_fields(r: MeasureReport) -> dict[str, Any]:
     A value, numerator or denominator beyond float range is written as None.
     """
     return {
-        "kind": _KIND_TOKENS[r.kind],
+        "kind": r.kind.value,
         "numerator": _finite_or_none(r.numerator_value),
         "denominator": _finite_or_none(r.denominator_value),
         "value": _finite_or_none(r.value),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -42,9 +43,13 @@ class EventLog:
         counts: dict[Trace, int] = {}
         if isinstance(entries, Mapping):
             for trace, mult in entries.items():
-                if mult < 1:
-                    raise ValueError("invariant violated: multiplicity must be positive")
-                counts[trace] = counts.get(trace, 0) + int(mult)
+                try:  # any integer, numpy's included, but no bool
+                    count = 0 if isinstance(mult, bool) else operator.index(mult)
+                except TypeError:
+                    count = 0
+                if count < 1:
+                    raise ValueError("invariant violated: multiplicity must be a positive integer")
+                counts[trace] = counts.get(trace, 0) + count
         else:
             for trace in entries:
                 counts[trace] = counts.get(trace, 0) + 1

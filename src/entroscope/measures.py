@@ -61,18 +61,14 @@ from .spectral import (
 
 
 class MeasureKind(Enum):
-    """Which language measure instantiates the quotient."""
+    """Which language measure instantiates the quotient.
 
-    CARDINALITY = "cardinality"
-    SHORT_CIRCUIT_EIGENVALUE = "short-circuit-eigenvalue"
+    Each value is the measure's one token: the CLI's ``--measure`` choice,
+    read back with ``MeasureKind(token)``, and the ``kind`` field of a report.
+    """
 
-    @classmethod
-    def from_name(cls, name: str) -> MeasureKind:
-        if name in ("card", "cardinality"):
-            return cls.CARDINALITY
-        if name in ("eig", "eigenvalue", "short-circuit-eigenvalue"):
-            return cls.SHORT_CIRCUIT_EIGENVALUE
-        raise ValueError(f"unknown measure kind: {name!r}")
+    CARDINALITY = "card"
+    SHORT_CIRCUIT_EIGENVALUE = "eig"
 
 
 @dataclass(frozen=True)
@@ -138,10 +134,9 @@ def eig_short_circuit_measure(
     return value
 
 
-def _length_profiles(spec: Dfa, log: EventLog) -> tuple[Counter[int], Counter[int]]:
-    """Distinct traces per length: those ``spec`` accepts, and all of them."""
-    shared = Counter(len(trace) for trace, _ in log if accepts(spec, trace.events))
-    return shared, Counter(len(trace) for trace, _ in log)
+def _shared_profile(spec: Dfa, log: EventLog) -> Counter[int]:
+    """Distinct traces per length that ``spec`` accepts."""
+    return Counter(len(trace) for trace, _ in log if accepts(spec, trace.events))
 
 
 def _profile_measure(
@@ -159,6 +154,16 @@ def _profile_measure(
         return sum(profile.values()), AutomatonStats(states, transitions)
     result = length_profile_eigenvalue(profile)
     return result.value, AutomatonStats(states, transitions, result)
+
+
+def _minimal(a: Nfa) -> Dfa:
+    """Minimal DFA of ``L(a)``: trim, determinize, then minimize.
+
+    Trimming first keeps dead states out of the subset construction.
+    ``minimize`` would determinize too, but inside its own call, where a
+    traced benchmark run would count the NFA's states as those it refines.
+    """
+    return minimize(as_dfa(trim(a)))
 
 
 def _elapsed_ms(started: float) -> float:
@@ -220,8 +225,8 @@ def quotient(
     """Measure of the first language over the measure of the second."""
     _refuse_short_circuited(numerator, denominator)
     started = time.perf_counter()
-    num = measure(minimize(as_dfa(trim(numerator))).arrays, kind, tol, max_iter)
-    den = measure(minimize(as_dfa(trim(denominator))).arrays, kind, tol, max_iter)
+    num = measure(_minimal(numerator).arrays, kind, tol, max_iter)
+    den = measure(_minimal(denominator).arrays, kind, tol, max_iter)
     return _assemble(kind, num, den, _elapsed_ms(started))
 
 
@@ -238,7 +243,7 @@ def _pair_reports(
     _refuse_short_circuited(ret, rel)
     kind = MeasureKind.SHORT_CIRCUIT_EIGENVALUE
     started = time.perf_counter()
-    m_ret, m_rel = (minimize(as_dfa(trim(a))) for a in (ret, rel))
+    m_ret, m_rel = _minimal(ret), _minimal(rel)
     den_ret = measure(m_ret.arrays, kind, tol, max_iter)
     den_rel = measure(m_rel.arrays, kind, tol, max_iter) if want_recall else None
     product, ret_in_rel, rel_in_ret = product_moves(m_ret, m_rel)
@@ -277,9 +282,8 @@ def precision(
     """
     _refuse_short_circuited(spec)
     started = time.perf_counter()
-    m_spec = minimize(as_dfa(trim(spec)))
-    shared, _ = _length_profiles(m_spec, log)
-    numerator = _profile_measure(shared, kind)
+    m_spec = _minimal(spec)
+    numerator = _profile_measure(_shared_profile(m_spec, log), kind)
     denominator = measure(m_spec.arrays, kind, tol, max_iter)
     return _assemble(kind, numerator, denominator, _elapsed_ms(started))
 
@@ -300,9 +304,8 @@ def recall(
     """
     _refuse_short_circuited(spec)
     started = time.perf_counter()
-    shared, recorded = _length_profiles(as_dfa(spec), log)
-    numerator = _profile_measure(shared, kind)
-    denominator = _profile_measure(recorded, kind)
+    numerator = _profile_measure(_shared_profile(as_dfa(spec), log), kind)
+    denominator = _profile_measure(Counter(len(trace) for trace, _ in log), kind)
     return _assemble(kind, numerator, denominator, _elapsed_ms(started))
 
 

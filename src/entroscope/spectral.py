@@ -6,8 +6,9 @@ so the iteration cannot oscillate on periodic structures such as cycle
 automata; the reported value is ``rho(M) = rho(M + I) - 1``.  It serves
 infinite languages only: ``length_profile_eigenvalue`` takes the eigenvalue
 of a finite one from the number of words of each length, with no matrix.
-A ``SparseMatrix`` holds numpy arrays: ``from_moves`` counts the move arrays
-of ``automata.Moves`` and the solver iterates on them as they are.
+A ``SparseMatrix`` is only ever counted from moves: ``from_moves`` counts the
+move arrays of ``automata.Moves`` into numpy arrays, and the solver iterates
+on them as they are.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -28,14 +29,15 @@ DEFAULT_TOLERANCE = 1e-9
 DEFAULT_MAX_ITERATIONS = 300_000
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class SparseMatrix:
-    """Square non-negative integer matrix in coordinate form.
+    """Square non-negative integer matrix in coordinate form, counted from moves.
 
     The int64 arrays ``rows``, ``cols`` and ``weights`` list the nonzero
     entries in ``(row, col)`` order: absent coordinates are zero, stored
     weights are at least one and each ``(row, col)`` pair appears at most
-    once.  Two matrices compare by identity; compare their ``entries``.
+    once.  ``from_moves`` is the constructor that makes them so.  Two
+    matrices compare by identity; compare their ``entries``.
     """
 
     order: int
@@ -43,28 +45,12 @@ class SparseMatrix:
     cols: np.ndarray
     weights: np.ndarray
 
-    def __init__(self, order: int, entries: Iterable[tuple[int, int, int]]):
-        entries = sorted(entries)
-        if order < 1:
-            raise ValueError("invariant violated: order must be at least 1")
-        seen: set[tuple[int, int]] = set()
-        for row, col, weight in entries:
-            if not (0 <= row < order and 0 <= col < order):
-                raise ValueError("invariant violated: entry index out of range")
-            if weight < 1:
-                raise ValueError("invariant violated: entry weight must be positive")
-            if (row, col) in seen:
-                raise ValueError("invariant violated: duplicate entry coordinates")
-            seen.add((row, col))
-        rows, cols, weights = np.array(entries, dtype=np.int64).reshape(-1, 3).T.copy()
-        vars(self).update(order=order, rows=rows, cols=cols, weights=weights)
-
     @classmethod
     def from_moves(cls, order: int, sources: np.ndarray, targets: np.ndarray) -> SparseMatrix:
         """Count of moves from state ``i`` to state ``j``, given as parallel arrays.
 
         The codes ``i * order + j``, sorted, are counted in runs, so the
-        entries come out in order and need no check.
+        entries come out in order, each once, with a weight of at least one.
         """
         codes = np.multiply(sources, order, dtype=np.int64)
         codes += targets
@@ -76,26 +62,12 @@ class SparseMatrix:
         weights = ends + 1
         weights[1:] = ends[1:] - ends[:-1]
         rows, cols = np.divmod(codes[ends], order)
-        m = cls.__new__(cls)
-        vars(m).update(order=order, rows=rows, cols=cols, weights=weights)
-        return m
+        return cls(order, rows, cols, weights)
 
     @property
     def entries(self) -> tuple[tuple[int, int, int], ...]:
         """The ``(row, col, weight)`` triples in ``(row, col)`` order."""
         return tuple(zip(self.rows.tolist(), self.cols.tolist(), self.weights.tolist()))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> SparseMatrix:
-        """Build from a dense row-major listing (zeros dropped)."""
-        entries = ((i, j, int(w)) for i, row in enumerate(rows) for j, w in enumerate(row) if w)
-        return cls(len(rows), entries)
-
-    def to_rows(self) -> list[list[int]]:
-        dense = [[0] * self.order for _ in range(self.order)]
-        for row, col, weight in self.entries:
-            dense[row][col] = weight
-        return dense
 
 
 @dataclass(frozen=True)
@@ -123,10 +95,14 @@ def perron_frobenius(
 
     Starts from the all-ones vector, so runs are deterministic.  On hitting
     the iteration cap the best estimate is returned with ``converged=False``
-    rather than raising; a cap below 1 is a ``ValueError``.
+    rather than raising.  A cap below 1 is a ``ValueError``, and so is a
+    ``tol`` that is not a finite number above 0, on which a solve would stop
+    at its first step or run to the cap.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number above 0, got {tol}")
     if not m.rows.size:
         return EigenResult(0.0, 0, True, 0.0)
     rows, cols, weights = m.rows, m.cols, m.weights.astype(np.float64)

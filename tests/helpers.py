@@ -11,8 +11,11 @@ import itertools
 import random
 import xml.etree.ElementTree as ElementTree
 from collections import deque
+from typing import Iterable
 
-from entroscope import Dfa, EventLog, Label, Nfa, Trace, label
+import numpy as np
+
+from entroscope import Dfa, EventLog, Label, Nfa, SparseMatrix, Trace, label
 from entroscope.formats import RESERVED_LABEL, FormatError, _fail
 from entroscope.labels import SILENT, sort_key
 
@@ -236,6 +239,8 @@ def tree_read_xes(text: str) -> EventLog:
                 continue
             if name is None:
                 _fail(f"trace {t_index}", "event missing a concept:name attribute")
+            if name == "":
+                _fail(f"trace {t_index}", "event with an empty concept:name attribute")
             if name == RESERVED_LABEL:
                 _fail(f"trace {t_index}", f"{RESERVED_LABEL!r} is reserved")
             events.append(label(name))
@@ -306,14 +311,17 @@ def word_log(words: list[str]) -> EventLog:
     return EventLog([Trace.of(*word) for word in words])
 
 
-def same_matrix_up_to_permutation(x: list[list[int]], y: list[list[int]]) -> bool:
-    n = len(x)
-    if len(y) != n:
-        return False
-    for perm in itertools.permutations(range(n)):
-        if all(x[i][j] == y[perm[i]][perm[j]] for i in range(n) for j in range(n)):
-            return True
-    return False
+def sparse_matrix(order: int, entries: Iterable[tuple[int, int, int]]) -> SparseMatrix:
+    """``SparseMatrix.from_moves`` of ``weight`` moves from ``row`` to ``col`` per entry."""
+    moves = [(row, col) for row, col, weight in entries for _ in range(weight)]
+    sources, targets = np.array(moves, dtype=np.intp).reshape(-1, 2).T
+    return SparseMatrix.from_moves(order, sources, targets)
+
+
+def dense_matrix(rows: list[list[int]]) -> SparseMatrix:
+    """``sparse_matrix`` of a dense row-major listing."""
+    entries = ((i, j, w) for i, row in enumerate(rows) for j, w in enumerate(row))
+    return sparse_matrix(len(rows), entries)
 
 
 def sorted_words(words) -> list[tuple[Label, ...]]:

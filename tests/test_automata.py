@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from entroscope.automata import product_moves
 from entroscope import (
     CHI,
     SILENT,
@@ -19,10 +20,8 @@ from entroscope import (
     intersect,
     is_deterministic,
     is_ergodic,
-    is_included,
     is_trim,
     label,
-    length_profile,
     minimize,
     prefix_tree_acceptor,
     short_circuit,
@@ -33,6 +32,7 @@ from helpers import (
     ABC,
     bounded_language_dfa,
     bounded_language_nfa,
+    dense_matrix,
     random_dfa,
     random_nfa,
     sorted_words,
@@ -241,12 +241,12 @@ class TestShortCircuit:
         sc = short_circuit(minimize(determinize(retry_spec())))
         from entroscope import adjacency_matrix
 
-        assert adjacency_matrix(sc).to_rows() == [
+        assert adjacency_matrix(sc).entries == dense_matrix([
             [1, 1, 0, 0],
             [0, 0, 1, 0],
             [0, 1, 0, 1],
             [1, 0, 0, 0],
-        ]
+        ]).entries
 
     def test_empty_language_unchanged(self):
         empty = empty_language_automaton(frozenset({a}))
@@ -308,21 +308,17 @@ class TestIntersect:
 
 
 class TestIsIncluded:
+    # The first flag of the product walk, exact for a trim first operand.
     def test_log_tree_inside_the_spec_but_not_back(self):
         m = minimize(determinize(retry_spec()))
         inside = minimize(prefix_tree_acceptor(word_log(["abde", "abcbde"])))
         partly = minimize(prefix_tree_acceptor(small_log()))
-        assert is_included(inside, m)
-        assert not is_included(partly, m)
-        assert not is_included(m, inside)
+        assert product_moves(inside, m)[1]
+        assert not product_moves(partly, m)[1]
+        assert not product_moves(m, inside)[1]
 
     def test_empty_language_is_included_in_anything(self):
-        assert is_included(empty_language_automaton(), minimize(determinize(retry_spec())))
-
-    def test_rejects_an_untrimmed_first_operand(self):
-        dead_end = Dfa(2, frozenset({a}), frozenset({(0, a, 1)}), 0, frozenset({0}))
-        with pytest.raises(ValueError, match="trim"):
-            is_included(dead_end, dead_end)
+        assert product_moves(empty_language_automaton(), minimize(determinize(retry_spec())))[1]
 
 
 class TestErgodic:
@@ -400,21 +396,21 @@ class TestCountWords:
             checked += 1
             t = trim(d)
             histogram = Counter(map(len, bounded_language_dfa(d, 12)))
-            assert length_profile(t.rows, t.accepts, t.start) == histogram
+            assert t.arrays.length_profile() == histogram
             m = minimize(d)
-            assert length_profile(m.rows, m.accepts) == histogram
+            assert m.arrays.length_profile() == histogram
 
     def test_profile_of_a_cycle_raises(self):
         m = minimize(determinize(retry_spec()))
         with pytest.raises(InfiniteLanguageError):
-            length_profile(m.rows, m.accepts)
+            m.arrays.length_profile()
 
     def test_profile_counts_past_float_range(self):
         # All 26^250 words of length 250: a chain with 26 labels per step.
         labels = [label(f"l{i}") for i in range(26)]
         moves = {(i, lab, i + 1) for i in range(250) for lab in labels}
         d = Dfa(251, frozenset(labels), frozenset(moves), 0, frozenset({250}))
-        assert length_profile(d.rows, d.accepts) == {250: 26**250}
+        assert d.arrays.length_profile() == {250: 26**250}
         assert count_words(d) == 26**250
 
 

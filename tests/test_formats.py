@@ -221,6 +221,16 @@ class TestXes:
         with pytest.raises(FormatError, match="trace 0"):
             read_xes(bad)
 
+    def test_empty_concept_name_names_the_trace(self):
+        # Every label is a nonempty string: an automaton document made from
+        # this log could not be read back.
+        text = (
+            '<log><trace><event><string key="concept:name" value="A"/></event></trace>'
+            '<trace><event><string key="concept:name" value=""/></event></trace></log>'
+        )
+        with pytest.raises(FormatError, match="trace 1: event with an empty concept:name"):
+            read_xes(text)
+
     def test_malformed_xml(self):
         with pytest.raises(FormatError, match="XML"):
             read_xes("<log><trace>")

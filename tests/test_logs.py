@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from entroscope import (
@@ -43,6 +44,16 @@ class TestMultiplicity:
     def test_rejects_nonpositive_multiplicity(self):
         with pytest.raises(ValueError, match="multiplicity"):
             EventLog({Trace.of("a"): 0})
+
+    @pytest.mark.parametrize("mult", [1.5, 2.0, True, "2", None])
+    def test_rejects_a_multiplicity_that_is_no_integer(self, mult):
+        with pytest.raises(ValueError, match="multiplicity must be a positive integer"):
+            EventLog({Trace.of("a"): mult})
+
+    def test_numpy_integer_multiplicity_is_an_int(self):
+        log = EventLog({Trace.of("a"): np.int64(3)})
+        count = multiplicity(log, Trace.of("a"))
+        assert count == 3 and type(count) is int
 
 
 class TestUnion:

@@ -35,7 +35,6 @@ from entroscope import (
     intersect,
     is_deterministic,
     is_ergodic,
-    is_included,
     is_trim,
     label,
     length_profile_eigenvalue,
@@ -402,8 +401,8 @@ def test_pair_measures_match_the_minimal_product_pipeline(pair):
             assert report.value == pytest.approx(shared / own_value, rel=1e-7)
 
     # The minimal product is minimal x exactly when L(x) lies in L(y).
-    assert is_included(mx, my) == same_automaton(product, mx)
-    assert is_included(my, mx) == same_automaton(product, my)
+    assert product_moves(mx, my)[1] == same_automaton(product, mx)
+    assert product_moves(my, mx)[1] == same_automaton(product, my)
     for report, own in ((cov, mx), (pr, mx), (rc, my)):
         if not report.undefined:
             assert (report.value == 1.0) == same_automaton(product, own)
@@ -484,7 +483,7 @@ def test_measure_path_solves_the_short_circuited_product(pair):
         with mock.patch.object(measures, "perron_frobenius", spy):
             report = coverage(a, b)
         own = short_circuit(ma)
-        measured = [own] if is_included(ma, mb) else [own, short_circuit(intersect(ma, mb))]
+        measured = [own] if product_moves(ma, mb)[1] else [own, short_circuit(intersect(ma, mb))]
         # The spy sees infinite languages only.
         finite = has_finite_language(ma), has_finite_language(intersect(ma, mb))
         assert solved == [counted_entries(sc) for sc, f in zip(measured, finite) if not f]

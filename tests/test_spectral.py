@@ -1,7 +1,11 @@
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entroscope import (
     Dfa,
@@ -16,37 +20,47 @@ from entroscope import (
     perron_frobenius,
     short_circuit,
 )
-from helpers import count_words_of_length, random_dfa
+from helpers import count_words_of_length, dense_matrix, random_dfa, sparse_matrix
 from login_fixtures import retry_spec
 
 a, b = label("a"), label("b")
 
 
+@st.composite
+def move_arrays(draw) -> tuple[int, np.ndarray, np.ndarray]:
+    """An order and parallel source and target arrays, repeats and no moves included."""
+    order = draw(st.integers(1, 6))
+    state = st.integers(0, order - 1)
+    moves = draw(st.lists(st.tuples(state, state), max_size=30))
+    moves += moves[: draw(st.integers(0, len(moves)))]  # some moves twice
+    sources, targets = np.array(moves, dtype=np.intp).reshape(-1, 2).T
+    return order, sources, targets
+
+
 class TestSparseMatrix:
-    def test_round_trips_dense_rows(self):
-        rows = [[0, 2], [1, 0]]
-        assert SparseMatrix.from_rows(rows).to_rows() == rows
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            SparseMatrix(1, ((0, 1, 1),))
-
-    def test_rejects_duplicates_and_zero_weights(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            SparseMatrix(2, ((0, 1, 1), (0, 1, 2)))
-        with pytest.raises(ValueError, match="weight"):
-            SparseMatrix(2, ((0, 1, 0),))
+    @settings(max_examples=200, deadline=None)
+    @given(move_arrays())
+    def test_from_moves_counts_each_coordinate_once(self, moves):
+        order, sources, targets = moves
+        m = SparseMatrix.from_moves(order, sources, targets)
+        coordinates = [(r, c) for r, c, _ in m.entries]
+        assert m.order == order
+        assert coordinates == sorted(set(coordinates))
+        assert all(w >= 1 for _, _, w in m.entries)
+        assert sum(w for _, _, w in m.entries) == sources.size
+        counts = Counter(zip(sources.tolist(), targets.tolist()))
+        assert m.entries == tuple((r, c, w) for (r, c), w in sorted(counts.items()))
 
 
 class TestAdjacencyMatrix:
     def test_short_circuited_retry_spec(self):
         sc = short_circuit(minimize(determinize(retry_spec())))
-        assert adjacency_matrix(sc).to_rows() == [
+        assert adjacency_matrix(sc).entries == dense_matrix([
             [1, 1, 0, 0],
             [0, 0, 1, 0],
             [0, 1, 0, 1],
             [1, 0, 0, 0],
-        ]
+        ]).entries
 
     def test_empty_language_is_order_one_zero(self):
         m = adjacency_matrix(empty_language_automaton())
@@ -56,7 +70,7 @@ class TestAdjacencyMatrix:
         labs = frozenset(label(ch) for ch in "uvwxyz")
         loops = frozenset((0, lab, 0) for lab in labs)
         d = Dfa(1, labs, loops, 0, frozenset({0}))
-        assert adjacency_matrix(d).to_rows() == [[6]]
+        assert adjacency_matrix(d).entries == dense_matrix([[6]]).entries
 
 
 REGRESSION_MATRICES = [
@@ -79,12 +93,12 @@ REGRESSION_MATRICES = [
 class TestPerronFrobenius:
     @pytest.mark.parametrize("rows,expected", REGRESSION_MATRICES)
     def test_regression_values(self, rows, expected):
-        result = perron_frobenius(SparseMatrix.from_rows(rows))
+        result = perron_frobenius(dense_matrix(rows))
         assert result.converged
         assert result.value == pytest.approx(expected, abs=1e-3)
 
     def test_zero_matrix(self):
-        result = perron_frobenius(SparseMatrix(1, ()))
+        result = perron_frobenius(sparse_matrix(1, ()))
         assert result.value == 0.0 and result.converged
 
     @pytest.mark.parametrize("rows", [[[9]], [[0]]])
@@ -92,16 +106,22 @@ class TestPerronFrobenius:
     def test_cap_below_one_raises(self, rows, cap):
         # Below 1 no iteration runs, so there is no estimate to return.
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
-            perron_frobenius(SparseMatrix.from_rows(rows), max_iter=cap)
+            perron_frobenius(dense_matrix(rows), max_iter=cap)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9, math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # No Rayleigh-quotient change is below such a tolerance, or every one is.
+        with pytest.raises(ValueError, match="tol must be a finite number above 0"):
+            perron_frobenius(dense_matrix([[9]]), tol=tol)
 
     def test_scalar_matrix(self):
-        result = perron_frobenius(SparseMatrix.from_rows([[9]]))
+        result = perron_frobenius(dense_matrix([[9]]))
         assert result.value == pytest.approx(9.0, rel=1e-9)
 
     def test_pure_cycle_is_one(self):
         k = 5
         rows = [[1 if j == (i + 1) % k else 0 for j in range(k)] for i in range(k)]
-        result = perron_frobenius(SparseMatrix.from_rows(rows))
+        result = perron_frobenius(dense_matrix(rows))
         assert result.converged
         assert result.value == pytest.approx(1.0, abs=1e-9)
 
@@ -115,9 +135,7 @@ class TestPerronFrobenius:
             m = adjacency_matrix(sc)
             perm = list(range(m.order))
             rng.shuffle(perm)
-            shuffled = SparseMatrix(
-                m.order, tuple((perm[r], perm[c], w) for r, c, w in m.entries)
-            )
+            shuffled = sparse_matrix(m.order, ((perm[r], perm[c], w) for r, c, w in m.entries))
             got = perron_frobenius(shuffled).value
             want = perron_frobenius(m).value
             assert got == pytest.approx(want, rel=1e-7)
@@ -148,7 +166,7 @@ class TestPerronFrobenius:
             checked += 1
 
     def test_nonconvergence_is_flagged_not_raised(self):
-        m = SparseMatrix.from_rows(REGRESSION_MATRICES[0][0])
+        m = dense_matrix(REGRESSION_MATRICES[0][0])
         result = perron_frobenius(m, tol=1e-9, max_iter=3)
         assert not result.converged
         assert result.iterations == 3
@@ -160,12 +178,12 @@ def profile_graph(profile: dict[int, int]) -> SparseMatrix:
     longest = max(profile)
     entries = [(i, i + 1, 1) for i in range(longest)]
     entries += [(k, 0, c) for k, c in profile.items()]
-    return SparseMatrix(longest + 1, tuple(entries))
+    return sparse_matrix(longest + 1, entries)
 
 
 class TestLengthProfileEigenvalue:
     def test_empty_profile_is_zero(self):
-        assert length_profile_eigenvalue({}) == perron_frobenius(SparseMatrix(1, ()))
+        assert length_profile_eigenvalue({}) == perron_frobenius(sparse_matrix(1, ()))
 
     def test_matches_power_iteration_on_the_profile_graph(self):
         rng = random.Random(3)
@@ -215,7 +233,7 @@ class TestEntropy:
             0,
             frozenset({0}),
         )
-        assert adjacency_matrix(d).to_rows() == rows
+        assert adjacency_matrix(d).entries == dense_matrix(rows).entries
         value = perron_frobenius(adjacency_matrix(d)).value
         assert math.log2(value) == pytest.approx(1.0, abs=1e-9)
 
