@@ -2,8 +2,11 @@
 
 States are dense integers ``0 .. state_count-1``.  Transition functions are
 partial: a missing move simply rejects, there is never an explicit dead
-state.  All values are immutable after construction; every operation below is
-a pure function returning fresh automata.
+state.  Labels are plain ``str`` values, compared and sorted as strings.  Two
+strings are reserved: ``SILENT`` (``""``) marks an unobservable move, and
+``CHI`` (``"__chi__"``) the loop-back moves that ``short_circuit`` adds.
+All values are immutable after construction; every operation below is a
+pure function returning fresh automata.
 
 The construction algorithms work on dicts and sets.  What the measures read
 works on int arrays (``Moves``): ``product_moves`` walks an operand pair a
@@ -23,9 +26,13 @@ from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .labels import CHI, SILENT, Label, sort_key
+#: Label of an unobservable move; it reads the empty word.
+SILENT = ""
 
-Transition = tuple[int, Label, int]
+#: Label of the accept-to-start moves that ``short_circuit`` adds.
+CHI = "__chi__"
+
+Transition = tuple[int, str, int]
 
 
 class InfiniteLanguageError(ValueError):
@@ -41,7 +48,7 @@ class Moves(NamedTuple):
     accept states in increasing order.
     """
 
-    labels: list[Label]
+    labels: list[str]
     offsets: np.ndarray
     sources: np.ndarray
     columns: np.ndarray
@@ -93,12 +100,12 @@ class Nfa:
     """
 
     state_count: int
-    alphabet: frozenset[Label]
+    alphabet: frozenset[str]
     transitions: frozenset[Transition]
     start: int
     accepts: frozenset[int]
 
-    def __post_init__(self) -> set[Label]:
+    def __post_init__(self) -> set[str]:
         object.__setattr__(self, "alphabet", frozenset(self.alphabet))
         object.__setattr__(self, "transitions", frozenset(self.transitions))
         object.__setattr__(self, "accepts", frozenset(self.accepts))
@@ -110,7 +117,7 @@ class Nfa:
             not self.accepts or (0 <= min(self.accepts) and max(self.accepts) < n),
             "accept state out of range",
         )
-        used: set[Label] = set()
+        used: set[str] = set()
         if self.transitions:
             sources, labels, targets = zip(*self.transitions)
             _check(0 <= min(sources) and max(sources) < n, "transition source out of range")
@@ -129,9 +136,9 @@ class Nfa:
         return CHI in self.alphabet
 
     @cached_property
-    def moves(self) -> dict[tuple[int, Label], frozenset[int]]:
+    def moves(self) -> dict[tuple[int, str], frozenset[int]]:
         """Transition map ``(state, label) -> successor set``."""
-        out: dict[tuple[int, Label], set[int]] = {}
+        out: dict[tuple[int, str], set[int]] = {}
         for p, lab, q in self.transitions:
             out.setdefault((p, lab), set()).add(q)
         return {key: frozenset(val) for key, val in out.items()}
@@ -141,7 +148,7 @@ class Nfa:
 class Dfa(Nfa):
     """Deterministic automaton: no silent moves, one successor per label."""
 
-    def __post_init__(self) -> set[Label]:
+    def __post_init__(self) -> set[str]:
         used = super().__post_init__()
         _check(SILENT not in used, "deterministic automaton carries a silent transition")
         moves = {(p, lab) for p, lab, _ in self.transitions}
@@ -149,10 +156,10 @@ class Dfa(Nfa):
         return used
 
     @cached_property
-    def rows(self) -> list[dict[Label, int]]:
+    def rows(self) -> list[dict[str, int]]:
         """The partial transition function: per state, ``{label: target}`` in sorted label order."""
-        rows: list[dict[Label, int]] = [{} for _ in range(self.state_count)]
-        for p, lab, q in sorted(self.transitions, key=lambda t: sort_key(t[1])):
+        rows: list[dict[str, int]] = [{} for _ in range(self.state_count)]
+        for p, lab, q in sorted(self.transitions):
             rows[p][lab] = q
         return rows
 
@@ -165,7 +172,7 @@ class Dfa(Nfa):
         its moves in int32.
         """
         rows = self.rows
-        labels = sorted({lab for row in rows for lab in row}, key=sort_key)
+        labels = sorted({lab for row in rows for lab in row})
         column = {lab: i for i, lab in enumerate(labels)}
         return Moves(
             labels,
@@ -178,7 +185,7 @@ class Dfa(Nfa):
         )
 
 
-def empty_language_automaton(alphabet: Iterable[Label] = ()) -> Dfa:
+def empty_language_automaton(alphabet: Iterable[str] = ()) -> Dfa:
     """Canonical automaton of the empty language over ``alphabet``: one state, nothing else."""
     return Dfa(1, frozenset(alphabet), frozenset(), 0, frozenset())
 
@@ -186,7 +193,7 @@ def empty_language_automaton(alphabet: Iterable[Label] = ()) -> Dfa:
 def is_deterministic(a: Nfa) -> bool:
     """True iff ``a`` has no silent move and no label with two successors."""
     moves = {(p, lab) for p, lab, _ in a.transitions}
-    return len(moves) == len(a.transitions) and all(lab is not SILENT for _, lab in moves)
+    return len(moves) == len(a.transitions) and all(lab != SILENT for _, lab in moves)
 
 
 def as_dfa(a: Nfa) -> Dfa:
@@ -204,9 +211,9 @@ def as_dfa(a: Nfa) -> Dfa:
 
 def _explore(
     start: Hashable,
-    moves: Callable[[Hashable], Iterator[tuple[Label, Hashable]]],
+    moves: Callable[[Hashable], Iterable[tuple[str, Hashable]]],
     accepting: Callable[[Hashable], bool],
-    alphabet: frozenset[Label],
+    alphabet: frozenset[str],
 ) -> Dfa:
     """The DFA on the keys reachable from ``start``, numbered breadth-first.
 
@@ -266,14 +273,14 @@ def determinize(a: Nfa) -> Dfa:
     breadth-first, so the result is reproducible.  Each state's silent
     closure is taken once, and each move leads to its targets' closures.
     """
-    labels = sorted(a.alphabet, key=sort_key)
+    labels = sorted(a.alphabet)
     closures = [silent_closure(a, [p]) for p in range(a.state_count)]
     closed = {
         move: frozenset().union(*map(closures.__getitem__, targets))
         for move, targets in a.moves.items()
     }
 
-    def moves(subset: tuple[int, ...]) -> Iterator[tuple[Label, tuple[int, ...]]]:
+    def moves(subset: tuple[int, ...]) -> Iterator[tuple[str, tuple[int, ...]]]:
         for lab in labels:
             targets: set[int] = set()
             for p in subset:
@@ -346,11 +353,11 @@ def minimize(d: Nfa) -> Dfa:
     structurally identical automata.  A dead start gives the empty automaton.
     """
     t = as_dfa(d)
-    labels = sorted(t.alphabet, key=sort_key)
+    labels = sorted(t.alphabet)
     sink = t.state_count
     states = range(t.state_count)
 
-    predecessors: dict[Label, dict[int, list[int]]] = {lab: {sink: [sink]} for lab in labels}
+    predecessors: dict[str, dict[int, list[int]]] = {lab: {sink: [sink]} for lab in labels}
     for lab, by_target in predecessors.items():
         for p in states:
             by_target.setdefault(t.rows[p].get(lab, sink), []).append(p)
@@ -358,7 +365,7 @@ def minimize(d: Nfa) -> Dfa:
     rest = frozenset(set(states) - t.accepts | {sink})
     partition: set[frozenset[int]] = {t.accepts, rest} - {frozenset()}
     block_of = {q: block for block in partition for q in block}
-    worklist: set[tuple[frozenset[int], Label]] = {
+    worklist: set[tuple[frozenset[int], str]] = {
         (block, lab) for block in partition for lab in labels
     }
 
@@ -389,7 +396,7 @@ def minimize(d: Nfa) -> Dfa:
 
     sink_block = block_of[sink]
 
-    def moves(block: frozenset[int]) -> Iterator[tuple[Label, frozenset[int]]]:
+    def moves(block: frozenset[int]) -> Iterator[tuple[str, frozenset[int]]]:
         for lab, q in t.rows[next(iter(block))].items():
             if block_of[q] is not sink_block:
                 yield lab, block_of[q]
@@ -417,7 +424,7 @@ def short_circuit(d: Dfa) -> Dfa:
     return Dfa(d.state_count, d.alphabet | {CHI}, d.transitions | loops, d.start, d.accepts)
 
 
-def _operand(d: Dfa, labels: list[Label]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _operand(d: Dfa, labels: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``d`` as the walk reads it: targets by state and label, -1 for none; accepts; out-degrees."""
     m = d.arrays
     shared = {lab: i for i, lab in enumerate(labels)}
@@ -474,7 +481,7 @@ def product_moves(x: Dfa, y: Dfa) -> tuple[Moves, bool, bool]:
     The measures read the moves and both flags of minimal operands;
     ``intersect`` builds its ``Dfa`` from the moves alone.
     """
-    labels = sorted(x.alphabet & y.alphabet, key=sort_key)
+    labels = sorted(x.alphabet & y.alphabet)
     x_table, x_accepts, x_degree = _operand(x, labels)
     y_table, y_accepts, y_degree = _operand(y, labels)
     width = y.state_count
@@ -587,7 +594,7 @@ def count_words(d: Dfa) -> int:
     return sum(trim(d).arrays.length_profile().values())
 
 
-def accepts(d: Dfa, word: Sequence[Label]) -> bool:
+def accepts(d: Dfa, word: Sequence[str]) -> bool:
     """Replay ``word``; labels outside the alphabet simply fail to move."""
     state = d.start
     for lab in word:

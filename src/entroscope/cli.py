@@ -5,8 +5,7 @@ Each measure command takes only the options that change its output:
 ``--measure --format --out``, ``coverage`` ``--tol --max-iter --format --out``,
 ``eigenvalue`` and ``entropy`` ``--tol --max-iter --out``, and ``cardinality``
 ``--out``.  ``--tol`` and ``--max-iter`` bound a power iteration, which runs
-only over an infinite language, never in ``recall`` or ``cardinality``;
-without ``--max-iter`` the cap is read from ``ENTROSCOPE_MAX_ITER``.
+only over an infinite language, never in ``recall`` or ``cardinality``.
 
 Input files are read as bytes.  XES goes to ``read_xes`` undecoded, so its
 XML declaration names the encoding; automata and line logs are UTF-8, a
@@ -24,7 +23,6 @@ import argparse
 import codecs
 import itertools
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Callable
@@ -52,7 +50,6 @@ from .formats import (
     write_log,
     write_report,
 )
-from .labels import label
 from .logs import EventLog, Trace, distinct_language, prefix_tree_acceptor
 from .measures import (
     MeasureKind,
@@ -63,8 +60,6 @@ from .measures import (
     recall,
 )
 from .spectral import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE
-
-MAX_ITER_ENV = "ENTROSCOPE_MAX_ITER"
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -172,19 +167,7 @@ def _sniff(path: Path) -> tuple[Nfa | EventLog, str | None]:
 
 
 def _max_iter(args: argparse.Namespace) -> int:
-    if args.max_iter is not None:
-        return args.max_iter
-    env = os.environ.get(MAX_ITER_ENV)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            print(f"warning: ignoring non-integer {MAX_ITER_ENV}={env!r}", file=sys.stderr)
-        else:
-            if value >= 1:
-                return value
-            print(f"warning: ignoring non-positive {MAX_ITER_ENV}={env!r}", file=sys.stderr)
-    return DEFAULT_MAX_ITERATIONS
+    return args.max_iter or DEFAULT_MAX_ITERATIONS
 
 
 def _warn_unconverged(max_iter: int) -> None:
@@ -305,17 +288,15 @@ def _word_log(words: list[str]) -> EventLog:
 
 
 def _bounded_repeat_automaton(x: int) -> Dfa:
-    a, b = label("a"), label("b")
     final = x + 1
-    transitions = {(i, b, final) for i in range(x + 1)}
-    transitions |= {(i, a, i + 1) for i in range(x)}
-    return Dfa(x + 2, frozenset({a, b}), frozenset(transitions), 0, frozenset({final}))
+    transitions = {(i, "b", final) for i in range(x + 1)}
+    transitions |= {(i, "a", i + 1) for i in range(x)}
+    return Dfa(x + 2, frozenset({"a", "b"}), frozenset(transitions), 0, frozenset({final}))
 
 
 def _kleene_automaton() -> Dfa:
-    a, b = label("a"), label("b")
     return Dfa(
-        2, frozenset({a, b}), frozenset({(0, a, 0), (0, b, 1)}), 0, frozenset({1})
+        2, frozenset({"a", "b"}), frozenset({(0, "a", 0), (0, "b", 1)}), 0, frozenset({1})
     )
 
 

@@ -1,9 +1,11 @@
 """External representations: automaton and log documents, XES, DOT, reports.
 
 The automaton document is JSON; the log document is plain text with one
-trace per line.  The silent marker is encoded as a null (or absent) label
-field, never as a string, and the short-circuit marker is never serialised
-at all (DOT excepted, for inspection).
+trace per line.  Labels are ``str`` values, and readers keep the checked
+strings as they are.  Both reserved label strings are refused in input: the
+silent ``SILENT`` (``""``) is encoded as a null (or absent) label field,
+never as a string, and the short-circuit ``CHI`` (``"__chi__"``) is never
+serialised at all (DOT excepted, for inspection, where they show as τ and χ).
 
 XES is read in one streaming expat pass, without an element tree, and only
 a subset of it: ``trace`` elements, the ``event`` elements directly inside
@@ -22,13 +24,9 @@ from collections import Counter
 from typing import Any
 from xml.parsers import expat
 
-from .automata import Nfa
-from .labels import SILENT, Label, label, sort_key
+from .automata import CHI, SILENT, Nfa
 from .logs import EventLog, Trace
 from .measures import MeasureReport
-
-#: Reserved label string, rejected everywhere in user input.
-RESERVED_LABEL = "__chi__"
 
 
 class FormatError(ValueError):
@@ -42,8 +40,8 @@ def _fail(where: str, problem: str) -> None:
 def _label_string(raw: Any, where: str) -> str:
     if not isinstance(raw, str) or not raw:
         _fail(where, "label must be a nonempty string")
-    if raw == RESERVED_LABEL:
-        _fail(where, f"{RESERVED_LABEL!r} is reserved")
+    if raw == CHI:
+        _fail(where, f"{CHI!r} is reserved")
     return raw
 
 
@@ -69,9 +67,9 @@ def read_named_automaton(text: str) -> tuple[Nfa, str | None]:
     raw_alphabet = doc.get("alphabet")
     if not isinstance(raw_alphabet, list):
         _fail("alphabet", "must be a list of label strings")
-    alphabet: list[Label] = []
+    alphabet: list[str] = []
     for i, raw in enumerate(raw_alphabet):
-        lab = label(_label_string(raw, f"alphabet[{i}]"))
+        lab = _label_string(raw, f"alphabet[{i}]")
         if lab in alphabet:
             _fail(f"alphabet[{i}]", f"duplicate label {raw!r}")
         alphabet.append(lab)
@@ -135,7 +133,7 @@ def read_named_automaton(text: str) -> tuple[Nfa, str | None]:
         if raw_label is None:
             lab = SILENT
         else:
-            lab = label(_label_string(raw_label, f"{where}.label"))
+            lab = _label_string(raw_label, f"{where}.label")
             if lab not in alphabet_set:
                 _fail(f"{where}.label", f"{raw_label!r} is not in the alphabet")
         transitions.add((source, lab, target))
@@ -149,15 +147,13 @@ def write_automaton(a: Nfa, name: str | None = None) -> str:
     doc: dict[str, Any] = {}
     if name:
         doc["name"] = name
-    doc["alphabet"] = [lab.display for lab in sorted(a.alphabet, key=sort_key)]
+    doc["alphabet"] = sorted(a.alphabet)
     doc["states"] = a.state_count
     doc["start"] = a.start
     doc["accepts"] = sorted(a.accepts)
     doc["transitions"] = [
-        {"from": p, "label": None if lab == SILENT else lab.display, "to": q}
-        for p, lab, q in sorted(
-            a.transitions, key=lambda t: (t[0], t[1] != SILENT, sort_key(t[1]), t[2])
-        )
+        {"from": p, "label": None if lab == SILENT else lab, "to": q}
+        for p, lab, q in sorted(a.transitions)
     ]
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
@@ -175,15 +171,14 @@ def read_log(text: str) -> EventLog:
     for line, mult in Counter(lines).items():
         if line.startswith("#"):
             continue
-        events = []
-        for pos, token in enumerate(line.split(" ") if line else (), start=1):
-            if token in ("", RESERVED_LABEL):
+        events = tuple(line.split(" ")) if line else ()
+        for pos, token in enumerate(events, start=1):
+            if token in (SILENT, CHI):
                 where = f"line {lines.index(line) + 1}, event {pos}"
                 if token:
-                    _fail(where, f"{RESERVED_LABEL!r} is reserved")
+                    _fail(where, f"{CHI!r} is reserved")
                 _fail(where, "empty event name (double space?)")
-            events.append(label(token))
-        traces[Trace(tuple(events))] = mult
+        traces[Trace(events)] = mult
     return EventLog(traces)
 
 
@@ -193,10 +188,10 @@ def write_log(log: EventLog) -> str:
     A trace that would read back differently raises FormatError naming it.
     """
     lines = []
-    for trace, mult in sorted(log, key=lambda item: tuple(sort_key(lab) for lab in item[0])):
-        names = [lab.display for lab in trace]
+    for trace, mult in sorted(log, key=lambda item: item[0].events):
+        names = list(trace.events)
         for name in names:
-            if name == RESERVED_LABEL or " " in name or name.splitlines() != [name]:
+            if " " in name or name.splitlines() != [name]:
                 _fail(f"trace {names}", f"{name!r} is reserved, empty, or holds a space or newline")
         if names and names[0].startswith("#"):
             _fail(f"trace {names}", f"first label {names[0]!r} would start a comment line")
@@ -219,7 +214,7 @@ def read_xes(text: str | bytes) -> EventLog:
     event counts only if its lifecycle:transition is absent or ``complete``
     (in any case), so an activity recorded by its start and its completion
     occurs once.  Traces are counted as tuples of names while parsing, so
-    labels and ``Trace`` objects are made once per distinct trace.
+    a ``Trace`` is made once per distinct trace.
     """
     parser = expat.ParserCreate(None, "}")
     local_names: dict[str, str] = {}
@@ -268,8 +263,8 @@ def read_xes(text: str | bytes) -> EventLog:
                 if not name:
                     what = "missing a" if name is None else "with an empty"
                     _fail(f"trace {index}", f"event {what} concept:name attribute")
-                if name == RESERVED_LABEL:
-                    _fail(f"trace {index}", f"{RESERVED_LABEL!r} is reserved")
+                if name == CHI:
+                    _fail(f"trace {index}", f"{CHI!r} is reserved")
                 names.append(name)
         depth -= 1
 
@@ -279,7 +274,11 @@ def read_xes(text: str | bytes) -> EventLog:
         parser.Parse(text, True)
     except expat.ExpatError as exc:
         raise FormatError(f"XML parse error: {exc}") from None
-    return EventLog({Trace(tuple(map(label, trace))): mult for trace, mult in counts.items()})
+    return EventLog({Trace(trace): mult for trace, mult in counts.items()})
+
+
+#: How DOT shows the reserved label strings.
+_DOT_MARKERS = {SILENT: "τ", CHI: "χ"}
 
 
 def _dot_escape(text: str) -> str:
@@ -293,10 +292,10 @@ def export_dot(a: Nfa) -> str:
         shape = "doublecircle" if q in a.accepts else "circle"
         lines.append(f'  {q} [shape={shape}, label="{q}"];')
     lines.append(f"  __start -> {a.start};")
-    for p, lab, q in sorted(
-        a.transitions, key=lambda t: (t[0], sort_key(t[1]), t[2])
-    ):
-        lines.append(f'  {p} -> {q} [label="{_dot_escape(lab.display)}"];')
+    # Moves sort by the shown name; a marker sorts before a label shown alike.
+    shown = [(p, _DOT_MARKERS.get(lab, lab), lab, q) for p, lab, q in a.transitions]
+    for p, name, _, q in sorted(shown):
+        lines.append(f'  {p} -> {q} [label="{_dot_escape(name)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

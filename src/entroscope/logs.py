@@ -1,4 +1,9 @@
-"""Event logs: finite multisets of traces, and their automaton encoding."""
+"""Event logs: finite multisets of traces, and their automaton encoding.
+
+A trace is a tuple of ``str`` labels.  Neither reserved label string, the
+silent ``SILENT`` (``""``) nor the short-circuit ``CHI`` (``"__chi__"``),
+can occur in one.
+"""
 
 from __future__ import annotations
 
@@ -6,36 +11,34 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .automata import Dfa, canonicalize, empty_language_automaton
-from .labels import CHI, SILENT, Label, label, sort_key
+from .automata import CHI, SILENT, Dfa, _explore
 
 
 @dataclass(frozen=True)
 class Trace:
     """One recorded execution: a finite sequence of observable labels."""
 
-    events: tuple[Label, ...]
+    events: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
-        for lab in self.events:
-            if lab == SILENT or lab == CHI:
-                raise ValueError("invariant violated: reserved marker inside a trace")
+        if SILENT in self.events or CHI in self.events:
+            raise ValueError("invariant violated: reserved marker inside a trace")
 
     @classmethod
     def of(cls, *names: str) -> Trace:
-        """Build a trace by interning event names."""
-        return cls(tuple(label(name) for name in names))
+        """The trace of the event names ``names``."""
+        return cls(names)
 
     def __len__(self) -> int:
         return len(self.events)
 
-    def __iter__(self) -> Iterator[Label]:
+    def __iter__(self) -> Iterator[str]:
         return iter(self.events)
 
 
 class EventLog:
-    """Finite multiset of traces; multiplicities are positive integers."""
+    """Finite multiset of ``Trace`` entries; multiplicities are positive integers."""
 
     __slots__ = ("_entries",)
 
@@ -43,6 +46,7 @@ class EventLog:
         counts: dict[Trace, int] = {}
         if isinstance(entries, Mapping):
             for trace, mult in entries.items():
+                _check_trace(trace)
                 try:  # any integer, numpy's included, but no bool
                     count = 0 if isinstance(mult, bool) else operator.index(mult)
                 except TypeError:
@@ -52,6 +56,7 @@ class EventLog:
                 counts[trace] = counts.get(trace, 0) + count
         else:
             for trace in entries:
+                _check_trace(trace)
                 counts[trace] = counts.get(trace, 0) + 1
         self._entries = counts
 
@@ -74,6 +79,11 @@ class EventLog:
         return f"EventLog({self.total_count} traces, {len(self._entries)} distinct)"
 
 
+def _check_trace(entry: object) -> None:
+    if not isinstance(entry, Trace):
+        raise ValueError("invariant violated: log entries must be traces")
+
+
 def multiplicity(log: EventLog, trace: Trace) -> int:
     """How many times ``trace`` was recorded; 0 if absent."""
     return log._entries.get(trace, 0)
@@ -92,7 +102,7 @@ def distinct_language(log: EventLog) -> frozenset[Trace]:
     return frozenset(log._entries)
 
 
-def log_alphabet(log: EventLog) -> frozenset[Label]:
+def log_alphabet(log: EventLog) -> frozenset[str]:
     """Labels occurring in at least one trace."""
     return frozenset(lab for trace in log._entries for lab in trace)
 
@@ -100,32 +110,20 @@ def log_alphabet(log: EventLog) -> frozenset[Label]:
 def prefix_tree_acceptor(log: EventLog) -> Dfa:
     """Acyclic DFA accepting exactly the distinct traces of the log.
 
-    States are the distinct trace prefixes, shared along the tree; the
-    result is canonically numbered breadth-first.
+    States are the distinct trace prefixes, shared along the tree, numbered
+    breadth-first with labels in sorted order, as ``canonicalize`` numbers.
     """
-    traces = sorted(
-        distinct_language(log), key=lambda t: tuple(sort_key(lab) for lab in t)
-    )
-    if not traces:
-        return empty_language_automaton()
-    children: dict[tuple[int, Label], int] = {}
+    children: list[dict[str, int]] = [{}]
     accepts: set[int] = set()
-    count = 1
-    for trace in traces:
+    for trace in log._entries:
         node = 0
-        for lab in trace:
-            nxt = children.get((node, lab))
+        for lab in trace.events:
+            nxt = children[node].get(lab)
             if nxt is None:
-                nxt = count
-                count += 1
-                children[(node, lab)] = nxt
+                nxt = children[node][lab] = len(children)
+                children.append({})
             node = nxt
         accepts.add(node)
-    tree = Dfa(
-        count,
-        log_alphabet(log),
-        frozenset((p, lab, q) for (p, lab), q in children.items()),
-        0,
-        frozenset(accepts),
+    return _explore(
+        0, lambda node: sorted(children[node].items()), accepts.__contains__, log_alphabet(log)
     )
-    return canonicalize(tree)

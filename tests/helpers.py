@@ -15,11 +15,10 @@ from typing import Iterable
 
 import numpy as np
 
-from entroscope import Dfa, EventLog, Label, Nfa, SparseMatrix, Trace, label
-from entroscope.formats import RESERVED_LABEL, FormatError, _fail
-from entroscope.labels import SILENT, sort_key
+from entroscope import CHI, SILENT, Dfa, EventLog, Nfa, SparseMatrix, Trace
+from entroscope.formats import FormatError, _fail
 
-ABC = [label("a"), label("b"), label("c")]
+ABC = ["a", "b", "c"]
 
 
 def _closure(a: Nfa, states: set[int]) -> frozenset[int]:
@@ -34,12 +33,12 @@ def _closure(a: Nfa, states: set[int]) -> frozenset[int]:
     return frozenset(seen)
 
 
-def _step(a: Nfa, states: frozenset[int], lab: Label) -> frozenset[int]:
+def _step(a: Nfa, states: frozenset[int], lab: str) -> frozenset[int]:
     """States after ``lab`` from ``states``, silent closure included."""
     return _closure(a, {dst for src, lab2, dst in a.transitions if src in states and lab2 == lab})
 
 
-def nfa_accepts(a: Nfa, word: tuple[Label, ...]) -> bool:
+def nfa_accepts(a: Nfa, word: tuple[str, ...]) -> bool:
     """Oracle acceptance: subset replay with silent closure, no powerset DFA."""
     current = _closure(a, {a.start})
     for lab in word:
@@ -56,7 +55,7 @@ def language_included(x: Nfa, y: Nfa) -> bool:
     leave both in the same state sets have the same futures, so only the
     first of them is extended; there are finitely many such pairs of sets.
     """
-    alphabet = sorted(x.alphabet, key=sort_key)
+    alphabet = sorted(x.alphabet)
     first = (_closure(x, {x.start}), _closure(y, {y.start}))
     seen = {first}
     queue = deque(seen)
@@ -72,17 +71,17 @@ def language_included(x: Nfa, y: Nfa) -> bool:
     return True
 
 
-def bounded_words(alphabet: list[Label], max_len: int):
+def bounded_words(alphabet: list[str], max_len: int):
     """All words over ``alphabet`` of length 0..max_len, shortest first."""
     for length in range(max_len + 1):
         yield from itertools.product(alphabet, repeat=length)
 
 
-def bounded_language_nfa(a: Nfa, alphabet: list[Label], max_len: int) -> set[tuple[Label, ...]]:
+def bounded_language_nfa(a: Nfa, alphabet: list[str], max_len: int) -> set[tuple[str, ...]]:
     """Accepted word set up to ``max_len`` via subset replay over the word tree."""
-    accepted: set[tuple[Label, ...]] = set()
+    accepted: set[tuple[str, ...]] = set()
     start = _closure(a, {a.start})
-    frontier: list[tuple[tuple[Label, ...], frozenset[int]]] = [((), start)]
+    frontier: list[tuple[tuple[str, ...], frozenset[int]]] = [((), start)]
     if start & a.accepts:
         accepted.add(())
     for _ in range(max_len):
@@ -100,10 +99,10 @@ def bounded_language_nfa(a: Nfa, alphabet: list[Label], max_len: int) -> set[tup
     return accepted
 
 
-def bounded_language_dfa(d: Dfa, max_len: int) -> set[tuple[Label, ...]]:
+def bounded_language_dfa(d: Dfa, max_len: int) -> set[tuple[str, ...]]:
     """Accepted word set up to ``max_len`` by replaying the transitions."""
-    accepted: set[tuple[Label, ...]] = set()
-    frontier: list[tuple[tuple[Label, ...], int]] = [((), d.start)]
+    accepted: set[tuple[str, ...]] = set()
+    frontier: list[tuple[tuple[str, ...], int]] = [((), d.start)]
     if d.start in d.accepts:
         accepted.add(())
     for _ in range(max_len):
@@ -155,7 +154,7 @@ def kahn_order(forward: list[list[int]]) -> list[int] | None:
     return order if len(order) == len(forward) else None
 
 
-def product_rows(x: Dfa, y: Dfa) -> tuple[list[dict[Label, int]], list[int], bool, bool]:
+def product_rows(x: Dfa, y: Dfa) -> tuple[list[dict[str, int]], list[int], bool, bool]:
     """Reference product walk: ``Dfa.rows`` and accept states of the trim product, and two flags.
 
     One pair at a time: pairs, coded as ``px * y.state_count + py``, are
@@ -170,7 +169,7 @@ def product_rows(x: Dfa, y: Dfa) -> tuple[list[dict[Label, int]], list[int], boo
     start = x.start * width + y.start
     index = {start: 0}
     pairs = [start]
-    rows: list[dict[Label, int]] = []
+    rows: list[dict[str, int]] = []
     backward: list[list[int]] = [[]]
     accepting: list[int] = []
     x_in_y = y_in_x = True
@@ -223,7 +222,7 @@ def tree_read_xes(text: str) -> EventLog:
     traces: list[Trace] = []
     trace_elements = [el for el in root.iter() if _local_name(el.tag) == "trace"]
     for t_index, trace_el in enumerate(trace_elements):
-        events: list[Label] = []
+        events: list[str] = []
         for event_el in trace_el:
             if _local_name(event_el.tag) != "event":
                 continue
@@ -241,16 +240,16 @@ def tree_read_xes(text: str) -> EventLog:
                 _fail(f"trace {t_index}", "event missing a concept:name attribute")
             if name == "":
                 _fail(f"trace {t_index}", "event with an empty concept:name attribute")
-            if name == RESERVED_LABEL:
-                _fail(f"trace {t_index}", f"{RESERVED_LABEL!r} is reserved")
-            events.append(label(name))
+            if name == CHI:
+                _fail(f"trace {t_index}", f"{CHI!r} is reserved")
+            events.append(name)
         traces.append(Trace(tuple(events)))
     return EventLog(traces)
 
 
-def all_words_of_length(n: int, width: int = 26) -> tuple[Dfa, list[Label]]:
+def all_words_of_length(n: int, width: int = 26) -> tuple[Dfa, list[str]]:
     """A chain of ``n + 1`` states accepting every word of length ``n`` over ``width`` labels."""
-    labels = [label(f"l{i:02d}") for i in range(width)]
+    labels = [f"l{i:02d}" for i in range(width)]
     moves = {(i, lab, i + 1) for i in range(n) for lab in labels}
     return Dfa(n + 1, frozenset(labels), frozenset(moves), 0, frozenset({n})), labels
 
@@ -289,13 +288,13 @@ def random_dfa(
     return Dfa(n, frozenset(alphabet), frozenset(transitions), 0, accepts)
 
 
-def random_trace(rng: random.Random, alphabet: list[Label], max_len: int = 5) -> Trace:
+def random_trace(rng: random.Random, alphabet: list[str], max_len: int = 5) -> Trace:
     return Trace(tuple(rng.choice(alphabet) for _ in range(rng.randint(0, max_len))))
 
 
 def random_log(
     rng: random.Random,
-    alphabet: list[Label] | None = None,
+    alphabet: list[str] | None = None,
     max_traces: int = 5,
     max_len: int = 5,
 ) -> EventLog:
@@ -324,5 +323,5 @@ def dense_matrix(rows: list[list[int]]) -> SparseMatrix:
     return sparse_matrix(len(rows), entries)
 
 
-def sorted_words(words) -> list[tuple[Label, ...]]:
-    return sorted(words, key=lambda w: (len(w), [sort_key(lab) for lab in w]))
+def sorted_words(words) -> list[tuple[str, ...]]:
+    return sorted(words, key=lambda w: (len(w), w))

@@ -8,9 +8,9 @@ them.
 
 from __future__ import annotations
 
-from entroscope import Dfa, EventLog, Nfa, Trace, label, prefix_tree_acceptor, union
+from entroscope import Dfa, EventLog, Nfa, Trace, prefix_tree_acceptor, union
 
-A, B, C, D, E, F = (label(x) for x in "abcdef")
+A, B, C, D, E, F = "abcdef"
 LOGIN_ALPHABET = frozenset({A, B, C, D, E, F})
 STRICT_ALPHABET = frozenset({A, B, C, D, E})
 

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from entroscope import (
+    CHI,
+    SILENT,
     EventLog,
     Trace,
     accepts,
     count_words,
     distinct_language,
     has_finite_language,
-    label,
     multiplicity,
     prefix_tree_acceptor,
     union,
 )
-from entroscope.labels import CHI, SILENT
 from helpers import ABC, random_log, word_log
 from login_fixtures import extended_log, small_log
 
@@ -26,9 +26,12 @@ class TestTrace:
             Trace((SILENT,))
         with pytest.raises(ValueError, match="reserved"):
             Trace((CHI,))
+        for name in ("", "__chi__"):
+            with pytest.raises(ValueError, match="reserved"):
+                Trace.of("a", name)
 
     def test_of_interns_names(self):
-        assert Trace.of("a", "b") == Trace((label("a"), label("b")))
+        assert Trace.of("a", "b") == Trace(("a", "b"))
 
 
 class TestMultiplicity:
@@ -49,6 +52,13 @@ class TestMultiplicity:
     def test_rejects_a_multiplicity_that_is_no_integer(self, mult):
         with pytest.raises(ValueError, match="multiplicity must be a positive integer"):
             EventLog({Trace.of("a"): mult})
+
+    @pytest.mark.parametrize(
+        "entries", [["ab"], {"ab": 1}, [("a", "b")], {Trace.of("a"): 1, "b": 1}]
+    )
+    def test_rejects_entries_that_are_no_traces(self, entries):
+        with pytest.raises(ValueError, match="invariant violated: log entries must be traces"):
+            EventLog(entries)
 
     def test_numpy_integer_multiplicity_is_an_int(self):
         log = EventLog({Trace.of("a"): np.int64(3)})

@@ -23,7 +23,6 @@ from entroscope import (
     determinize,
     eig_short_circuit_measure,
     empty_language_automaton,
-    label,
     minimize,
     perron_frobenius,
     precision,
@@ -68,7 +67,7 @@ class TestEigMeasure:
 
     def test_all_words_of_one_long_length(self):
         # 26^250 words: a 251-state chain, short-circuited, with 26 moves per step.
-        labels = [label(f"l{i:02d}") for i in range(26)]
+        labels = [f"l{i:02d}" for i in range(26)]
         moves = {(i, lab, i + 1) for i in range(250) for lab in labels}
         spec = Dfa(251, frozenset(labels), frozenset(moves), 0, frozenset({250}))
         report = precision(spec, EventLog([Trace(tuple(labels[:1] * 250))]))
@@ -304,8 +303,8 @@ def test_short_circuited_operands_are_refused(name):
 
 def nth_from_end(n: int, markers: str, alphabet: str, silent_skip: bool = False) -> Nfa:
     """Words over ``alphabet`` whose n-th symbol from the end is one of ``markers``."""
-    labs = [label(ch) for ch in alphabet]
-    moves = {(0, lab, 0) for lab in labs} | {(0, label(m), 1) for m in markers}
+    labs = list(alphabet)
+    moves = {(0, lab, 0) for lab in labs} | {(0, m, 1) for m in markers}
     moves |= {(i, lab, i + 1) for i in range(1, n) for lab in labs}
     if silent_skip:
         moves.add((1, SILENT, 2))
@@ -368,7 +367,7 @@ def test_coverage_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=path)
     script = (
         "import sys, entroscope\n"
-        "a = entroscope.label('a')\n"
+        "a = 'a'\n"
         "x = entroscope.Dfa(2, {a}, {(0, a, 1), (1, a, 0)}, 0, {0})\n"
         "y = entroscope.Dfa(3, {a}, {(0, a, 1), (1, a, 2), (2, a, 0)}, 0, {0})\n"
         "assert 0.0 < entroscope.coverage(x, y).value < 1.0\n"

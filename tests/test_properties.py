@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from entroscope import measures
 from entroscope.automata import _topological_order, product_moves
-from entroscope.labels import sort_key
 from entroscope import (
     CHI,
     Dfa,
@@ -36,7 +35,6 @@ from entroscope import (
     is_deterministic,
     is_ergodic,
     is_trim,
-    label,
     length_profile_eigenvalue,
     minimize,
     perron_frobenius,
@@ -57,7 +55,7 @@ from helpers import (
     product_rows,
 )
 
-NOISE = label("z")  # never in a spec alphabet
+NOISE = "z"  # never in a spec alphabet
 
 
 @st.composite
@@ -214,11 +212,12 @@ def test_short_circuit_mark_is_chi_in_the_alphabet(aut):
 
 
 @settings(max_examples=150, deadline=None)
-@given(nfas(), nfas())
-def test_constructions_number_states_canonically(x, y):
+@given(nfas(), nfas(), word_sets())
+def test_constructions_number_states_canonically(x, y, words):
     # States are numbered breadth-first from the start, labels in sort order.
     mx, my = minimize(determinize(x)), minimize(determinize(y))
-    for out in (determinize(x), mx, intersect(mx, my)):
+    tree = prefix_tree_acceptor(log_of(words))
+    for out in (determinize(x), mx, intersect(mx, my), tree):
         assert canonicalize(out) == out
 
 
@@ -281,7 +280,7 @@ def test_a_log_over_its_own_prefix_tree_is_exactly_one(case):
 def lasso_log(seed: int) -> EventLog:
     """Eight traces of 100 to 156 events over eight labels, sharing a 50-event prefix."""
     rng = random.Random(seed)
-    labels = [label(f"op{i}") for i in range(8)]
+    labels = [f"op{i}" for i in range(8)]
     prefix = [rng.choice(labels) for _ in range(50)]
     return EventLog(
         [
@@ -342,7 +341,7 @@ def walked_rows(x: Dfa, y: Dfa) -> tuple[list[dict], list[int], bool, bool]:
     m, x_in_y, y_in_x = product_moves(x, y)
     moves = list(zip(m.sources.tolist(), m.columns.tolist(), m.targets.tolist()))
     assert [move[:2] for move in moves] == sorted({move[:2] for move in moves})
-    assert m.labels == sorted(x.alphabet & y.alphabet, key=sort_key)
+    assert m.labels == sorted(x.alphabet & y.alphabet)
     rows: list[dict] = [{} for _ in range(m.order)]
     for p, column, q in moves:
         rows[p][m.labels[column]] = q
@@ -351,7 +350,7 @@ def walked_rows(x: Dfa, y: Dfa) -> tuple[list[dict], list[int], bool, bool]:
 
 def relabeled(a: Nfa, names: str) -> Nfa:
     """``a`` with its labels ``a``, ``b``, ``c`` renamed to the labels in ``names``."""
-    rename = dict(zip(ABC, map(label, names)))
+    rename = dict(zip(ABC, names))
     moves = {(p, rename.get(lab, lab), q) for p, lab, q in a.transitions}
     return Nfa(a.state_count, frozenset(map(rename.get, a.alphabet)), moves, a.start, a.accepts)
 

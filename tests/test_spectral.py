@@ -14,7 +14,6 @@ from entroscope import (
     determinize,
     empty_language_automaton,
     is_ergodic,
-    label,
     length_profile_eigenvalue,
     minimize,
     perron_frobenius,
@@ -23,7 +22,7 @@ from entroscope import (
 from helpers import count_words_of_length, dense_matrix, random_dfa, sparse_matrix
 from login_fixtures import retry_spec
 
-a, b = label("a"), label("b")
+a, b = "a", "b"
 
 
 @st.composite
@@ -67,7 +66,7 @@ class TestAdjacencyMatrix:
         assert m.order == 1 and not m.entries
 
     def test_counts_parallel_labels(self):
-        labs = frozenset(label(ch) for ch in "uvwxyz")
+        labs = frozenset("uvwxyz")
         loops = frozenset((0, lab, 0) for lab in labs)
         d = Dfa(1, labs, loops, 0, frozenset({0}))
         assert adjacency_matrix(d).entries == dense_matrix([[6]]).entries
@@ -153,7 +152,7 @@ class TestPerronFrobenius:
             base = perron_frobenius(adjacency_matrix(sc)).value
             p = rng.randrange(sc.state_count)
             q = rng.randrange(sc.state_count)
-            fresh = label(f"extra{checked}")
+            fresh = f"extra{checked}"
             grown = Dfa(
                 sc.state_count,
                 sc.alphabet | {fresh},
@@ -223,7 +222,7 @@ class TestLengthProfileEigenvalue:
 class TestEntropy:
     def test_log2_of_dominant_eigenvalue(self):
         rows = [[0, 2], [2, 0]]
-        d_labels = [label(ch) for ch in "pqrs"]
+        d_labels = list("pqrs")
         d = Dfa(
             2,
             frozenset(d_labels),
