@@ -294,21 +294,6 @@ def determinize(a: Nfa) -> Dfa:
     return _explore(tuple(sorted(closures[a.start])), moves, accepting, a.alphabet)
 
 
-def is_trim(a: Nfa) -> bool:
-    """Every state useful, or the canonical empty-language automaton."""
-    if not a.accepts:
-        return a.state_count == 1 and not a.transitions
-    return _spans(a, [a.start], a.accepts)
-
-
-def _spans(a: Nfa, sources: Iterable[int], sinks: Iterable[int]) -> bool:
-    """True iff every state is reachable from ``sources`` and reaches ``sinks``."""
-    forward, backward = _graph(a)
-    n = a.state_count
-    reached = len(_closure(sources, forward.__getitem__)) == n
-    return reached and len(_closure(sinks, backward.__getitem__)) == n
-
-
 def trim(a: Nfa) -> Nfa:
     """Drop states that are unreachable or cannot reach an accept state.
 
@@ -332,6 +317,11 @@ def trim(a: Nfa) -> Nfa:
     return type(a)(len(order), a.alphabet, transitions, remap[a.start], accepts)
 
 
+def is_trim(a: Nfa) -> bool:
+    """Every state useful, or the canonical empty-language automaton: ``trim`` keeps ``a``."""
+    return trim(a) == a
+
+
 def canonicalize(d: Dfa) -> Dfa:
     """Renumber states breadth-first, exploring labels in sorted order.
 
@@ -343,68 +333,58 @@ def canonicalize(d: Dfa) -> Dfa:
 
 
 def minimize(d: Nfa) -> Dfa:
-    """Minimal trim DFA for ``L(d)`` (Hopcroft partition refinement on ``as_dfa(d)``).
+    """Minimal trim DFA for ``L(d)``: Hopcroft partition refinement on ``as_dfa(d)``.
 
-    The transition function stays partial; missing moves act as an implicit
-    dead state during refinement but are never materialised.  No ``trim`` is
-    needed: dead states share the dead state's block, and only blocks
-    reachable from the start's are numbered, breadth-first as
-    ``canonicalize`` would number them, so language-equal inputs minimise to
-    structurally identical automata.  A dead start gives the empty automaton.
+    An extra, empty row is the dead state: in refinement every missing move,
+    the dead state's own included, leads there.  The partition starts as the
+    accept states and the rest, and both go on one worklist of blocks.  Each
+    block popped splits every block on every label; a split block that is
+    queued is replaced there by its two halves, any other queues its smaller
+    half.  No ``trim`` is needed: dead states end in the dead row's block,
+    moves into it are dropped, and only blocks reachable from the start's
+    are numbered, breadth-first as ``canonicalize`` would number them.  So
+    language-equal inputs minimise to structurally identical automata, and a
+    dead start gives the empty automaton.
     """
     t = as_dfa(d)
-    labels = sorted(t.alphabet)
-    sink = t.state_count
-    states = range(t.state_count)
+    rows = [*t.rows, {}]
+    dead = t.state_count
+    predecessors: list[dict[int, list[int]]] = []
+    for lab in sorted(t.alphabet):
+        by_target: dict[int, list[int]] = {}
+        for p, row in enumerate(rows):
+            by_target.setdefault(row.get(lab, dead), []).append(p)
+        predecessors.append(by_target)
 
-    predecessors: dict[str, dict[int, list[int]]] = {lab: {sink: [sink]} for lab in labels}
-    for lab, by_target in predecessors.items():
-        for p in states:
-            by_target.setdefault(t.rows[p].get(lab, sink), []).append(p)
-
-    rest = frozenset(set(states) - t.accepts | {sink})
-    partition: set[frozenset[int]] = {t.accepts, rest} - {frozenset()}
-    block_of = {q: block for block in partition for q in block}
-    worklist: set[tuple[frozenset[int], str]] = {
-        (block, lab) for block in partition for lab in labels
-    }
-
+    worklist = {t.accepts, frozenset(range(dead + 1)) - t.accepts} - {frozenset()}
+    block_of = {q: block for block in worklist for q in block}
     while worklist:
-        splitter, lab = worklist.pop()
-        by_target = predecessors[lab]
-        movers: set[int] = set()
-        for q in splitter:
-            movers.update(by_target.get(q, ()))
-        touched: dict[frozenset[int], set[int]] = {}
-        for p in movers:
-            touched.setdefault(block_of[p], set()).add(p)
-        for block, inside in touched.items():
-            if len(inside) == len(block):
-                continue
-            part_in = frozenset(inside)
-            part_out = block - part_in
-            block_of.update(dict.fromkeys(part_in, part_in))
-            block_of.update(dict.fromkeys(part_out, part_out))
-            for any_lab in labels:
-                if (block, any_lab) in worklist:
-                    worklist.remove((block, any_lab))
-                    worklist.add((part_in, any_lab))
-                    worklist.add((part_out, any_lab))
+        splitter = worklist.pop()
+        for by_target in predecessors:
+            touched: dict[frozenset[int], set[int]] = {}
+            for q in splitter:
+                for p in by_target.get(q, ()):
+                    touched.setdefault(block_of[p], set()).add(p)
+            for block, inside in touched.items():
+                if len(inside) == len(block):
+                    continue
+                halves = frozenset(inside), block - inside
+                for half in halves:
+                    block_of.update(dict.fromkeys(half, half))
+                if block in worklist:
+                    worklist.remove(block)
+                    worklist.update(halves)
                 else:
-                    smaller = part_in if len(part_in) <= len(part_out) else part_out
-                    worklist.add((smaller, any_lab))
+                    worklist.add(min(halves, key=len))
 
-    sink_block = block_of[sink]
+    dead_block = block_of[dead]
 
     def moves(block: frozenset[int]) -> Iterator[tuple[str, frozenset[int]]]:
-        for lab, q in t.rows[next(iter(block))].items():
-            if block_of[q] is not sink_block:
+        for lab, q in rows[next(iter(block))].items():
+            if block_of[q] is not dead_block:
                 yield lab, block_of[q]
 
-    start = block_of[t.start]
-    if start is sink_block:
-        return empty_language_automaton(t.alphabet)
-    return _explore(start, moves, lambda block: block <= t.accepts, t.alphabet)
+    return _explore(block_of[t.start], moves, lambda block: block <= t.accepts, t.alphabet)
 
 
 def short_circuit(d: Dfa) -> Dfa:
@@ -548,7 +528,9 @@ def intersect(x: Dfa, y: Dfa) -> Dfa:
 
 def is_ergodic(a: Nfa) -> bool:
     """True iff the transition graph is strongly connected, labels ignored."""
-    return _spans(a, [0], [0])
+    forward, backward = _graph(a)
+    n = a.state_count
+    return len(_closure([0], forward.__getitem__)) == n == len(_closure([0], backward.__getitem__))
 
 
 def _topological_order(offsets: np.ndarray, targets: np.ndarray, start: int) -> list[int] | None:

@@ -82,7 +82,7 @@ def _positive(parse: Callable[[str], float]) -> Callable[[str], float]:
 _MEASURE_OPTIONS: dict[str, dict] = {
     "--measure": {"choices": ("eig", "card"), "default": "eig"},
     "--tol": {"type": _positive(float), "default": DEFAULT_TOLERANCE},
-    "--max-iter": {"type": _positive(int), "default": None},
+    "--max-iter": {"type": _positive(int), "default": DEFAULT_MAX_ITERATIONS},
     "--format": {"choices": ("text", "json", "csv"), "default": "text"},
     "--out": {"type": Path, "default": None},
 }
@@ -166,10 +166,6 @@ def _sniff(path: Path) -> tuple[Nfa | EventLog, str | None]:
     return read_log(text), None
 
 
-def _max_iter(args: argparse.Namespace) -> int:
-    return args.max_iter or DEFAULT_MAX_ITERATIONS
-
-
 def _warn_unconverged(max_iter: int) -> None:
     # Only a power iteration can fail, and only at its cap, so quote the cap.
     print(
@@ -200,16 +196,15 @@ def _run_quotient_command(args: argparse.Namespace) -> int:
     if args.command == "recall":
         report = recall(*_load_spec_and_log(args), MeasureKind(args.measure))
     else:
-        max_iter = _max_iter(args)
         if args.command == "precision":
             spec, log = _load_spec_and_log(args)
-            report = precision(spec, log, MeasureKind(args.measure), args.tol, max_iter)
+            report = precision(spec, log, MeasureKind(args.measure), args.tol, args.max_iter)
         else:
             x = _load_automaton(args.x)
             y = _load_automaton(args.y)
-            report = coverage(x, y, args.tol, max_iter)
+            report = coverage(x, y, args.tol, args.max_iter)
         if not report.converged:
-            _warn_unconverged(max_iter)
+            _warn_unconverged(args.max_iter)
     _print_report(args.command, report, args)
     return EXIT_OK
 
@@ -220,11 +215,10 @@ def _run_scalar_command(args: argparse.Namespace) -> int:
         value = count_words(d)
         _emit(f"cardinality = {value}\n", args.out)
         return EXIT_OK
-    max_iter = _max_iter(args)
     kind = MeasureKind.SHORT_CIRCUIT_EIGENVALUE
-    value, stats = measure(minimize(d).arrays, kind, args.tol, max_iter)
+    value, stats = measure(minimize(d).arrays, kind, args.tol, args.max_iter)
     if not stats.eigen.converged:
-        _warn_unconverged(max_iter)
+        _warn_unconverged(args.max_iter)
     if args.command == "eigenvalue":
         _emit(f"eigenvalue = {value:.3f}\n", args.out)
         return EXIT_OK

@@ -192,7 +192,7 @@ def write_log(log: EventLog) -> str:
         names = list(trace.events)
         for name in names:
             if " " in name or name.splitlines() != [name]:
-                _fail(f"trace {names}", f"{name!r} is reserved, empty, or holds a space or newline")
+                _fail(f"trace {names}", f"{name!r} holds a space or a line break")
         if names and names[0].startswith("#"):
             _fail(f"trace {names}", f"first label {names[0]!r} would start a comment line")
         lines.extend([" ".join(names)] * mult)

@@ -71,6 +71,66 @@ def language_included(x: Nfa, y: Nfa) -> bool:
     return True
 
 
+def nerode_classes(a: Nfa) -> int:
+    """Oracle count of the Myhill-Nerode classes of ``L(a)`` whose words have a future.
+
+    Subset replay over the raw triples builds the complete DFA of the
+    reachable state sets; the empty set, once reached, is its dead state.
+    Moore refinement then splits those sets by acceptance and by the classes
+    of their successors until the number of classes stops growing.  The dead
+    class, of sets that reach no accept state, is not counted: the result is
+    the state count of a minimal trim DFA, and 0 for the empty language.
+    """
+    alphabet = sorted(a.alphabet)
+    first = _closure(a, {a.start})
+    index = {first: 0}
+    subsets = [first]
+    table: list[list[int]] = []
+    for subset in subsets:  # ``subsets`` grows as sets are found
+        row = []
+        for lab in alphabet:
+            after = _step(a, subset, lab)
+            if after not in index:
+                index[after] = len(subsets)
+                subsets.append(after)
+            row.append(index[after])
+        table.append(row)
+    live = {p for p, subset in enumerate(subsets) if subset & a.accepts}
+    grown = True
+    while grown:
+        before = len(live)
+        live |= {p for p, row in enumerate(table) if not live.isdisjoint(row)}
+        grown = len(live) > before
+    classes = [int(bool(subset & a.accepts)) for subset in subsets]
+    while True:
+        signatures = [(classes[p], *(classes[q] for q in row)) for p, row in enumerate(table)]
+        number = {signature: i for i, signature in enumerate(dict.fromkeys(signatures))}
+        if len(number) == len(set(classes)):
+            break
+        classes = [number[signature] for signature in signatures]
+    return len({classes[p] for p in live})
+
+
+def reachable(a: Nfa, seeds: Iterable[int], backward: bool = False) -> set[int]:
+    """Oracle: the seeds and every state reachable from them along raw triples.
+
+    A breadth-first search that scans every triple at each step.  It follows
+    moves forward, or against their direction if ``backward``, so that it
+    finds the states that reach a seed.  Labels, silent ones included, are
+    ignored.
+    """
+    seen = set(seeds)
+    queue = deque(seen)
+    while queue:
+        p = queue.popleft()
+        for src, _, dst in a.transitions:
+            here, there = (dst, src) if backward else (src, dst)
+            if here == p and there not in seen:
+                seen.add(there)
+                queue.append(there)
+    return seen
+
+
 def bounded_words(alphabet: list[str], max_len: int):
     """All words over ``alphabet`` of length 0..max_len, shortest first."""
     for length in range(max_len + 1):

@@ -162,9 +162,9 @@ class TestLogDocuments:
     @pytest.mark.parametrize(
         "names, problem",
         [
-            (["a b", "c"], "'a b' is reserved, empty, or holds a space or newline"),
+            (["a b", "c"], "'a b' holds a space or a line break"),
             (["#x"], "first label '#x' would start a comment line"),
-            (["a\u2028b"], r"'a\u2028b' is reserved"),
+            (["a\u2028b"], r"'a\u2028b' holds a space or a line break"),
         ],
     )
     def test_a_trace_that_reads_back_differently_is_refused(self, names, problem):

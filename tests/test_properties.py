@@ -52,14 +52,16 @@ from helpers import (
     bounded_words,
     kahn_order,
     language_included,
+    nerode_classes,
     product_rows,
+    reachable,
 )
 
 NOISE = "z"  # never in a spec alphabet
 
 
 @st.composite
-def nfas(draw, max_states=6, alphabet_size=3, allow_silent=True):
+def nfas(draw, max_states=6, alphabet_size=3, allow_silent=True, random_start=False):
     n = draw(st.integers(1, max_states))
     alphabet = ABC[:alphabet_size]
     edge_labels = alphabet + ([SILENT] if allow_silent else [])
@@ -74,7 +76,8 @@ def nfas(draw, max_states=6, alphabet_size=3, allow_silent=True):
         )
     )
     accepting = draw(st.frozensets(st.integers(0, n - 1)))
-    return Nfa(n, frozenset(alphabet), transitions, 0, accepting)
+    start = draw(st.integers(0, n - 1)) if random_start else 0
+    return Nfa(n, frozenset(alphabet), transitions, start, accepting)
 
 
 @st.composite
@@ -138,6 +141,44 @@ def test_minimize_preserves_language_and_is_idempotent(aut):
     assert bounded_language_dfa(m, 6) == bounded_language_dfa(d, 6)
     assert minimize(m) == m
     assert is_trim(m)
+
+
+# Cases that random draws seldom hit: the canonical empty automaton, a one-state loop that
+# accepts nothing or everything, no accept state, and a start that reaches no accept state.
+# The drawn automata get random starts, which leave states unreachable as well as dead.
+EMPTY = Nfa(1, frozenset(ABC), frozenset(), 0, frozenset())
+LOOP = Nfa(1, frozenset(ABC), frozenset({(0, "a", 0)}), 0, frozenset())
+ACCEPTING_LOOP = Nfa(1, frozenset(ABC), frozenset({(0, "a", 0)}), 0, frozenset({0}))
+NO_ACCEPT = Nfa(2, frozenset(ABC), frozenset({(0, "a", 1), (1, SILENT, 0)}), 0, frozenset())
+DEAD_START = Nfa(3, frozenset(ABC), frozenset({(0, "a", 1), (2, "b", 2)}), 0, frozenset({2}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(nfas(random_start=True))
+@example(EMPTY)
+@example(LOOP)
+@example(ACCEPTING_LOOP)
+@example(NO_ACCEPT)
+@example(DEAD_START)
+def test_minimize_leaves_one_state_per_live_nerode_class(aut):
+    # The empty language has no such class, and one state that accepts nothing.
+    assert minimize(aut).state_count == (nerode_classes(aut) or 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nfas(random_start=True))
+@example(EMPTY)
+@example(LOOP)
+@example(ACCEPTING_LOOP)
+@example(NO_ACCEPT)
+@example(DEAD_START)
+def test_trim_and_ergodic_agree_with_a_breadth_first_search(aut):
+    for a in (aut, as_dfa(aut), minimize(aut)):
+        every = set(range(a.state_count))
+        useful = reachable(a, [a.start]) & reachable(a, a.accepts, backward=True)
+        canonical_empty = a.state_count == 1 and not a.transitions and not a.accepts
+        assert is_trim(a) == (useful == every or canonical_empty)
+        assert is_ergodic(a) == (reachable(a, [0]) == every == reachable(a, [0], backward=True))
 
 
 @settings(max_examples=150, deadline=None)
