@@ -9,7 +9,11 @@ only over an infinite language, never in ``recall`` or ``cardinality``.
 
 Input files are read as bytes.  XES goes to ``read_xes`` undecoded, so its
 XML declaration names the encoding; automata and line logs are UTF-8, a
-byte-order mark allowed.
+byte-order mark allowed.  A file is XES when its first non-blank bytes, after
+a byte-order mark, are ``<?xml``, ``<!--`` or a start tag named ``log`` or
+``prefix:log``; an automaton document when they are ``{`` and then, after
+optional whitespace, ``"`` or ``}``; and otherwise a line log, so a trace may
+begin with an event such as ``<init>`` or ``{x}``.
 
 Exit codes: 0 success (including flagged non-convergence, which warns on
 stderr), 2 usage errors and parse errors on input files, an automaton or
@@ -20,9 +24,9 @@ cardinality of an infinite language or entropy of the empty language.
 from __future__ import annotations
 
 import argparse
-import codecs
 import itertools
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Callable
@@ -50,7 +54,7 @@ from .formats import (
     write_log,
     write_report,
 )
-from .logs import EventLog, Trace, distinct_language, prefix_tree_acceptor
+from .logs import EventLog, distinct_language, prefix_tree_acceptor
 from .measures import (
     MeasureKind,
     MeasureReport,
@@ -131,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "name", choices=("bounded-repeat", "kleene", "permutations", "parallel-block")
     )
     p.add_argument("--x", type=int, default=None, help="repeat bound for bounded-repeat")
-    p.add_argument("--count", type=int, default=None, help="permutation count")
+    p.add_argument("--count", type=int, default=None, help="permutation count for permutations")
     p.add_argument("--out", type=Path, default=Path("."))
     return parser
 
@@ -154,14 +158,18 @@ def _load_automaton(path: Path) -> Nfa:
     return read_automaton(_decode(path.read_bytes(), path))
 
 
+#: How an XES and an automaton document begin, after a UTF-8 byte-order mark and blanks.
+_XES_HEAD = re.compile(rb"(?:\xef\xbb\xbf)?\s*<(?:\?xml|!--|(?:[A-Za-z_][\w.-]*:)?log[\s/>])")
+_AUTOMATON_HEAD = re.compile(rb'(?:\xef\xbb\xbf)?\s*\{\s*["}]')
+
+
 def _sniff(path: Path) -> tuple[Nfa | EventLog, str | None]:
     """The automaton and its name, or the XES or line log, that ``path`` holds."""
     data = path.read_bytes()
-    head = data.removeprefix(codecs.BOM_UTF8).lstrip()[:1]
-    if head == b"<":
+    if _XES_HEAD.match(data):
         return read_xes(data), None
     text = _decode(data, path)
-    if head == b"{":
+    if _AUTOMATON_HEAD.match(data):
         return read_named_automaton(text)
     return read_log(text), None
 
@@ -278,7 +286,7 @@ def _permutation_words(count: int) -> list[str]:
 
 
 def _word_log(words: list[str]) -> EventLog:
-    return EventLog([Trace.of(*word) for word in words])
+    return EventLog([tuple(word) for word in words])
 
 
 def _bounded_repeat_automaton(x: int) -> Dfa:
@@ -295,6 +303,10 @@ def _kleene_automaton() -> Dfa:
 
 
 def _run_family(args: argparse.Namespace) -> int:
+    for option, family in (("x", "bounded-repeat"), ("count", "permutations")):
+        if getattr(args, option) is not None and args.name != family:
+            print(f"error: --{option} applies only to {family}", file=sys.stderr)
+            return EXIT_PARSE
     out_dir: Path = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -315,7 +327,7 @@ def _run_family(args: argparse.Namespace) -> int:
         save("kleene.json", write_automaton(_kleene_automaton()))
     else:  # the parallel block is all 120 permutations
         block = args.name == "parallel-block"
-        count = 120 if block or args.count is None else args.count
+        count = 120 if args.count is None else args.count
         if not 5 <= count <= 120:
             print("error: --count must be in [5..120]", file=sys.stderr)
             return EXIT_PARSE

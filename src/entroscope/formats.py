@@ -25,7 +25,7 @@ from typing import Any
 from xml.parsers import expat
 
 from .automata import CHI, SILENT, Nfa
-from .logs import EventLog, Trace
+from .logs import EventLog
 from .measures import MeasureReport
 
 
@@ -163,11 +163,11 @@ def read_log(text: str) -> EventLog:
 
     One trace per line, events separated by single spaces; a fully empty
     line is the empty trace and ``#`` starts a comment line.  Lines are
-    counted first, so each distinct line is checked and made a ``Trace``
-    once; an error names the first line that holds the bad text.
+    counted first, so each distinct line is checked once; an error names
+    the first line that holds the bad text.
     """
     lines = text.splitlines()
-    traces: dict[Trace, int] = {}
+    traces: dict[tuple[str, ...], int] = {}
     for line, mult in Counter(lines).items():
         if line.startswith("#"):
             continue
@@ -178,7 +178,7 @@ def read_log(text: str) -> EventLog:
                 if token:
                     _fail(where, f"{CHI!r} is reserved")
                 _fail(where, "empty event name (double space?)")
-        traces[Trace(events)] = mult
+        traces[events] = mult
     return EventLog(traces)
 
 
@@ -188,8 +188,8 @@ def write_log(log: EventLog) -> str:
     A trace that would read back differently raises FormatError naming it.
     """
     lines = []
-    for trace, mult in sorted(log, key=lambda item: item[0].events):
-        names = list(trace.events)
+    for trace, mult in sorted(log):
+        names = list(trace)
         for name in names:
             if " " in name or name.splitlines() != [name]:
                 _fail(f"trace {names}", f"{name!r} holds a space or a line break")
@@ -213,8 +213,7 @@ def read_xes(text: str | bytes) -> EventLog:
     value is its name, which must be nonempty, as every label must.  The
     event counts only if its lifecycle:transition is absent or ``complete``
     (in any case), so an activity recorded by its start and its completion
-    occurs once.  Traces are counted as tuples of names while parsing, so
-    a ``Trace`` is made once per distinct trace.
+    occurs once.  Traces are counted as tuples of names while parsing.
     """
     parser = expat.ParserCreate(None, "}")
     local_names: dict[str, str] = {}
@@ -274,7 +273,7 @@ def read_xes(text: str | bytes) -> EventLog:
         parser.Parse(text, True)
     except expat.ExpatError as exc:
         raise FormatError(f"XML parse error: {exc}") from None
-    return EventLog({Trace(trace): mult for trace, mult in counts.items()})
+    return EventLog(counts)
 
 
 #: How DOT shows the reserved label strings.

@@ -1,75 +1,53 @@
 """Event logs: finite multisets of traces, and their automaton encoding.
 
-A trace is a tuple of ``str`` labels.  Neither reserved label string, the
-silent ``SILENT`` (``""``) nor the short-circuit ``CHI`` (``"__chi__"``),
-can occur in one.
+A trace is a plain tuple of ``str`` labels, and ``EventLog`` checks every
+trace it is given: neither reserved label string, the silent ``SILENT``
+(``""``) nor the short-circuit ``CHI`` (``"__chi__"``), can occur in one.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import Counter
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping
 
 from .automata import CHI, SILENT, Dfa, _explore
 
 
-@dataclass(frozen=True)
-class Trace:
-    """One recorded execution: a finite sequence of observable labels."""
-
-    events: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
-        if SILENT in self.events or CHI in self.events:
-            raise ValueError("invariant violated: reserved marker inside a trace")
-
-    @classmethod
-    def of(cls, *names: str) -> Trace:
-        """The trace of the event names ``names``."""
-        return cls(names)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.events)
-
-
 class EventLog:
-    """Finite multiset of ``Trace`` entries; multiplicities are positive integers."""
+    """Finite multiset of traces; multiplicities are positive integers."""
 
     __slots__ = ("_entries",)
 
-    def __init__(self, entries: Mapping[Trace, int] | Iterable[Trace] = ()):
-        counts: dict[Trace, int] = {}
-        if isinstance(entries, Mapping):
-            for trace, mult in entries.items():
-                _check_trace(trace)
-                try:  # any integer, numpy's included, but no bool
-                    count = 0 if isinstance(mult, bool) else operator.index(mult)
-                except TypeError:
-                    count = 0
-                if count < 1:
-                    raise ValueError("invariant violated: multiplicity must be a positive integer")
-                counts[trace] = counts.get(trace, 0) + count
-        else:
-            for trace in entries:
-                _check_trace(trace)
-                counts[trace] = counts.get(trace, 0) + 1
+    def __init__(self, entries: Mapping[tuple[str, ...], int] | Iterable[tuple[str, ...]] = ()):
+        counts: dict[tuple[str, ...], int] = {}
+        pairs = entries.items() if isinstance(entries, Mapping) else zip(entries, repeat(1))
+        for trace, mult in pairs:
+            if not (
+                isinstance(trace, tuple)
+                and all(map(isinstance, trace, repeat(str)))
+                and SILENT not in trace
+                and CHI not in trace
+            ):
+                raise ValueError(
+                    "invariant violated: log entries must be traces, tuples of unreserved labels"
+                )
+            try:  # any integer, numpy's included, but no bool
+                count = 0 if isinstance(mult, bool) else operator.index(mult)
+            except TypeError:
+                count = 0
+            if count < 1:
+                raise ValueError("invariant violated: multiplicity must be a positive integer")
+            counts[trace] = counts.get(trace, 0) + count
         self._entries = counts
-
-    @property
-    def entries(self) -> Mapping[Trace, int]:
-        return dict(self._entries)
 
     @property
     def total_count(self) -> int:
         """Number of recorded trace instances, multiplicities included."""
         return sum(self._entries.values())
 
-    def __iter__(self) -> Iterator[tuple[Trace, int]]:
+    def __iter__(self) -> Iterator[tuple[tuple[str, ...], int]]:
         return iter(self._entries.items())
 
     def __eq__(self, other: object) -> bool:
@@ -79,25 +57,17 @@ class EventLog:
         return f"EventLog({self.total_count} traces, {len(self._entries)} distinct)"
 
 
-def _check_trace(entry: object) -> None:
-    if not isinstance(entry, Trace):
-        raise ValueError("invariant violated: log entries must be traces")
-
-
-def multiplicity(log: EventLog, trace: Trace) -> int:
+def multiplicity(log: EventLog, trace: tuple[str, ...]) -> int:
     """How many times ``trace`` was recorded; 0 if absent."""
     return log._entries.get(trace, 0)
 
 
 def union(x: EventLog, y: EventLog) -> EventLog:
     """Multiset union: multiplicities add per trace."""
-    counts = dict(x._entries)
-    for trace, mult in y._entries.items():
-        counts[trace] = counts.get(trace, 0) + mult
-    return EventLog(counts)
+    return EventLog(Counter(x._entries) + Counter(y._entries))
 
 
-def distinct_language(log: EventLog) -> frozenset[Trace]:
+def distinct_language(log: EventLog) -> frozenset[tuple[str, ...]]:
     """The language of the log: every trace that occurs at least once."""
     return frozenset(log._entries)
 
@@ -117,7 +87,7 @@ def prefix_tree_acceptor(log: EventLog) -> Dfa:
     accepts: set[int] = set()
     for trace in log._entries:
         node = 0
-        for lab in trace.events:
+        for lab in trace:
             nxt = children[node].get(lab)
             if nxt is None:
                 nxt = children[node][lab] = len(children)

@@ -136,7 +136,7 @@ def eig_short_circuit_measure(
 
 def _shared_profile(spec: Dfa, log: EventLog) -> Counter[int]:
     """Distinct traces per length that ``spec`` accepts."""
-    return Counter(len(trace) for trace, _ in log if accepts(spec, trace.events))
+    return Counter(len(trace) for trace, _ in log if accepts(spec, trace))
 
 
 def _profile_measure(

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from entroscope import CHI, SILENT, Dfa, EventLog, Nfa, SparseMatrix, Trace
+from entroscope import CHI, SILENT, Dfa, EventLog, Nfa, SparseMatrix
 from entroscope.formats import FormatError, _fail
 
 ABC = ["a", "b", "c"]
@@ -279,7 +279,7 @@ def tree_read_xes(text: str) -> EventLog:
         root = ElementTree.fromstring(text)
     except ElementTree.ParseError as exc:
         raise FormatError(f"XML parse error: {exc}") from None
-    traces: list[Trace] = []
+    traces: list[tuple[str, ...]] = []
     trace_elements = [el for el in root.iter() if _local_name(el.tag) == "trace"]
     for t_index, trace_el in enumerate(trace_elements):
         events: list[str] = []
@@ -303,7 +303,7 @@ def tree_read_xes(text: str) -> EventLog:
             if name == CHI:
                 _fail(f"trace {t_index}", f"{CHI!r} is reserved")
             events.append(name)
-        traces.append(Trace(tuple(events)))
+        traces.append(tuple(events))
     return EventLog(traces)
 
 
@@ -348,8 +348,8 @@ def random_dfa(
     return Dfa(n, frozenset(alphabet), frozenset(transitions), 0, accepts)
 
 
-def random_trace(rng: random.Random, alphabet: list[str], max_len: int = 5) -> Trace:
-    return Trace(tuple(rng.choice(alphabet) for _ in range(rng.randint(0, max_len))))
+def random_trace(rng: random.Random, alphabet: list[str], max_len: int = 5) -> tuple[str, ...]:
+    return tuple(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
 
 
 def random_log(
@@ -367,7 +367,7 @@ def random_log(
 
 def word_log(words: list[str]) -> EventLog:
     """Log of single-character-event traces, one instance per word."""
-    return EventLog([Trace.of(*word) for word in words])
+    return EventLog([tuple(word) for word in words])
 
 
 def sparse_matrix(order: int, entries: Iterable[tuple[int, int, int]]) -> SparseMatrix:

@@ -8,7 +8,7 @@ them.
 
 from __future__ import annotations
 
-from entroscope import Dfa, EventLog, Nfa, Trace, prefix_tree_acceptor, union
+from entroscope import Dfa, EventLog, Nfa, prefix_tree_acceptor, union
 
 A, B, C, D, E, F = "abcdef"
 LOGIN_ALPHABET = frozenset({A, B, C, D, E, F})
@@ -62,7 +62,7 @@ def anything_spec() -> Dfa:
 
 
 def word_log(words: list[str]) -> EventLog:
-    return EventLog([Trace.of(*word) for word in words])
+    return EventLog([tuple(word) for word in words])
 
 
 def small_log() -> EventLog:

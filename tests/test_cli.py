@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from entroscope import (
+    Dfa,
     EventLog,
-    Trace,
     as_dfa,
     eig_short_circuit_measure,
     empty_language_automaton,
@@ -61,7 +61,7 @@ class TestMeasureCommands:
         spec, labels = all_words_of_length(220)  # 26^220 words, more than the largest float
         spec_file, log_file = tmp_path / "big.json", tmp_path / "one.log"
         spec_file.write_text(write_automaton(spec), encoding="utf-8")
-        log = EventLog([Trace(tuple(labels[:1] * 220))])
+        log = EventLog([tuple(labels[:1] * 220)])
         log_file.write_text(write_log(log), encoding="utf-8")
         args = ["precision", str(spec_file), str(log_file), "--measure", "card", "--format", "json"]
         assert main(args) == 0
@@ -134,6 +134,17 @@ class TestMeasureCommands:
         captured = capsys.readouterr()
         assert "did not converge within 2 iterations" in captured.err
         assert captured.out.startswith(f"{command} = ")
+
+    def test_a_line_log_may_begin_with_a_tag_like_event(self, capsys, tmp_path):
+        # Java specification miners name constructors "<init>".
+        spec = tmp_path / "spec.json"
+        moves = {(0, "<init>", 1), (1, "open", 2), (2, "read", 2), (2, "close", 3)}
+        labels = frozenset(lab for _, lab, _ in moves)
+        spec.write_text(write_automaton(Dfa(4, labels, frozenset(moves), 0, frozenset({3}))))
+        log = tmp_path / "init.log"
+        log.write_text("<init> open close\n<init> open read close\n<init> close\n")
+        assert main(["recall", str(spec), str(log)]) == 0
+        assert capsys.readouterr().out == "recall = 0.881\n"
 
     def test_automaton_given_as_log_exits_2(self, capsys, retry_spec_file):
         assert main(["precision", str(retry_spec_file), str(retry_spec_file)]) == 2
@@ -350,8 +361,14 @@ class TestInspectAndConvert:
                 '{"alphabet": ["a"], "states": 1, "start": 0, "accepts": [0], "transitions": []}',
                 ["type: automaton", "states: 1"],
             ),
+            (
+                "init.log",
+                "<init> open close\n<init> close\n",
+                ["type: log", "distinct_traces: 2", "total_traces: 2"],
+            ),
+            ("brace.log", "{x} y\n{x} y\n", ["type: log", "distinct_traces: 1", "total_traces: 2"]),
         ],
-        ids=["xes", "line log", "automaton"],
+        ids=["xes", "line log", "automaton", "line log of <init>", "line log of {x}"],
     )
     def test_a_utf8_byte_order_mark_is_skipped(self, capsys, tmp_path, name, text, expected):
         path = tmp_path / name
@@ -393,6 +410,24 @@ class TestFamilies:
         explicit = as_dfa(read_automaton((tmp_path / "permutations_120.json").read_text()))
         block = as_dfa(read_automaton((tmp_path / "parallel_block.json").read_text()))
         assert bounded_language_dfa(explicit, 5) == bounded_language_dfa(block, 5)
+
+    @pytest.mark.parametrize(
+        "name, option, value",
+        [
+            ("kleene", "--x", "5"),
+            ("permutations", "--x", "3"),
+            ("parallel-block", "--x", "3"),
+            ("bounded-repeat", "--count", "7"),
+            ("kleene", "--count", "7"),
+            ("parallel-block", "--count", "7"),
+        ],
+    )
+    def test_an_option_of_another_family_is_rejected(self, capsys, tmp_path, name, option, value):
+        out = tmp_path / "out"
+        assert main(["family", name, option, value, "--out", str(out)]) == 2
+        owner = {"--x": "bounded-repeat", "--count": "permutations"}[option]
+        assert capsys.readouterr() == ("", f"error: {option} applies only to {owner}\n")
+        assert not out.exists()
 
     def test_permutation_log_has_five_words(self, capsys, tmp_path):
         assert main(["family", "permutations", "--count", "7", "--out", str(tmp_path)]) == 0

@@ -16,7 +16,6 @@ from entroscope import (
     EventLog,
     MeasureKind,
     Nfa,
-    Trace,
     determinize,
     is_deterministic,
     minimize,
@@ -128,14 +127,14 @@ class TestLogDocuments:
 
     def test_repeated_lines_accumulate(self):
         parsed = read_log("a f e\na f e\n")
-        assert multiplicity(parsed, Trace.of(*"afe")) == 2
+        assert multiplicity(parsed, tuple("afe")) == 2
 
     def test_empty_file_is_empty_log(self):
         assert read_log("") == EventLog()
 
     def test_blank_line_is_empty_trace(self):
         parsed = read_log("\n")
-        assert multiplicity(parsed, Trace(())) == 1
+        assert multiplicity(parsed, ()) == 1
 
     def test_comments_are_ignored(self):
         parsed = read_log("# a comment\na b\n")
@@ -168,7 +167,7 @@ class TestLogDocuments:
         ],
     )
     def test_a_trace_that_reads_back_differently_is_refused(self, names, problem):
-        log = EventLog([Trace.of("ok"), Trace.of(*names)])
+        log = EventLog([("ok",), tuple(names)])
         with pytest.raises(FormatError, match=rf"^trace \[.*\]: .*{re.escape(problem)}"):
             write_log(log)
 
@@ -187,10 +186,10 @@ def test_every_log_write_log_accepts_round_trips(traces):
     for names in traces:
         if SILENT in names or CHI in names:
             with pytest.raises(ValueError, match="reserved"):
-                Trace.of(*names)
+                EventLog([tuple(names)])
         else:
             kept.append(names)
-    log = EventLog([Trace.of(*names) for names in kept])
+    log = EventLog([tuple(names) for names in kept])
     try:
         text = write_log(log)
     except FormatError:
@@ -218,8 +217,8 @@ MINIMAL_XES = """<?xml version="1.0" encoding="UTF-8"?>
 class TestXes:
     def test_minimal_sample(self):
         parsed = read_xes(MINIMAL_XES)
-        assert multiplicity(parsed, Trace.of("A", "B")) == 1
-        assert multiplicity(parsed, Trace(())) == 1
+        assert multiplicity(parsed, ("A", "B")) == 1
+        assert multiplicity(parsed, ()) == 1
 
     def test_missing_concept_name_names_the_trace(self):
         bad = "<log><trace><event/></trace></log>"
@@ -253,19 +252,19 @@ class TestXes:
     def test_start_and_complete_count_once(self):
         events = [("A", "start"), ("A", "complete"), ("B", "START"), ("B", "Complete"), ("C", None)]
         parsed = read_xes(self.lifecycle_log(*events))
-        assert multiplicity(parsed, Trace.of("A", "B", "C")) == 1
+        assert multiplicity(parsed, ("A", "B", "C")) == 1
         assert parsed.total_count == 1
 
     def test_trace_of_start_events_only_is_empty(self):
         parsed = read_xes(self.lifecycle_log(("A", "start"), ("B", "start")))
-        assert multiplicity(parsed, Trace(())) == 1
+        assert multiplicity(parsed, ()) == 1
 
     def test_lifecycle_before_name_is_read(self):
         text = (
             '<log><trace><event><string key="lifecycle:transition" value="start"/>'
             '<string key="concept:name" value="A"/></event></trace></log>'
         )
-        assert multiplicity(read_xes(text), Trace(())) == 1
+        assert multiplicity(read_xes(text), ()) == 1
 
 
     def test_reserved_label_names_the_trace(self):
@@ -283,7 +282,7 @@ class TestXes:
     def test_trace_level_concept_name_is_no_event(self):
         text = '<log><trace><string key="concept:name" value="case-1"/></trace></log>'
         parsed = read_xes(text)
-        assert multiplicity(parsed, Trace(())) == 1
+        assert multiplicity(parsed, ()) == 1
         assert parsed.total_count == 1
 
     def test_reading_builds_no_element_tree(self):

@@ -18,7 +18,6 @@ from entroscope import (
     InfiniteLanguageError,
     MeasureKind,
     Nfa,
-    Trace,
     coverage,
     determinize,
     eig_short_circuit_measure,
@@ -70,7 +69,7 @@ class TestEigMeasure:
         labels = [f"l{i:02d}" for i in range(26)]
         moves = {(i, lab, i + 1) for i in range(250) for lab in labels}
         spec = Dfa(251, frozenset(labels), frozenset(moves), 0, frozenset({250}))
-        report = precision(spec, EventLog([Trace(tuple(labels[:1] * 250))]))
+        report = precision(spec, EventLog([tuple(labels[:1] * 250)]))
         assert report.converged
         assert report.denominator_value == pytest.approx(26 ** (250 / 251), rel=1e-12)
         assert (report.denominator.states, report.denominator.transitions) == (251, 250 * 26 + 1)
@@ -91,7 +90,7 @@ class TestCardinalityBeyondFloatRange:
     # 26^220 words exceed the largest float, about 1.8e308.
     def test_precision_divides_the_exact_counts(self):
         spec, labels = all_words_of_length(220)
-        log = EventLog([Trace(tuple(labels[:1] * 220))])
+        log = EventLog([tuple(labels[:1] * 220)])
         report = precision(spec, log, MeasureKind.CARDINALITY)
         assert report.value == 1 / 26**220
         assert (report.numerator_value, report.denominator_value) == (1.0, math.inf)
@@ -100,7 +99,7 @@ class TestCardinalityBeyondFloatRange:
 
     def test_a_quotient_beyond_float_range_is_infinite(self):
         big, labels = all_words_of_length(220)
-        one = prefix_tree_acceptor(EventLog([Trace(tuple(labels[:1] * 220))]))
+        one = prefix_tree_acceptor(EventLog([tuple(labels[:1] * 220)]))
         report = quotient(MeasureKind.CARDINALITY, big, one)
         values = (report.value, report.numerator_value, report.denominator_value)
         assert values == (math.inf, math.inf, 1.0)
@@ -195,14 +194,14 @@ class TestPrecisionRecall:
 
     def test_multiplicities_do_not_matter(self):
         single = word_log(["abde"])
-        repeated = EventLog({Trace.of(*"abde"): 50})
+        repeated = EventLog({tuple("abde"): 50})
         assert precision(retry_spec(), single).value == precision(retry_spec(), repeated).value
         assert recall(retry_spec(), single).value == recall(retry_spec(), repeated).value
 
 
 def same_length_log(count: int, length: int) -> EventLog:
     """``count`` distinct traces of ``length`` events over a..e."""
-    return EventLog([Trace.of(*"a" * (length - 1), last) for last in "abcde"[:count]])
+    return EventLog([(*"a" * (length - 1), last) for last in "abcde"[:count]])
 
 
 class TestLengthProfileClosedForms:
@@ -225,12 +224,12 @@ class TestLengthProfileClosedForms:
 
     @pytest.mark.parametrize("length", [0, 1, 150, 800])
     def test_single_trace_is_exactly_one(self, length):
-        log = same_length_log(1, length) if length else EventLog([Trace(())])
+        log = same_length_log(1, length) if length else EventLog([()])
         assert recall(anything_spec(), log).denominator_value == 1.0
 
     def test_rejected_traces_count_only_in_the_denominator(self):
         log = same_length_log(2, 4)
-        log = EventLog({**dict(log), Trace.of("a", "z"): 3})
+        log = EventLog({**dict(log), ("a", "z"): 3})
         report = recall(anything_spec(), log)
         assert report.numerator_value == pytest.approx(2 ** (1 / 5), rel=1e-12)
         card = recall(anything_spec(), log, CARD)

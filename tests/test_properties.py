@@ -20,7 +20,6 @@ from entroscope import (
     InfiniteLanguageError,
     MeasureKind,
     Nfa,
-    Trace,
     accepts,
     adjacency_matrix,
     as_dfa,
@@ -90,10 +89,6 @@ def word_sets(draw, max_words=5, max_len=5):
     )
 
 
-def log_of(words) -> EventLog:
-    return EventLog([Trace(w) for w in words])
-
-
 @st.composite
 def specs_and_logs(draw, max_traces=6, max_len=60):
     """A spec and a log of walks on it, so that long traces can fit.
@@ -121,7 +116,7 @@ def specs_and_logs(draw, max_traces=6, max_len=60):
             del events[accepted:]
         if draw(st.integers(0, 3)) == 0:
             events.insert(draw(st.integers(0, len(events))), NOISE)
-        traces.append(Trace(tuple(events)))
+        traces.append(tuple(events))
     return spec, EventLog(traces)
 
 
@@ -257,7 +252,7 @@ def test_short_circuit_mark_is_chi_in_the_alphabet(aut):
 def test_constructions_number_states_canonically(x, y, words):
     # States are numbered breadth-first from the start, labels in sort order.
     mx, my = minimize(determinize(x)), minimize(determinize(y))
-    tree = prefix_tree_acceptor(log_of(words))
+    tree = prefix_tree_acceptor(EventLog(words))
     for out in (determinize(x), mx, intersect(mx, my), tree):
         assert canonicalize(out) == out
 
@@ -268,15 +263,15 @@ def test_eig_measure_is_strictly_increasing(u, v):
     merged = u | v
     if u == merged:
         return
-    small = eig_short_circuit_measure(prefix_tree_acceptor(log_of(u)))
-    large = eig_short_circuit_measure(prefix_tree_acceptor(log_of(merged)))
+    small = eig_short_circuit_measure(prefix_tree_acceptor(EventLog(u)))
+    large = eig_short_circuit_measure(prefix_tree_acceptor(EventLog(merged)))
     assert small < large
 
 
 @settings(max_examples=100, deadline=None)
 @given(word_sets())
 def test_empty_language_measures_zero_and_nonempty_positive(words):
-    value = eig_short_circuit_measure(prefix_tree_acceptor(log_of(words)))
+    value = eig_short_circuit_measure(prefix_tree_acceptor(EventLog(words)))
     if words:
         assert value > 0.0
     else:
@@ -325,7 +320,7 @@ def lasso_log(seed: int) -> EventLog:
     prefix = [rng.choice(labels) for _ in range(50)]
     return EventLog(
         [
-            Trace(tuple(prefix + [rng.choice(labels) for _ in range(size - 50)]))
+            tuple(prefix + [rng.choice(labels) for _ in range(size - 50)])
             for size in range(100, 157, 8)
         ]
     )
@@ -351,7 +346,7 @@ def test_trace_order_does_not_change_the_reports():
     spec = Dfa(2, frozenset(ABC), frozenset(moves), 0, frozenset({0}))
     for _ in range(300):
         traces = [
-            Trace(tuple(rng.choice(ABC) for _ in range(rng.randint(0, 12))))
+            tuple(rng.choice(ABC) for _ in range(rng.randint(0, 12)))
             for _ in range(rng.randint(1, 8))
         ]
         shuffled = rng.sample(traces, len(traces))
