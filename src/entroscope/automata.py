@@ -6,22 +6,28 @@ state.  Labels are plain ``str`` values, compared and sorted as strings.  Two
 strings are reserved: ``SILENT`` (``""``) marks an unobservable move, and
 ``CHI`` (``"__chi__"``) the loop-back moves that ``short_circuit`` adds.
 All values are immutable after construction; every operation below is a
-pure function returning fresh automata.
+pure function returning fresh automata.  Derived views (``moves``,
+``rows``, ``arrays``, ``minimal``) are built on first use and kept with
+the automaton.
 
-The construction algorithms work on dicts and sets.  What the measures read
-works on int arrays (``Moves``): ``product_moves`` walks an operand pair a
-breadth-first level at a time in numpy, with a dense int32 index of
-``4 * nx * ny`` bytes for operands of ``nx`` and ``ny`` states (at most
-76 KB on the benchmark pairs, 4.7 MB at 770 x 1,537), and one depth-first
-search over the arrays decides finiteness and orders the word count.
+The construction algorithms work on Python ints and lists: ``determinize``
+keys a subset of states by an int bitmask, and ``minimize`` refines
+numbered blocks, relabelling only the smaller half of each split.  What the
+measures read works on int arrays (``Moves``): ``product_moves`` walks an
+operand pair a breadth-first level at a time in numpy, with a dense int32
+index of ``4 * nx * ny`` bytes for operands of ``nx`` and ``ny`` states (at
+most 76 KB on the benchmark pairs, 4.7 MB at 770 x 1,537), and one
+depth-first search over the arrays decides finiteness and orders the word
+count.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
+from operator import or_
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -142,6 +148,16 @@ class Nfa:
         for p, lab, q in self.transitions:
             out.setdefault((p, lab), set()).add(q)
         return {key: frozenset(val) for key, val in out.items()}
+
+    @cached_property
+    def minimal(self) -> Dfa:
+        """The minimal trim DFA of the language: ``minimize(as_dfa(trim(self)))``.
+
+        Trimming first keeps dead states out of the subset construction.
+        Built on first use and kept with this automaton, so each operand of
+        several measures is minimized once.
+        """
+        return minimize(as_dfa(trim(self)))
 
 
 @dataclass(frozen=True)
@@ -269,29 +285,31 @@ def determinize(a: Nfa) -> Dfa:
     """Rabin-Scott powerset construction, extended with silent closures.
 
     Only subset states reachable from the closure of the start state are
-    materialised; subsets are canonicalised as sorted tuples and discovered
-    breadth-first, so the result is reproducible.  Each state's silent
-    closure is taken once, and each move leads to its targets' closures.
+    materialised, discovered breadth-first with labels in sorted order, so
+    the result is reproducible.  A subset is an ``int`` bitmask of states.
+    Each state's silent closure is taken once, and each state's move on a
+    label is stored as the mask of its targets' closures, so a subset's move
+    is the OR of its members' masks.
     """
     labels = sorted(a.alphabet)
-    closures = [silent_closure(a, [p]) for p in range(a.state_count)]
-    closed = {
-        move: frozenset().union(*map(closures.__getitem__, targets))
-        for move, targets in a.moves.items()
-    }
+    column = {lab: i for i, lab in enumerate(labels)}
+    masks = [sum(1 << q for q in silent_closure(a, [p])) for p in range(a.state_count)]
+    closed: list[list[tuple[int, int]]] = [[] for _ in range(a.state_count)]
+    for (p, lab), targets in a.moves.items():
+        if lab != SILENT:
+            closed[p].append((column[lab], reduce(or_, map(masks.__getitem__, targets))))
+    accept_bits = sum(1 << q for q in a.accepts)
 
-    def moves(subset: tuple[int, ...]) -> Iterator[tuple[str, tuple[int, ...]]]:
-        for lab in labels:
-            targets: set[int] = set()
-            for p in subset:
-                targets.update(closed.get((p, lab), ()))
-            if targets:
-                yield lab, tuple(sorted(targets))
+    def moves(subset: int) -> list[tuple[str, int]]:
+        out: dict[int, int] = {}
+        while subset:
+            low = subset & -subset
+            for i, mask in closed[low.bit_length() - 1]:
+                out[i] = out.get(i, 0) | mask
+            subset ^= low
+        return [(labels[i], out[i]) for i in sorted(out)]
 
-    def accepting(subset: tuple[int, ...]) -> bool:
-        return not a.accepts.isdisjoint(subset)
-
-    return _explore(tuple(sorted(closures[a.start])), moves, accepting, a.alphabet)
+    return _explore(masks[a.start], moves, accept_bits.__and__, a.alphabet)
 
 
 def trim(a: Nfa) -> Nfa:
@@ -336,15 +354,18 @@ def minimize(d: Nfa) -> Dfa:
     """Minimal trim DFA for ``L(d)``: Hopcroft partition refinement on ``as_dfa(d)``.
 
     An extra, empty row is the dead state: in refinement every missing move,
-    the dead state's own included, leads there.  The partition starts as the
-    accept states and the rest, and both go on one worklist of blocks.  Each
-    block popped splits every block on every label; a split block that is
-    queued is replaced there by its two halves, any other queues its smaller
-    half.  No ``trim`` is needed: dead states end in the dead row's block,
-    moves into it are dropped, and only blocks reachable from the start's
-    are numbered, breadth-first as ``canonicalize`` would number them.  So
-    language-equal inputs minimise to structurally identical automata, and a
-    dead start gives the empty automaton.
+    the dead state's own included, leads there.  Blocks are numbered sets
+    of states, and ``block_of`` gives each state's block number.  The
+    partition starts as the accept states and the rest, and both go on one
+    worklist of block numbers.  Each block popped splits every block on
+    every label; the smaller half of a split block gets a new number, which
+    is queued, and only its states are relabelled, so that a state is
+    relabelled O(log n) times.  No ``trim`` is needed: dead states end in
+    the dead row's block, moves into it are dropped, and only blocks
+    reachable from the start's are numbered, breadth-first as
+    ``canonicalize`` would number them.  So language-equal inputs minimise
+    to structurally identical automata, and a dead start gives the empty
+    automaton.
     """
     t = as_dfa(d)
     rows = [*t.rows, {}]
@@ -356,35 +377,40 @@ def minimize(d: Nfa) -> Dfa:
             by_target.setdefault(row.get(lab, dead), []).append(p)
         predecessors.append(by_target)
 
-    worklist = {t.accepts, frozenset(range(dead + 1)) - t.accepts} - {frozenset()}
-    block_of = {q: block for block in worklist for q in block}
+    blocks = [set(t.accepts), set(range(dead + 1)) - t.accepts]  # the first may be empty
+    block_of = [int(q not in t.accepts) for q in range(dead + 1)]
+    worklist = [0, 1]
     while worklist:
-        splitter = worklist.pop()
+        splitter = list(blocks[worklist.pop()])  # a snapshot: the block may split below
         for by_target in predecessors:
-            touched: dict[frozenset[int], set[int]] = {}
+            touched: dict[int, list[int]] = {}
             for q in splitter:
                 for p in by_target.get(q, ()):
-                    touched.setdefault(block_of[p], set()).add(p)
-            for block, inside in touched.items():
+                    touched.setdefault(block_of[p], []).append(p)
+            for b, inside in touched.items():
+                block = blocks[b]
                 if len(inside) == len(block):
                     continue
-                halves = frozenset(inside), block - inside
-                for half in halves:
-                    block_of.update(dict.fromkeys(half, half))
-                if block in worklist:
-                    worklist.remove(block)
-                    worklist.update(halves)
-                else:
-                    worklist.add(min(halves, key=len))
+                block.difference_update(inside)
+                smaller = set(inside)
+                if len(smaller) > len(block):
+                    blocks[b], smaller = smaller, block
+                for q in smaller:
+                    block_of[q] = len(blocks)
+                worklist.append(len(blocks))
+                blocks.append(smaller)
 
     dead_block = block_of[dead]
 
-    def moves(block: frozenset[int]) -> Iterator[tuple[str, frozenset[int]]]:
-        for lab, q in rows[next(iter(block))].items():
-            if block_of[q] is not dead_block:
+    def moves(b: int) -> Iterator[tuple[str, int]]:
+        for lab, q in rows[next(iter(blocks[b]))].items():
+            if block_of[q] != dead_block:
                 yield lab, block_of[q]
 
-    return _explore(block_of[t.start], moves, lambda block: block <= t.accepts, t.alphabet)
+    def accepting(b: int) -> bool:
+        return next(iter(blocks[b])) in t.accepts
+
+    return _explore(block_of[t.start], moves, accepting, t.alphabet)
 
 
 def short_circuit(d: Dfa) -> Dfa:

@@ -41,7 +41,6 @@ from .automata import (
     is_deterministic,
     is_ergodic,
     is_trim,
-    minimize,
 )
 from .formats import (
     FormatError,
@@ -218,13 +217,13 @@ def _run_quotient_command(args: argparse.Namespace) -> int:
 
 
 def _run_scalar_command(args: argparse.Namespace) -> int:
-    d = as_dfa(_load_automaton(args.automaton))
+    automaton = _load_automaton(args.automaton)
     if args.command == "cardinality":
-        value = count_words(d)
+        value = count_words(as_dfa(automaton))
         _emit(f"cardinality = {value}\n", args.out)
         return EXIT_OK
     kind = MeasureKind.SHORT_CIRCUIT_EIGENVALUE
-    value, stats = measure(minimize(d).arrays, kind, args.tol, args.max_iter)
+    value, stats = measure(automaton.minimal.arrays, kind, args.tol, args.max_iter)
     if not stats.eigen.converged:
         _warn_unconverged(args.max_iter)
     if args.command == "eigenvalue":
@@ -307,6 +306,12 @@ def _run_family(args: argparse.Namespace) -> int:
         if getattr(args, option) is not None and args.name != family:
             print(f"error: --{option} applies only to {family}", file=sys.stderr)
             return EXIT_PARSE
+    x = 2 if args.x is None else args.x
+    count = 120 if args.count is None else args.count
+    for option, value, low, high in (("x", x, 2, 20), ("count", count, 5, 120)):
+        if not low <= value <= high:
+            print(f"error: --{option} must be in [{low}..{high}]", file=sys.stderr)
+            return EXIT_PARSE
     out_dir: Path = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -317,23 +322,15 @@ def _run_family(args: argparse.Namespace) -> int:
         written.append(path)
 
     if args.name == "bounded-repeat":
-        x = 2 if args.x is None else args.x
-        if not 2 <= x <= 20:
-            print("error: --x must be in [2..20]", file=sys.stderr)
-            return EXIT_PARSE
         save(f"bounded_repeat_{x:02d}.json", write_automaton(_bounded_repeat_automaton(x)))
         save("bounded_repeat_log.log", write_log(_word_log(["b", "ab", "aab"])))
     elif args.name == "kleene":
         save("kleene.json", write_automaton(_kleene_automaton()))
     else:  # the parallel block is all 120 permutations
         block = args.name == "parallel-block"
-        count = 120 if args.count is None else args.count
-        if not 5 <= count <= 120:
-            print("error: --count must be in [5..120]", file=sys.stderr)
-            return EXIT_PARSE
         tree = prefix_tree_acceptor(_word_log(_permutation_words(count)))
         name = "parallel_block.json" if block else f"permutations_{count:03d}.json"
-        save(name, write_automaton(minimize(tree)))
+        save(name, write_automaton(tree.minimal))
         if not block:
             save("permutations_log.log", write_log(_word_log(_permutation_words(5))))
     for path in written:

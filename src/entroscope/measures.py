@@ -1,15 +1,15 @@
 """Language measures, quotients, and the precision/recall/coverage pipeline.
 
 Two automata (``coverage``, ``precision_and_recall``, ``quotient``) are
-compared in one fixed order: trim each operand, so dead states never enter
-the subset construction, determinize it if needed and minimize it, then
-measure their intersection short-circuited.  One ``automata.product_moves``
-walk per pair, on int arrays, gives the trim product, never built as a
-``Dfa``, whose eigenvalue is that of its minimal quotient, and tells whether
-one operand's language lies inside the other's; if so, that operand's
-language is the shared one and its own solve serves.  The chi moves are
-added only after intersecting, so the loop-back marker is never part of the
-compared languages.
+compared through each operand's ``Nfa.minimal``, its minimal DFA, which is
+built on first use and kept with the operand: measuring a pair both ways
+minimizes each operand once.  Their intersection is measured
+short-circuited.  One ``automata.product_moves`` walk per pair, on int
+arrays, gives the trim product, never built as a ``Dfa``, whose eigenvalue
+is that of its minimal quotient, and tells whether one operand's language
+lies inside the other's; if so, that operand's language is the shared one
+and its own solve serves.  The chi moves are added only after intersecting,
+so the loop-back marker is never part of the compared languages.
 
 ``measure`` measures every automaton's language from its ``Moves``, the
 walked product's or a minimal operand's own, and the table picks the
@@ -47,7 +47,6 @@ from .automata import (
     as_dfa,
     minimize,
     product_moves,
-    trim,
 )
 from .logs import EventLog
 from .spectral import (
@@ -156,16 +155,6 @@ def _profile_measure(
     return result.value, AutomatonStats(states, transitions, result)
 
 
-def _minimal(a: Nfa) -> Dfa:
-    """Minimal DFA of ``L(a)``: trim, determinize, then minimize.
-
-    Trimming first keeps dead states out of the subset construction.
-    ``minimize`` would determinize too, but inside its own call, where a
-    traced benchmark run would count the NFA's states as those it refines.
-    """
-    return minimize(as_dfa(trim(a)))
-
-
 def _elapsed_ms(started: float) -> float:
     return (time.perf_counter() - started) * 1000.0
 
@@ -225,8 +214,8 @@ def quotient(
     """Measure of the first language over the measure of the second."""
     _refuse_short_circuited(numerator, denominator)
     started = time.perf_counter()
-    num = measure(_minimal(numerator).arrays, kind, tol, max_iter)
-    den = measure(_minimal(denominator).arrays, kind, tol, max_iter)
+    num = measure(numerator.minimal.arrays, kind, tol, max_iter)
+    den = measure(denominator.minimal.arrays, kind, tol, max_iter)
     return _assemble(kind, num, den, _elapsed_ms(started))
 
 
@@ -243,7 +232,7 @@ def _pair_reports(
     _refuse_short_circuited(ret, rel)
     kind = MeasureKind.SHORT_CIRCUIT_EIGENVALUE
     started = time.perf_counter()
-    m_ret, m_rel = _minimal(ret), _minimal(rel)
+    m_ret, m_rel = ret.minimal, rel.minimal
     den_ret = measure(m_ret.arrays, kind, tol, max_iter)
     den_rel = measure(m_rel.arrays, kind, tol, max_iter) if want_recall else None
     product, ret_in_rel, rel_in_ret = product_moves(m_ret, m_rel)
@@ -282,7 +271,7 @@ def precision(
     """
     _refuse_short_circuited(spec)
     started = time.perf_counter()
-    m_spec = _minimal(spec)
+    m_spec = spec.minimal
     numerator = _profile_measure(_shared_profile(m_spec, log), kind)
     denominator = measure(m_spec.arrays, kind, tol, max_iter)
     return _assemble(kind, numerator, denominator, _elapsed_ms(started))

@@ -71,6 +71,29 @@ def language_included(x: Nfa, y: Nfa) -> bool:
     return True
 
 
+def subset_dfa(a: Nfa) -> Dfa:
+    """Oracle powerset construction over frozensets of states, breadth-first.
+
+    Subset replay over the raw triples: state 0 is the start's silent
+    closure, each state's moves are found in sorted label order, and each new
+    nonempty set is numbered when first reached.  The empty set is no state.
+    """
+    first = _closure(a, {a.start})
+    index = {first: 0}
+    subsets = [first]
+    transitions = set()
+    for p, subset in enumerate(subsets):  # ``subsets`` grows as sets are found
+        for lab in sorted(a.alphabet):
+            after = _step(a, subset, lab)
+            if after:
+                if after not in index:
+                    index[after] = len(subsets)
+                    subsets.append(after)
+                transitions.add((p, lab, index[after]))
+    accepts = {p for p, subset in enumerate(subsets) if subset & a.accepts}
+    return Dfa(len(subsets), a.alphabet, frozenset(transitions), 0, frozenset(accepts))
+
+
 def nerode_classes(a: Nfa) -> int:
     """Oracle count of the Myhill-Nerode classes of ``L(a)`` whose words have a future.
 

@@ -5,18 +5,24 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from entroscope import (
+    SILENT,
     Dfa,
     EventLog,
+    Nfa,
     as_dfa,
+    automata,
     eig_short_circuit_measure,
     empty_language_automaton,
+    minimize,
     precision,
     recall,
+    trim,
 )
 from entroscope.cli import main
 from entroscope.formats import read_automaton, read_log, write_automaton, write_log
@@ -102,6 +108,21 @@ class TestMeasureCommands:
         assert capsys.readouterr().out == "eigenvalue = 1.513\n"
         assert main(["entropy", str(retry_spec_file)]) == 0
         assert capsys.readouterr().out == "entropy = 0.597\n"
+
+    def test_scalar_commands_minimize_the_trim_automaton(self, capsys, tmp_path):
+        # The retry flow plus a dead cycle with a silent move, entered on a, and an
+        # unreachable state: the subset construction never sees the dead states.
+        spec = retry_spec()
+        dead = {(0, "a", 5), (5, "b", 6), (6, SILENT, 5), (7, "a", 0)}
+        padded = Nfa(8, spec.alphabet, spec.transitions | dead, spec.start, spec.accepts)
+        path = tmp_path / "padded.json"
+        path.write_text(write_automaton(padded), encoding="utf-8")
+        expected = {"eigenvalue": "eigenvalue = 1.513\n", "entropy": "entropy = 0.597\n"}
+        for command, line in expected.items():
+            with mock.patch.object(automata, "minimize", wraps=minimize) as spy:
+                assert main([command, str(path)]) == 0
+            assert capsys.readouterr().out == line
+            assert [c.args for c in spy.call_args_list] == [(as_dfa(trim(padded)),)]
 
     def test_entropy_of_empty_language_exits_3(self, capsys, tmp_path):
         empty = tmp_path / "empty.json"
@@ -427,6 +448,18 @@ class TestFamilies:
         assert main(["family", name, option, value, "--out", str(out)]) == 2
         owner = {"--x": "bounded-repeat", "--count": "permutations"}[option]
         assert capsys.readouterr() == ("", f"error: {option} applies only to {owner}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, option, value, allowed",
+        [("bounded-repeat", "--x", "40", "[2..20]"), ("permutations", "--count", "3", "[5..120]")],
+    )
+    def test_an_option_out_of_range_writes_nothing(
+        self, capsys, tmp_path, name, option, value, allowed
+    ):
+        out = tmp_path / "D"
+        assert main(["family", name, option, value, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {option} must be in {allowed}\n")
         assert not out.exists()
 
     def test_permutation_log_has_five_words(self, capsys, tmp_path):

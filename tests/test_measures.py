@@ -18,6 +18,7 @@ from entroscope import (
     InfiniteLanguageError,
     MeasureKind,
     Nfa,
+    as_dfa,
     coverage,
     determinize,
     eig_short_circuit_measure,
@@ -30,8 +31,9 @@ from entroscope import (
     quotient,
     recall,
     short_circuit,
+    trim,
 )
-from entroscope import measures
+from entroscope import automata, measures
 from entroscope.formats import report_fields
 from helpers import all_words_of_length, dense_matrix, word_log
 from login_fixtures import (
@@ -278,6 +280,22 @@ class TestCoverage:
     def test_empty_first_operand_is_flagged(self):
         report = coverage(empty_language_automaton(), retry_spec())
         assert report.undefined
+
+
+def test_each_operand_is_minimized_once():
+    def minimized(run) -> list:
+        with mock.patch.object(automata, "minimize", wraps=minimize) as spy:
+            run()
+        return [c.args for c in spy.call_args_list]
+
+    x, y = retry_spec(), flexible_spec()
+    once = [(as_dfa(trim(x)),), (as_dfa(trim(y)),)]
+    assert minimized(lambda: (coverage(x, y), coverage(y, x))) == once
+    assert x.minimal is x.minimal
+    x, y = retry_spec(), flexible_spec()
+    assert minimized(lambda: precision_and_recall(x, y)) == once
+    # Replay needs no minimal DFA.
+    assert minimized(lambda: recall(retry_spec(), small_log())) == []
 
 
 #: Every entry point that takes an automaton, called with a short-circuited one.

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entroscope import measures
+from entroscope import automata, measures
 from entroscope.automata import _topological_order, product_moves
 from entroscope import (
     CHI,
@@ -53,7 +53,9 @@ from helpers import (
     language_included,
     nerode_classes,
     product_rows,
+    random_log,
     reachable,
+    subset_dfa,
 )
 
 NOISE = "z"  # never in a spec alphabet
@@ -128,6 +130,12 @@ def test_determinize_preserves_bounded_language(aut):
     assert bounded_language_dfa(d, 6) == bounded_language_nfa(aut, ABC, 6)
 
 
+@settings(max_examples=300, deadline=None)
+@given(nfas(random_start=True))
+def test_determinize_is_the_breadth_first_subset_construction(aut):
+    assert determinize(aut) == subset_dfa(aut)
+
+
 @settings(max_examples=150, deadline=None)
 @given(nfas())
 def test_minimize_preserves_language_and_is_idempotent(aut):
@@ -158,6 +166,27 @@ DEAD_START = Nfa(3, frozenset(ABC), frozenset({(0, "a", 1), (2, "b", 2)}), 0, fr
 def test_minimize_leaves_one_state_per_live_nerode_class(aut):
     # The empty language has no such class, and one state that accepts nothing.
     assert minimize(aut).state_count == (nerode_classes(aut) or 1)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_minimize_merges_the_shared_tails_of_a_prefix_tree(seed):
+    # A tree is where a block is split many times: each split must keep its states apart.
+    log = random_log(random.Random(seed), max_traces=150, max_len=10)
+    tree = prefix_tree_acceptor(log)
+    m = minimize(tree)
+    assert m.state_count == (nerode_classes(tree) or 1)
+    assert bounded_language_dfa(m, 10) == bounded_language_dfa(tree, 10) == set(dict(log))
+
+
+def test_minimize_splits_by_the_whole_popped_block():
+    # A popped block splits while its labels are processed.  Refining on the later
+    # labels by only what is left of it ends with one class where there are two.
+    moves = {(0, "b", 2), (0, "c", 0), (1, "a", 2), (1, "b", 2), (1, "c", 0), (2, "b", 2)}
+    moves |= {(3, "c", 3), (4, "c", 4), (5, "a", 5), (5, "c", 0)}
+    d = Dfa(6, frozenset(ABC), frozenset(moves), 0, frozenset({0, 2, 3, 5}))
+    m = minimize(d)
+    assert m.state_count == nerode_classes(d) == 2
+    assert bounded_language_dfa(m, 6) == bounded_language_dfa(d, 6)
 
 
 @settings(max_examples=300, deadline=None)
@@ -469,7 +498,7 @@ def test_pair_measures_walk_each_pair_once(pair, name):
         return product_moves(x, y)
 
     with mock.patch.object(measures, "product_moves", spy), mock.patch.object(
-        measures, "minimize", wraps=minimize
+        automata, "minimize", wraps=minimize
     ) as prepared:
         getattr(measures, name)(*pair)
     assert walks == [tuple(minimize(a) for a in pair)]
