@@ -469,8 +469,8 @@ def _live(order: int, sources: np.ndarray, targets: np.ndarray, seeds: np.ndarra
     return live
 
 
-def product_moves(x: Dfa, y: Dfa) -> tuple[Moves, bool, bool]:
-    """The trim product of ``x`` and ``y`` as ``Moves`` over their shared labels, and two flags.
+def product_moves(x: Dfa, y: Dfa) -> tuple[Moves, bool]:
+    """The trim product of ``x`` and ``y`` as ``Moves`` over their shared labels, and a flag.
 
     Pairs, coded as ``px * y.state_count + py``, are numbered breadth-first
     with labels in sorted order, as ``_explore`` numbers states: a level at
@@ -480,23 +480,22 @@ def product_moves(x: Dfa, y: Dfa) -> tuple[Moves, bool, bool]:
     search from the accepting pairs misses are dropped and the rest keep
     their order, as in ``trim``; a dead start leaves one state with no move.
 
-    The flags are ``L(x) <= L(y)`` and ``L(y) <= L(x)``: the first is false
-    once a reached pair has an accept or a move of ``x`` that ``y`` cannot
-    match, and the second likewise.  Each is exact when its left operand is
-    trim, so that every state lies on an accepted word, as a minimal DFA is.
-    The measures read the moves and both flags of minimal operands;
+    The flag is ``L(x) <= L(y)``: it is false once a reached pair has an
+    accept or a move of ``x`` that ``y`` cannot match.  It is exact when
+    ``x`` is trim, so that every state lies on an accepted word, as a minimal
+    DFA is.  ``coverage`` reads the moves and the flag of minimal operands;
     ``intersect`` builds its ``Dfa`` from the moves alone.
     """
     labels = sorted(x.alphabet & y.alphabet)
     x_table, x_accepts, x_degree = _operand(x, labels)
-    y_table, y_accepts, y_degree = _operand(y, labels)
+    y_table, y_accepts, _ = _operand(y, labels)
     width = y.state_count
     index = np.full(x.state_count * width, -1, dtype=np.int32)
     level = np.array([x.start * width + y.start], dtype=np.int64)
     index[level] = 0
     found = 1
     sources, columns, targets, accepting = [], [], [], []
-    x_in_y = y_in_x = True
+    x_in_y = True
     while level.size:
         first = found - level.size  # the number of the level's first pair
         px, py = np.divmod(level, width)
@@ -506,7 +505,6 @@ def product_moves(x: Dfa, y: Dfa) -> tuple[Moves, bool, bool]:
         accepting.append(first + np.flatnonzero(in_x & in_y))
         matched = both.sum(axis=1)
         x_in_y = x_in_y and not (in_x > in_y).any() and bool((matched == x_degree[px]).all())
-        y_in_x = y_in_x and not (in_y > in_x).any() and bool((matched == y_degree[py]).all())
         parent, column = np.nonzero(both)
         codes = x_next[parent, column].astype(np.int64) * width + y_next[parent, column]
         level = codes[index[codes] < 0]
@@ -529,7 +527,7 @@ def product_moves(x: Dfa, y: Dfa) -> tuple[Moves, bool, bool]:
         source, column, target = number[source[kept]], column[kept], number[target[kept]]
         accept, found = number[accept], int(number[-1]) + 1
     offsets = np.searchsorted(source, np.arange(found + 1))
-    return Moves(labels, offsets, source, column, target, accept), x_in_y, y_in_x
+    return Moves(labels, offsets, source, column, target, accept), x_in_y
 
 
 def _refuse_short_circuited(*operands: Nfa) -> None:
@@ -546,7 +544,7 @@ def intersect(x: Dfa, y: Dfa) -> Dfa:
     reachable, so only dead pairs, which reach no accepting pair, are pruned.
     """
     _refuse_short_circuited(x, y)
-    m, _, _ = product_moves(x, y)
+    m, _ = product_moves(x, y)
     labels = map(m.labels.__getitem__, m.columns.tolist())
     transitions = frozenset(zip(m.sources.tolist(), labels, m.targets.tolist()))
     return Dfa(m.order, x.alphabet & y.alphabet, transitions, 0, frozenset(m.accepting.tolist()))

@@ -6,6 +6,8 @@ Each measure command takes only the options that change its output:
 ``eigenvalue`` and ``entropy`` ``--tol --max-iter --out``, and ``cardinality``
 ``--out``.  ``--tol`` and ``--max-iter`` bound a power iteration, which runs
 only over an infinite language, never in ``recall`` or ``cardinality``.
+``eigenvalue`` and ``entropy`` read ``eig_short_circuit_measure`` of the
+automaton, and ``cardinality`` its exact ``count_words``.
 
 Input files are read as bytes.  XES goes to ``read_xes`` undecoded, so its
 XML declaration names the encoding; automata and line logs are UTF-8, a
@@ -58,7 +60,7 @@ from .measures import (
     MeasureKind,
     MeasureReport,
     coverage,
-    measure,
+    eig_short_circuit_measure,
     precision,
     recall,
 )
@@ -222,10 +224,10 @@ def _run_scalar_command(args: argparse.Namespace) -> int:
         value = count_words(as_dfa(automaton))
         _emit(f"cardinality = {value}\n", args.out)
         return EXIT_OK
-    kind = MeasureKind.SHORT_CIRCUIT_EIGENVALUE
-    value, stats = measure(automaton.minimal.arrays, kind, args.tol, args.max_iter)
-    if not stats.eigen.converged:
+    result = eig_short_circuit_measure(automaton, args.tol, args.max_iter)
+    if not result.converged:
         _warn_unconverged(args.max_iter)
+    value = result.value
     if args.command == "eigenvalue":
         _emit(f"eigenvalue = {value:.3f}\n", args.out)
         return EXIT_OK

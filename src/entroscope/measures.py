@@ -1,15 +1,22 @@
 """Language measures, quotients, and the precision/recall/coverage pipeline.
 
-Two automata (``coverage``, ``precision_and_recall``, ``quotient``) are
-compared through each operand's ``Nfa.minimal``, its minimal DFA, which is
-built on first use and kept with the operand: measuring a pair both ways
-minimizes each operand once.  Their intersection is measured
-short-circuited.  One ``automata.product_moves`` walk per pair, on int
-arrays, gives the trim product, never built as a ``Dfa``, whose eigenvalue
-is that of its minimal quotient, and tells whether one operand's language
-lies inside the other's; if so, that operand's language is the shared one
-and its own solve serves.  The chi moves are added only after intersecting,
-so the loop-back marker is never part of the compared languages.
+Three functions give the quotients.  A specification and an event log are
+compared by ``precision`` and ``recall``; two systems by ``coverage``, where
+the precision of ``x`` against ``y`` is ``coverage(x, y)`` and its recall is
+``coverage(y, x)``.  ``eig_short_circuit_measure`` gives the eig measure of
+one automaton's language, as the ``eigenvalue`` and ``entropy`` commands
+report it.
+
+Two automata are compared through each operand's ``Nfa.minimal``, its
+minimal DFA, which is built on first use and kept with the operand:
+measuring a pair both ways minimizes each operand once.  Their intersection
+is measured short-circuited.  One ``automata.product_moves`` walk per pair,
+on int arrays, gives the trim product, never built as a ``Dfa``, whose
+eigenvalue is that of its minimal quotient, and tells whether the first
+operand's language lies inside the second's; if so, it is the shared
+language and its own solve serves.  The chi moves are added only after
+intersecting, so the loop-back marker is never part of the compared
+languages.
 
 ``measure`` measures every automaton's language from its ``Moves``, the
 walked product's or a minimal operand's own, and the table picks the
@@ -45,7 +52,7 @@ from .automata import (
     _refuse_short_circuited,
     accepts,
     as_dfa,
-    minimize,
+    minimize,  # not called here: the benchmark's tracer test checks that tracing restores it
     product_moves,
 )
 from .logs import EventLog
@@ -125,12 +132,12 @@ def measure(
 
 
 def eig_short_circuit_measure(
-    d: Dfa, tol: float = DEFAULT_TOLERANCE, max_iter: int = DEFAULT_MAX_ITERATIONS
-) -> float:
-    """Dominant eigenvalue of the short-circuited minimal automaton of ``L(d)``."""
-    _refuse_short_circuited(d)
-    value, _ = measure(minimize(d).arrays, MeasureKind.SHORT_CIRCUIT_EIGENVALUE, tol, max_iter)
-    return value
+    a: Nfa, tol: float = DEFAULT_TOLERANCE, max_iter: int = DEFAULT_MAX_ITERATIONS
+) -> EigenResult:
+    """Dominant eigenvalue of the short-circuited minimal automaton of ``L(a)``, with its solve."""
+    _refuse_short_circuited(a)
+    _, stats = measure(a.minimal.arrays, MeasureKind.SHORT_CIRCUIT_EIGENVALUE, tol, max_iter)
+    return stats.eigen
 
 
 def _shared_profile(spec: Dfa, log: EventLog) -> Counter[int]:
@@ -204,51 +211,6 @@ def _assemble(
     )
 
 
-def quotient(
-    kind: MeasureKind,
-    numerator: Dfa,
-    denominator: Dfa,
-    tol: float = DEFAULT_TOLERANCE,
-    max_iter: int = DEFAULT_MAX_ITERATIONS,
-) -> MeasureReport:
-    """Measure of the first language over the measure of the second."""
-    _refuse_short_circuited(numerator, denominator)
-    started = time.perf_counter()
-    num = measure(numerator.minimal.arrays, kind, tol, max_iter)
-    den = measure(denominator.minimal.arrays, kind, tol, max_iter)
-    return _assemble(kind, num, den, _elapsed_ms(started))
-
-
-def _pair_reports(
-    ret: Nfa, rel: Nfa, tol: float, max_iter: int, want_recall: bool
-) -> tuple[MeasureReport, MeasureReport | None]:
-    """Eigenvalue precision of ``ret`` against ``rel`` and, if wanted, recall.
-
-    Minimal operands are trim, so their one product walk decides inclusion.
-    Without one, the walked product is measured by ``measure`` like an
-    operand, so a finite product is solved exactly by its length profile
-    even where both operands are infinite, as for ``a*b & ab*``.
-    """
-    _refuse_short_circuited(ret, rel)
-    kind = MeasureKind.SHORT_CIRCUIT_EIGENVALUE
-    started = time.perf_counter()
-    m_ret, m_rel = ret.minimal, rel.minimal
-    den_ret = measure(m_ret.arrays, kind, tol, max_iter)
-    den_rel = measure(m_rel.arrays, kind, tol, max_iter) if want_recall else None
-    product, ret_in_rel, rel_in_ret = product_moves(m_ret, m_rel)
-    if ret_in_rel:
-        shared = den_ret
-    elif den_rel is not None and rel_in_ret:
-        shared = den_rel
-    else:
-        shared = measure(product, kind, tol, max_iter)
-    precision_report = _assemble(kind, shared, den_ret, _elapsed_ms(started))
-    recall_report = None
-    if den_rel is not None:
-        recall_report = _assemble(kind, shared, den_rel, _elapsed_ms(started))
-    return precision_report, recall_report
-
-
 def precision(
     spec: Nfa,
     log: EventLog,
@@ -298,26 +260,6 @@ def recall(
     return _assemble(kind, numerator, denominator, _elapsed_ms(started))
 
 
-def precision_and_recall(
-    ret: Nfa,
-    rel: Nfa,
-    tol: float = DEFAULT_TOLERANCE,
-    max_iter: int = DEFAULT_MAX_ITERATIONS,
-) -> tuple[MeasureReport, MeasureReport]:
-    """Eigenvalue precision and recall of ``ret`` against ``rel``.
-
-    The shared language is measured once for both quotients.  If one
-    operand's language contains the other's, the contained operand's own
-    measure is the shared one, and the quotient over it is exactly 1.0 from
-    that one solve.  Otherwise the numerator stats describe the trim product
-    of the two minimal automata, short-circuited, which is walked and solved
-    but never built as a ``Dfa`` or minimized.
-    """
-    pr, rc = _pair_reports(ret, rel, tol, max_iter, want_recall=True)
-    assert rc is not None
-    return pr, rc
-
-
 def coverage(
     x: Nfa,
     y: Nfa,
@@ -326,12 +268,23 @@ def coverage(
 ) -> MeasureReport:
     """Share of the first system's behaviour that the second one covers.
 
-    Equals 1.0 exactly when ``L(x)`` is contained in ``L(y)``: then the
-    shared language is ``L(x)`` and one solve serves both sides, so the
-    numerator stats are those of ``x``.  Otherwise the numerator stats
-    describe the trim product of the two minimal automata, short-circuited,
-    which is walked and solved but never built as a ``Dfa`` or minimized.
-    An empty ``L(x)`` is reported as undefined.
+    The eigenvalue precision of ``x`` against ``y`` is ``coverage(x, y)``,
+    and its recall is ``coverage(y, x)``.  Equals 1.0 exactly when ``L(x)``
+    is contained in ``L(y)``: then the shared language is ``L(x)`` and one
+    solve serves both sides, so the numerator stats are those of ``x``.
+    Minimal operands are trim, so their one product walk decides that
+    inclusion.  Otherwise the numerator stats describe the trim product of
+    the two minimal automata, short-circuited, which is walked and solved
+    but never built as a ``Dfa`` or minimized; it is measured like an
+    operand, so a finite product is solved exactly by its length profile
+    even where both operands are infinite, as for ``a*b & ab*``.  An empty
+    ``L(x)`` is reported as undefined.
     """
-    report, _ = _pair_reports(x, y, tol, max_iter, want_recall=False)
-    return report
+    _refuse_short_circuited(x, y)
+    kind = MeasureKind.SHORT_CIRCUIT_EIGENVALUE
+    started = time.perf_counter()
+    m_x, m_y = x.minimal, y.minimal
+    own = measure(m_x.arrays, kind, tol, max_iter)
+    product, x_in_y = product_moves(m_x, m_y)
+    shared = own if x_in_y else measure(product, kind, tol, max_iter)
+    return _assemble(kind, shared, own, _elapsed_ms(started))

@@ -154,6 +154,29 @@ def reachable(a: Nfa, seeds: Iterable[int], backward: bool = False) -> set[int]:
     return seen
 
 
+def short_circuit_radius(a: Nfa) -> float:
+    """Oracle eig measure of ``L(a)``: the largest ``|eigenvalue|`` of a dense short-circuit matrix.
+
+    Every state of ``subset_dfa(a)`` is reachable, so keeping those that
+    reach an accept state trims it.  The matrix counts the moves between
+    kept states, plus one move from each accept state back to the start,
+    and numpy's dense ``eigvals`` gives its spectrum.  A dead start leaves
+    no state, and the empty language measures 0.
+    """
+    d = subset_dfa(a)
+    live = sorted(reachable(d, d.accepts, backward=True))
+    if d.start not in live:
+        return 0.0
+    number = {p: i for i, p in enumerate(live)}
+    matrix = np.zeros((len(live), len(live)))
+    for p, _, q in d.transitions:
+        if p in number and q in number:
+            matrix[number[p], number[q]] += 1
+    for p in d.accepts:
+        matrix[number[p], number[d.start]] += 1
+    return float(np.abs(np.linalg.eigvals(matrix)).max())
+
+
 def bounded_words(alphabet: list[str], max_len: int):
     """All words over ``alphabet`` of length 0..max_len, shortest first."""
     for length in range(max_len + 1):
@@ -237,16 +260,15 @@ def kahn_order(forward: list[list[int]]) -> list[int] | None:
     return order if len(order) == len(forward) else None
 
 
-def product_rows(x: Dfa, y: Dfa) -> tuple[list[dict[str, int]], list[int], bool, bool]:
-    """Reference product walk: ``Dfa.rows`` and accept states of the trim product, and two flags.
+def product_rows(x: Dfa, y: Dfa) -> tuple[list[dict[str, int]], list[int], bool]:
+    """Reference product walk: ``Dfa.rows`` and accept states of the trim product, and a flag.
 
     One pair at a time: pairs, coded as ``px * y.state_count + py``, are
     numbered breadth-first in a dict, with labels in sorted order.  Pairs
     that reach no accepting pair are dropped and the rest keep their order;
-    a dead start leaves one state with no move.  The flags are ``L(x) <=
-    L(y)`` and ``L(y) <= L(x)``: the first is false once a reached pair has
-    an accept or a move of ``x`` that ``y`` cannot match, and the second
-    likewise.
+    a dead start leaves one state with no move.  The flag is ``L(x) <=
+    L(y)``: it is false once a reached pair has an accept or a move of ``x``
+    that ``y`` cannot match.
     """
     width, x_rows, y_rows = y.state_count, x.rows, y.rows
     start = x.start * width + y.start
@@ -255,7 +277,7 @@ def product_rows(x: Dfa, y: Dfa) -> tuple[list[dict[str, int]], list[int], bool,
     rows: list[dict[str, int]] = []
     backward: list[list[int]] = [[]]
     accepting: list[int] = []
-    x_in_y = y_in_x = True
+    x_in_y = True
     for here, pair in enumerate(pairs):  # ``pairs`` grows as pairs are found
         px, py = divmod(pair, width)
         in_x, in_y = px in x.accepts, py in y.accepts
@@ -276,7 +298,6 @@ def product_rows(x: Dfa, y: Dfa) -> tuple[list[dict[str, int]], list[int], bool,
                 backward[there].append(here)
         rows.append(row)
         x_in_y = x_in_y and in_y >= in_x and len(row) == len(x_row)
-        y_in_x = y_in_x and in_x >= in_y and len(row) == len(y_row)
     live = set(accepting)
     stack = list(live)
     while stack:
@@ -285,11 +306,11 @@ def product_rows(x: Dfa, y: Dfa) -> tuple[list[dict[str, int]], list[int], bool,
                 live.add(p)
                 stack.append(p)
     if 0 not in live:
-        return [{}], [], x_in_y, y_in_x
+        return [{}], [], x_in_y
     keep = sorted(live)
     number = {old: new for new, old in enumerate(keep)}
     rows = [{lab: number[q] for lab, q in rows[p].items() if q in number} for p in keep]
-    return rows, [number[p] for p in accepting], x_in_y, y_in_x
+    return rows, [number[p] for p in accepting], x_in_y
 
 
 def _local_name(tag: str) -> str:

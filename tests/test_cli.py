@@ -502,20 +502,20 @@ class TestFamilyClosedForms:
 
     def test_kleene(self, capsys, tmp_path):
         spec = read_automaton((_family(tmp_path, "kleene") / "kleene.json").read_text())
-        value = eig_short_circuit_measure(as_dfa(spec))
+        value = eig_short_circuit_measure(as_dfa(spec)).value
         assert value == pytest.approx((1 + math.sqrt(5)) / 2, rel=1e-12)
 
     @pytest.mark.parametrize("count", [5, 7, 60, 120])
     def test_permutations(self, capsys, tmp_path, count):
         fam = _family(tmp_path, "permutations", "--count", str(count))
         spec = read_automaton((fam / f"permutations_{count:03d}.json").read_text())
-        value = eig_short_circuit_measure(as_dfa(spec))
+        value = eig_short_circuit_measure(as_dfa(spec)).value
         assert value == pytest.approx(count ** (1 / 6), rel=1e-12)
 
     def test_parallel_block(self, capsys, tmp_path):
         fam = _family(tmp_path, "parallel-block")
         spec = read_automaton((fam / "parallel_block.json").read_text())
-        value = eig_short_circuit_measure(as_dfa(spec))
+        value = eig_short_circuit_measure(as_dfa(spec)).value
         assert value == pytest.approx(120 ** (1 / 6), rel=1e-12)
 
 

@@ -38,7 +38,6 @@ from entroscope import (
     minimize,
     perron_frobenius,
     precision,
-    precision_and_recall,
     prefix_tree_acceptor,
     recall,
     short_circuit,
@@ -55,6 +54,7 @@ from helpers import (
     product_rows,
     random_log,
     reachable,
+    short_circuit_radius,
     subset_dfa,
 )
 
@@ -210,7 +210,7 @@ def test_trim_and_ergodic_agree_with_a_breadth_first_search(aut):
 def test_a_minimal_dfa_is_its_own_product_table(aut):
     # ``measure`` solves a minimal DFA's own rows in place of its self-product.
     m = minimize(determinize(aut))
-    assert walked_rows(m, m) == ([dict(row) for row in m.rows], sorted(m.accepts), True, True)
+    assert walked_rows(m, m) == ([dict(row) for row in m.rows], sorted(m.accepts), True)
 
 
 @settings(max_examples=100, deadline=None)
@@ -292,19 +292,29 @@ def test_eig_measure_is_strictly_increasing(u, v):
     merged = u | v
     if u == merged:
         return
-    small = eig_short_circuit_measure(prefix_tree_acceptor(EventLog(u)))
-    large = eig_short_circuit_measure(prefix_tree_acceptor(EventLog(merged)))
+    small = eig_short_circuit_measure(prefix_tree_acceptor(EventLog(u))).value
+    large = eig_short_circuit_measure(prefix_tree_acceptor(EventLog(merged))).value
     assert small < large
 
 
 @settings(max_examples=100, deadline=None)
 @given(word_sets())
 def test_empty_language_measures_zero_and_nonempty_positive(words):
-    value = eig_short_circuit_measure(prefix_tree_acceptor(EventLog(words)))
+    value = eig_short_circuit_measure(prefix_tree_acceptor(EventLog(words))).value
     if words:
         assert value > 0.0
     else:
         assert value == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfas())
+@example(empty_language_automaton(ABC))
+@example(Nfa(3, frozenset(ABC), {(0, "a", 1), (1, "b", 2), (0, "c", 2)}, 0, {2}))  # {ab, c}
+def test_eig_measure_matches_the_dense_spectral_radius(aut):
+    result = eig_short_circuit_measure(aut)
+    assert result.converged
+    assert result.value == pytest.approx(short_circuit_radius(aut), rel=1e-7)
 
 
 @settings(max_examples=120, deadline=None)
@@ -312,7 +322,7 @@ def test_empty_language_measures_zero_and_nonempty_positive(words):
 def test_log_measures_match_the_prefix_tree_pipeline(case):
     spec, log = case
     tree = prefix_tree_acceptor(log)
-    want_p, want_r = precision_and_recall(spec, tree)
+    want_p, want_r = coverage(spec, tree), coverage(tree, spec)
     got_p, got_r = precision(spec, log), recall(spec, log)
     for got, want in ((got_p, want_p), (got_r, want_r)):
         assert want.converged and got.converged
@@ -401,16 +411,16 @@ def nfa_pairs(draw):
     return x, silent_union(x, z) if draw(st.booleans()) else z
 
 
-def walked_rows(x: Dfa, y: Dfa) -> tuple[list[dict], list[int], bool, bool]:
+def walked_rows(x: Dfa, y: Dfa) -> tuple[list[dict], list[int], bool]:
     """``product_moves(x, y)`` in the shape of the reference walk ``product_rows``."""
-    m, x_in_y, y_in_x = product_moves(x, y)
+    m, x_in_y = product_moves(x, y)
     moves = list(zip(m.sources.tolist(), m.columns.tolist(), m.targets.tolist()))
     assert [move[:2] for move in moves] == sorted({move[:2] for move in moves})
     assert m.labels == sorted(x.alphabet & y.alphabet)
     rows: list[dict] = [{} for _ in range(m.order)]
     for p, column, q in moves:
         rows[p][m.labels[column]] = q
-    return rows, m.accepting.tolist(), x_in_y, y_in_x
+    return rows, m.accepting.tolist(), x_in_y
 
 
 def relabeled(a: Nfa, names: str) -> Nfa:
@@ -452,11 +462,11 @@ def test_pair_measures_match_the_minimal_product_pipeline(pair):
     x, y = pair
     mx, my = minimize(determinize(x)), minimize(determinize(y))
     product = minimize(intersect(mx, my))
-    shared = eig_short_circuit_measure(product)
+    shared = eig_short_circuit_measure(product).value
     cov = coverage(x, y)
-    pr, rc = precision_and_recall(x, y)
-    for report, own in ((cov, mx), (pr, mx), (rc, my)):
-        own_value = eig_short_circuit_measure(own)
+    rc = coverage(y, x)
+    for report, own in ((cov, mx), (rc, my)):
+        own_value = eig_short_circuit_measure(own).value
         assert report.converged
         assert report.numerator_value == pytest.approx(shared, rel=1e-7)
         assert report.denominator_value == pytest.approx(own_value, rel=1e-7)
@@ -467,7 +477,7 @@ def test_pair_measures_match_the_minimal_product_pipeline(pair):
     # The minimal product is minimal x exactly when L(x) lies in L(y).
     assert product_moves(mx, my)[1] == same_automaton(product, mx)
     assert product_moves(my, mx)[1] == same_automaton(product, my)
-    for report, own in ((cov, mx), (pr, mx), (rc, my)):
+    for report, own in ((cov, mx), (rc, my)):
         if not report.undefined:
             assert (report.value == 1.0) == same_automaton(product, own)
 
@@ -480,7 +490,7 @@ def test_product_walk_flags_are_the_word_level_inclusions():
     def check(pair):
         x, y = pair
         mx, my = minimize(x), minimize(y)
-        flags = product_moves(mx, my)[1:]
+        flags = product_moves(mx, my)[1], product_moves(my, mx)[1]
         assert flags == (language_included(x, y), language_included(y, x))
         outcomes.update(flags)
 
@@ -489,8 +499,8 @@ def test_product_walk_flags_are_the_word_level_inclusions():
 
 
 @settings(max_examples=100, deadline=None)
-@given(nfa_pairs(), st.sampled_from(["coverage", "precision_and_recall"]))
-def test_pair_measures_walk_each_pair_once(pair, name):
+@given(nfa_pairs())
+def test_pair_measures_walk_each_pair_once(pair):
     walks = []
 
     def spy(x, y):
@@ -500,7 +510,7 @@ def test_pair_measures_walk_each_pair_once(pair, name):
     with mock.patch.object(measures, "product_moves", spy), mock.patch.object(
         automata, "minimize", wraps=minimize
     ) as prepared:
-        getattr(measures, name)(*pair)
+        coverage(*pair)
     assert walks == [tuple(minimize(a) for a in pair)]
     # Each operand is trimmed, then determinized, once; minimize is given the DFA.
     assert [c.args for c in prepared.call_args_list] == [(as_dfa(trim(a)),) for a in pair]
@@ -520,8 +530,7 @@ def test_containment_in_a_larger_automaton_gives_exact_ones():
     counter_moves = {(i, a, (i + 1) % 5) for i in range(5)} | {(i, b, i) for i in range(5)}
     counter = Dfa(5, frozenset({a, b, c}), counter_moves | {(0, c, 0)}, 0, frozenset(range(5)))
     assert coverage(ab_star, counter).value == 1.0
-    pr, rc = precision_and_recall(counter, ab_star)
-    assert rc.value == 1.0 and pr.value < 1.0
+    assert coverage(counter, ab_star).value < 1.0
 
 
 def counted_entries(d: Dfa) -> tuple[int, list[tuple[int, int, int]]]:
@@ -571,7 +580,7 @@ def test_a_finite_operand_sends_no_matrix_to_the_power_iteration(pair):
         return perron_frobenius(matrix, tol, max_iter)
 
     with mock.patch.object(measures, "perron_frobenius", spy):
-        precision_and_recall(*pair)
+        coverage(*pair), coverage(*pair[::-1])
     infinite = [m for m in (mx, my) if not has_finite_language(m)]
     assert solved == [counted_entries(short_circuit(m)) for m in infinite]
 
@@ -615,14 +624,13 @@ def profile_solves_a_finite_product_of_infinite_operands(x: Nfa, y: Nfa) -> bool
     mx, my = minimize(as_dfa(x)), minimize(as_dfa(y))
     if has_finite_language(mx) or has_finite_language(my):
         return False
-    product, _, _ = product_moves(mx, my)
+    product, _ = product_moves(mx, my)
     try:
         want = length_profile_eigenvalue(product.length_profile())
     except InfiniteLanguageError:
         return False
-    pr, rc = precision_and_recall(x, y)
     assert coverage(x, y).numerator.eigen == want
-    assert pr.numerator.eigen == want and rc.numerator.eigen == want
+    assert coverage(y, x).numerator.eigen == want
     return True
 
 
