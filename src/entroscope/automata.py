@@ -151,13 +151,13 @@ class Nfa:
 
     @cached_property
     def minimal(self) -> Dfa:
-        """The minimal trim DFA of the language: ``minimize(as_dfa(trim(self)))``.
+        """The minimal trim DFA of the language: ``minimize(as_dfa(self))``.
 
-        Trimming first keeps dead states out of the subset construction.
-        Built on first use and kept with this automaton, so each operand of
-        several measures is minimized once.
+        ``as_dfa`` trims a nondeterministic automaton before the subset
+        construction.  Built on first use and kept with this automaton, so
+        each operand of several measures is minimized once.
         """
-        return minimize(as_dfa(trim(self)))
+        return minimize(as_dfa(self))
 
 
 @dataclass(frozen=True)
@@ -213,16 +213,17 @@ def is_deterministic(a: Nfa) -> bool:
 
 
 def as_dfa(a: Nfa) -> Dfa:
-    """A DFA for ``L(a)``, built by ``determinize`` only if ``a`` is nondeterministic.
+    """A DFA for ``L(a)``, built by ``determinize(trim(a))`` only if ``a`` is nondeterministic.
 
     A ``Dfa`` is returned as it is, and a deterministic ``Nfa`` is
     reinterpreted as a ``Dfa`` with the same states and transitions.
+    Trimming keeps dead states out of the subset construction.
     """
     if isinstance(a, Dfa):
         return a
     if is_deterministic(a):
         return Dfa(a.state_count, a.alphabet, a.transitions, a.start, a.accepts)
-    return determinize(a)
+    return determinize(trim(a))
 
 
 def _explore(

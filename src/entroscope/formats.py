@@ -306,21 +306,20 @@ def _finite_or_none(x: float) -> float | None:
 def report_fields(r: MeasureReport) -> dict[str, Any]:
     """Stable flat field mapping shared by the JSON and CSV writers.
 
-    A value, numerator or denominator beyond float range is written as None.
+    A numerator or denominator beyond float range, an exact count, is written as None.
     """
     return {
         "kind": r.kind.value,
         "numerator": _finite_or_none(r.numerator_value),
         "denominator": _finite_or_none(r.denominator_value),
-        "value": _finite_or_none(r.value),
+        "value": r.value,
         "undefined": r.undefined,
-        "division_by_zero": r.division_by_zero,
         "converged": r.converged,
         "iterations": r.iterations,
-        "states_numerator": r.numerator.states if r.numerator else None,
-        "transitions_numerator": r.numerator.transitions if r.numerator else None,
-        "states_denominator": r.denominator.states if r.denominator else None,
-        "transitions_denominator": r.denominator.transitions if r.denominator else None,
+        "states_numerator": r.numerator.states,
+        "transitions_numerator": r.numerator.transitions,
+        "states_denominator": r.denominator.states,
+        "transitions_denominator": r.denominator.transitions,
         "runtime_ms": r.runtime_ms,
     }
 

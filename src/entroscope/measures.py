@@ -88,19 +88,18 @@ class AutomatonStats:
 
 @dataclass(frozen=True)
 class MeasureReport:
-    """A computed quotient with its raw measures and solver diagnostics."""
+    """A computed quotient with its raw measures and solver diagnostics, built by ``_assemble``."""
 
     kind: MeasureKind
     numerator_value: float
     denominator_value: float
     value: float
-    undefined: bool = False
-    division_by_zero: bool = False
-    converged: bool = True
-    iterations: int = 0
-    numerator: AutomatonStats | None = None
-    denominator: AutomatonStats | None = None
-    runtime_ms: float = 0.0
+    undefined: bool
+    converged: bool
+    iterations: int
+    numerator: AutomatonStats
+    denominator: AutomatonStats
+    runtime_ms: float
 
 
 def measure(
@@ -162,37 +161,28 @@ def _profile_measure(
     return result.value, AutomatonStats(states, transitions, result)
 
 
-def _elapsed_ms(started: float) -> float:
-    return (time.perf_counter() - started) * 1000.0
-
-
 def _as_float(x: int | float) -> float:
-    """``x`` as a float; an integer beyond float range is ``math.inf``."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf
+    """``x`` as a float; an integer that ``float`` would round past float range is ``math.inf``."""
+    return math.inf if x >= 2**1024 - 2**970 else float(x)
 
 
 def _assemble(
     kind: MeasureKind,
     numerator: tuple[int | float, AutomatonStats],
     denominator: tuple[int | float, AutomatonStats],
-    runtime_ms: float,
+    started: float,
 ) -> MeasureReport:
-    """The quotient report; exact cardinalities are divided as integers, correctly rounded."""
+    """The quotient report, timed from ``started``; cardinalities are divided as integers.
+
+    The numerator's language lies inside the denominator's, and each measure
+    is monotone and 0 on the empty language.  So 0/0, reported as undefined
+    with value 0, is the only degenerate quotient; any other is at most 1, up
+    to the eigen solve's tolerance.
+    """
     num_value, num_stats = numerator
     den_value, den_stats = denominator
-    undefined = division_by_zero = False
-    if den_value > 0:
-        try:
-            value = num_value / den_value
-        except OverflowError:
-            value = math.inf
-    elif num_value == 0:
-        value, undefined = 0.0, True
-    else:
-        value, division_by_zero = math.inf, True
+    undefined = den_value == 0
+    value = 0.0 if undefined else num_value / den_value
     # A language measured once on both sides is one solve.
     stats = (num_stats,) if num_stats is den_stats else (num_stats, den_stats)
     solves = [s.eigen for s in stats if s.eigen is not None]
@@ -202,12 +192,11 @@ def _assemble(
         denominator_value=_as_float(den_value),
         value=value,
         undefined=undefined,
-        division_by_zero=division_by_zero,
         converged=all(s.converged for s in solves),
         iterations=sum(s.iterations for s in solves),
         numerator=num_stats,
         denominator=den_stats,
-        runtime_ms=runtime_ms,
+        runtime_ms=(time.perf_counter() - started) * 1000.0,
     )
 
 
@@ -236,7 +225,7 @@ def precision(
     m_spec = spec.minimal
     numerator = _profile_measure(_shared_profile(m_spec, log), kind)
     denominator = measure(m_spec.arrays, kind, tol, max_iter)
-    return _assemble(kind, numerator, denominator, _elapsed_ms(started))
+    return _assemble(kind, numerator, denominator, started)
 
 
 def recall(
@@ -257,7 +246,7 @@ def recall(
     started = time.perf_counter()
     numerator = _profile_measure(_shared_profile(as_dfa(spec), log), kind)
     denominator = _profile_measure(Counter(len(trace) for trace, _ in log), kind)
-    return _assemble(kind, numerator, denominator, _elapsed_ms(started))
+    return _assemble(kind, numerator, denominator, started)
 
 
 def coverage(
@@ -287,4 +276,4 @@ def coverage(
     own = measure(m_x.arrays, kind, tol, max_iter)
     product, x_in_y = product_moves(m_x, m_y)
     shared = own if x_in_y else measure(product, kind, tol, max_iter)
-    return _assemble(kind, shared, own, _elapsed_ms(started))
+    return _assemble(kind, shared, own, started)

@@ -259,6 +259,11 @@ class TestShortCircuit:
         with pytest.raises(ValueError, match="already"):
             short_circuit(sc)
 
+    def test_rejects_a_dead_state(self):
+        dead = Dfa(3, frozenset({a, b}), frozenset({(0, a, 1), (0, b, 2)}), 0, frozenset({1}))
+        with pytest.raises(ValueError, match="^short_circuit requires a trim automaton$"):
+            short_circuit(dead)
+
     def test_loop_words_only(self):
         word = Dfa(2, frozenset({a}), frozenset({(0, a, 1)}), 0, frozenset({1}))
         sc = short_circuit(word)

@@ -14,6 +14,7 @@ from entroscope import (
     SILENT,
     Dfa,
     EventLog,
+    MeasureKind,
     Nfa,
     as_dfa,
     automata,
@@ -123,6 +124,44 @@ class TestMeasureCommands:
                 assert main([command, str(path)]) == 0
             assert capsys.readouterr().out == line
             assert [c.args for c in spy.call_args_list] == [(as_dfa(trim(padded)),)]
+
+    def test_the_subset_construction_sees_only_useful_states(self, capsys, tmp_path):
+        # {a}, plus a dead core entered on b that accepts nothing: the NFA for
+        # "the 12th symbol from the end is a", whose subset DFA has 2^12 states.
+        n = 12
+        core = {(2, "a", 2), (2, "b", 2), (2, "a", 3)}
+        core |= {(q, lab, q + 1) for q in range(3, n + 2) for lab in "ab"}
+        moves = frozenset({(0, "a", 1), (0, "b", 2)} | core)
+        spec = Nfa(n + 3, frozenset("ab"), moves, 0, frozenset({1}))
+        path = tmp_path / "dead_core.json"
+        path.write_text(write_automaton(spec), encoding="utf-8")
+        with mock.patch.object(automata, "determinize", wraps=automata.determinize) as spy:
+            assert recall(spec, EventLog([("a",), ("b",)]), MeasureKind.CARDINALITY).value == 0.5
+            assert automata.has_finite_language(spec)
+            assert main(["cardinality", str(path)]) == 0
+            assert main(["inspect", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("cardinality = 1\n")
+        assert "trim: false\n" in out and "finite_language: true\n" in out
+        assert len(spy.call_args_list) == 4
+        assert all(automata.is_trim(c.args[0]) for c in spy.call_args_list)
+
+    @pytest.mark.parametrize("command", ["precision", "coverage"])
+    def test_an_empty_first_language_gives_an_undefined_quotient(
+        self, capsys, tmp_path, retry_spec_file, small_log_file, command
+    ):
+        empty = tmp_path / "empty.json"
+        empty.write_text(
+            '{"alphabet": ["a"], "states": 1, "start": 0, "accepts": [], "transitions": []}',
+            encoding="utf-8",
+        )
+        other = small_log_file if command == "precision" else retry_spec_file
+        assert main([command, str(empty), str(other)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"{command} = 0.000\n"
+        assert captured.err == "warning: quotient is undefined (0/0); reporting 0\n"
+        assert main([command, str(empty), str(other), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["undefined"] is True
 
     def test_entropy_of_empty_language_exits_3(self, capsys, tmp_path):
         empty = tmp_path / "empty.json"

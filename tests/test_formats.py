@@ -112,6 +112,43 @@ class TestAutomatonDocuments:
             aut = random_nfa(rng)
             assert read_automaton(write_automaton(aut)) == aut
 
+    @pytest.mark.parametrize(
+        ("change", "location"),
+        [
+            (["a"], "document: expected a JSON object"),
+            ({"extra": 1}, "document: unknown fields"),
+            ({"name": 7}, "name: must be a string"),
+            ({"alphabet": "ab"}, "alphabet: must be a list"),
+            ({"alphabet": ["a", 3]}, "alphabet[1]: label must be a nonempty string"),
+            ({"alphabet": ["a", ""]}, "alphabet[1]: label must be a nonempty string"),
+            ({"alphabet": ["a", "a"]}, "alphabet[1]: duplicate label"),
+            ({"states": True}, "states: must be a state count"),
+            ({"states": 2.0}, "states: must be a state count"),
+            ({"states": ["p", 1]}, "states[1]: state name must be a string"),
+            ({"states": ["p", "p"]}, "states[1]: duplicate state name"),
+            ({"states": 0}, "states: automaton needs at least one state"),
+            ({"states": []}, "states: automaton needs at least one state"),
+            ({"start": False}, "start: state reference must be an index or a name"),
+            ({"start": 0.0}, "start: state reference must be an index or a name"),
+            ({"start": "q"}, "start: unknown state name"),
+            ({"accepts": 1}, "accepts: must be a list"),
+            ({"transitions": {}}, "transitions: must be a list"),
+            ({"transitions": [[0, "a", 1]]}, "transitions[0]: must be an object"),
+            ({"transitions": [{"from": 0, "to": 1, "via": "a"}]}, "transitions[0]: unknown fields"),
+            ({"transitions": [{"from": 0, "label": 5, "to": 1}]}, "transitions[0].label: label"),
+        ],
+    )
+    def test_malformed_documents_are_refused_at_their_location(self, change, location):
+        # A dict replaces fields of a valid document; anything else is the document.
+        doc = {"alphabet": ["a"], "states": 2, "start": 0, "accepts": [1], "transitions": []}
+        if isinstance(change, dict):
+            doc.update(change)
+        else:
+            doc = change
+        with pytest.raises(FormatError) as refused:
+            read_automaton(json.dumps(doc))
+        assert str(refused.value).startswith(location)
+
     def test_short_circuited_automata_are_not_serialisable(self):
         from entroscope import Dfa
 
@@ -426,6 +463,11 @@ class TestReports:
         fields = json.loads(write_report(report, "json"))
         assert fields["undefined"] is True
         assert fields["value"] == 0.0
+
+    def test_an_unknown_format_is_refused(self):
+        report = recall(retry_spec(), small_log())
+        with pytest.raises(ValueError, match="^unknown report format: 'xml'$"):
+            write_report(report, "xml")
 
     def test_csv_has_one_row(self):
         report = recall(retry_spec(), small_log(), MeasureKind.CARDINALITY)
