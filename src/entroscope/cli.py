@@ -9,16 +9,19 @@ only over an infinite language, never in ``recall`` or ``cardinality``.
 ``eigenvalue`` and ``entropy`` read ``eig_short_circuit_measure`` of the
 automaton, and ``cardinality`` its exact ``count_words``.
 
-Input files are read as bytes.  XES goes to ``read_xes`` undecoded, so its
-XML declaration names the encoding; automata and line logs are UTF-8, a
-byte-order mark allowed.  A file is XES when its first non-blank bytes, after
-a byte-order mark, are ``<?xml``, ``<!--`` or a start tag named ``log`` or
-``prefix:log``; an automaton document when they are ``{`` and then, after
-optional whitespace, ``"`` or ``}``; and otherwise a line log, so a trace may
-begin with an event such as ``<init>`` or ``{x}``.
+Every input file is read once, as bytes, by ``_read``, and its opening bytes
+tell its kind: XES when its first non-blank bytes, after a byte-order mark,
+are ``<?xml``, ``<!--`` or a start tag named ``log`` or ``prefix:log``; an
+automaton document when they are ``{`` and then, after optional whitespace,
+``"`` or ``}``; and otherwise a line log, so a trace may begin with an event
+such as ``<init>`` or ``{x}``.  XES goes to ``read_xes`` undecoded, so its XML
+declaration names the encoding; automata and line logs are UTF-8, a byte-order
+mark allowed.  A file of the wrong kind is refused unparsed (XES for an
+automaton, an automaton for a log), any other automaton argument is parsed as
+an automaton document, and every read error names the file.
 
 Exit codes: 0 success (including flagged non-convergence, which warns on
-stderr), 2 usage errors and parse errors on input files, an automaton or
+stderr), 2 usage errors and read errors on input files, an automaton or
 line log that is not UTF-8 included, 3 measure not applicable to the input:
 cardinality of an infinite language or entropy of the empty language.
 """
@@ -47,7 +50,6 @@ from .automata import (
 from .formats import (
     FormatError,
     export_dot,
-    read_automaton,
     read_log,
     read_named_automaton,
     read_xes,
@@ -148,31 +150,31 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text, encoding="utf-8")
 
 
-def _decode(data: bytes, path: Path) -> str:
-    try:
-        return data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:  # a parse error, reported with the file's name
-        raise FormatError(f"{path}: {exc}") from None
-
-
-def _load_automaton(path: Path) -> Nfa:
-    return read_automaton(_decode(path.read_bytes(), path))
-
-
 #: How an XES and an automaton document begin, after a UTF-8 byte-order mark and blanks.
 _XES_HEAD = re.compile(rb"(?:\xef\xbb\xbf)?\s*<(?:\?xml|!--|(?:[A-Za-z_][\w.-]*:)?log[\s/>])")
 _AUTOMATON_HEAD = re.compile(rb'(?:\xef\xbb\xbf)?\s*\{\s*["}]')
 
 
-def _sniff(path: Path) -> tuple[Nfa | EventLog, str | None]:
-    """The automaton and its name, or the XES or line log, that ``path`` holds."""
+def _read(path: Path, kind: type | None = None) -> tuple[Nfa | EventLog, str | None]:
+    """The automaton and its name, or the XES or line log, that ``path`` holds.
+
+    With ``kind``, ``Nfa`` or ``EventLog``, a file whose opening bytes say the
+    other kind is refused unparsed, and with ``Nfa`` any other file is parsed
+    as an automaton document.  Every read error starts with ``path``.
+    """
     data = path.read_bytes()
-    if _XES_HEAD.match(data):
-        return read_xes(data), None
-    text = _decode(data, path)
-    if _AUTOMATON_HEAD.match(data):
-        return read_named_automaton(text)
-    return read_log(text), None
+    try:
+        if _XES_HEAD.match(data):
+            if kind is Nfa:
+                raise FormatError("expected an automaton, found an XES log")
+            return read_xes(data), None
+        is_automaton = kind is Nfa or _AUTOMATON_HEAD.match(data) is not None
+        if is_automaton and kind is EventLog:
+            raise FormatError("expected an event log, found an automaton")
+        text = data.decode("utf-8-sig")
+        return read_named_automaton(text) if is_automaton else (read_log(text), None)
+    except (FormatError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _warn_unconverged(max_iter: int) -> None:
@@ -193,33 +195,24 @@ def _print_report(name: str, report: MeasureReport, args: argparse.Namespace) ->
         _emit(write_report(report, args.format), args.out)
 
 
-def _load_spec_and_log(args: argparse.Namespace) -> tuple[Nfa, EventLog]:
-    spec = _load_automaton(args.spec)
-    log, _ = _sniff(args.log)
-    if not isinstance(log, EventLog):
-        raise FormatError(f"{args.log}: expected an event log, found an automaton")
-    return spec, log
-
-
 def _run_quotient_command(args: argparse.Namespace) -> int:
-    if args.command == "recall":
-        report = recall(*_load_spec_and_log(args), MeasureKind(args.measure))
+    if args.command == "coverage":
+        x, y = _read(args.x, Nfa)[0], _read(args.y, Nfa)[0]
+        report = coverage(x, y, args.tol, args.max_iter)
     else:
-        if args.command == "precision":
-            spec, log = _load_spec_and_log(args)
-            report = precision(spec, log, MeasureKind(args.measure), args.tol, args.max_iter)
+        spec, log = _read(args.spec, Nfa)[0], _read(args.log, EventLog)[0]
+        if args.command == "recall":
+            report = recall(spec, log, MeasureKind(args.measure))
         else:
-            x = _load_automaton(args.x)
-            y = _load_automaton(args.y)
-            report = coverage(x, y, args.tol, args.max_iter)
-        if not report.converged:
-            _warn_unconverged(args.max_iter)
+            report = precision(spec, log, MeasureKind(args.measure), args.tol, args.max_iter)
+    if not report.converged:  # never in recall, which runs no power iteration
+        _warn_unconverged(args.max_iter)
     _print_report(args.command, report, args)
     return EXIT_OK
 
 
 def _run_scalar_command(args: argparse.Namespace) -> int:
-    automaton = _load_automaton(args.automaton)
+    automaton, _ = _read(args.automaton, Nfa)
     if args.command == "cardinality":
         value = count_words(as_dfa(automaton))
         _emit(f"cardinality = {value}\n", args.out)
@@ -239,20 +232,17 @@ def _run_scalar_command(args: argparse.Namespace) -> int:
 
 
 def _run_convert(args: argparse.Namespace) -> int:
-    value, _ = _sniff(args.input)
+    value, name = _read(args.input, EventLog if args.to == "log" else None)
     if args.to == "log":
-        if not isinstance(value, EventLog):
-            print("error: cannot convert an automaton to a log", file=sys.stderr)
-            return EXIT_PARSE
         _emit(write_log(value), args.out)
         return EXIT_OK
     automaton = prefix_tree_acceptor(value) if isinstance(value, EventLog) else value
-    _emit(export_dot(automaton) if args.to == "dot" else write_automaton(automaton), args.out)
+    _emit(export_dot(automaton) if args.to == "dot" else write_automaton(automaton, name), args.out)
     return EXIT_OK
 
 
 def _run_inspect(args: argparse.Namespace) -> int:
-    value, name = _sniff(args.input)
+    value, name = _read(args.input)
     lines = []
     if isinstance(value, Nfa):
         if name:

@@ -21,7 +21,7 @@ import io
 import json
 import math
 from collections import Counter
-from typing import Any
+from typing import Any, NoReturn
 from xml.parsers import expat
 
 from .automata import CHI, SILENT, Nfa
@@ -33,7 +33,7 @@ class FormatError(ValueError):
     """Malformed document; the message carries the offending position."""
 
 
-def _fail(where: str, problem: str) -> None:
+def _fail(where: str, problem: str) -> NoReturn:
     raise FormatError(f"{where}: {problem}")
 
 
@@ -105,7 +105,6 @@ def read_named_automaton(text: str) -> tuple[Nfa, str | None]:
                 _fail(where, f"unknown state name {raw!r}")
             return names[raw]
         _fail(where, "state reference must be an index or a name")
-        raise AssertionError
 
     start = state_ref(doc.get("start"), "start")
     raw_accepts = doc.get("accepts")

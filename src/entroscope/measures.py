@@ -61,6 +61,7 @@ from .spectral import (
     DEFAULT_TOLERANCE,
     EigenResult,
     SparseMatrix,
+    _check_bounds,
     length_profile_eigenvalue,
     perron_frobenius,
 )
@@ -108,12 +109,15 @@ def measure(
     """Measure of the language of a trim move table, with its size and solve.
 
     The table is a walked product or a minimal DFA's own ``Dfa.arrays``,
-    which are the moves ``product_moves(d, d)`` would walk.  A finite
-    language is measured by its length profile, and its cardinality is an
-    exact ``int``.  Otherwise the cardinality raises
-    ``InfiniteLanguageError`` and the eigenvalue is solved by power
-    iteration with a chi move from each accept state to the start.
+    which are the moves ``product_moves(d, d)`` would walk.  The solver
+    bounds are checked first, by ``spectral._check_bounds``, so every entry
+    point refuses bad ones, even for a finite language.  A finite language
+    is measured by its length profile, and its cardinality is an exact
+    ``int``.  Otherwise the cardinality raises ``InfiniteLanguageError`` and
+    the eigenvalue is solved by power iteration with a chi move from each
+    accept state to the start.
     """
+    _check_bounds(tol, max_iter)
     try:
         value, chain = _profile_measure(moves.length_profile(), kind)
         result = chain.eigen

@@ -86,6 +86,17 @@ def adjacency_matrix(d: Dfa) -> SparseMatrix:
     return SparseMatrix.from_moves(m.order, m.sources, m.targets)
 
 
+def _check_bounds(tol: float, max_iter: int) -> None:
+    """Raise ``ValueError`` on a cap below 1 or a ``tol`` that is not finite and above 0.
+
+    On either, a solve would stop at its first step or run to the cap.
+    """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number above 0, got {tol}")
+
+
 def perron_frobenius(
     m: SparseMatrix,
     tol: float = DEFAULT_TOLERANCE,
@@ -95,14 +106,10 @@ def perron_frobenius(
 
     Starts from the all-ones vector, so runs are deterministic.  On hitting
     the iteration cap the best estimate is returned with ``converged=False``
-    rather than raising.  A cap below 1 is a ``ValueError``, and so is a
-    ``tol`` that is not a finite number above 0, on which a solve would stop
-    at its first step or run to the cap.
+    rather than raising.  The bounds are checked by ``_check_bounds``, as
+    ``measures.measure`` checks them for a language that needs no solve.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a finite number above 0, got {tol}")
+    _check_bounds(tol, max_iter)
     if not m.rows.size:
         return EigenResult(0.0, 0, True, 0.0)
     rows, cols, weights = m.rows, m.cols, m.weights.astype(np.float64)

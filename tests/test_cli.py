@@ -436,6 +436,83 @@ class TestInspectAndConvert:
         assert main(["inspect", str(path)]) == 0
         assert capsys.readouterr().out.splitlines()[: len(expected)] == expected
 
+    def test_convert_to_automaton_keeps_the_document_name(self, capsys, retry_spec_file):
+        assert main(["convert", str(retry_spec_file), "--to", "automaton"]) == 0
+        assert json.loads(capsys.readouterr().out)["name"] == "retry-login"
+
+    def test_the_prefix_tree_of_a_converted_log_is_unnamed(self, capsys, small_log_file):
+        assert main(["convert", str(small_log_file), "--to", "automaton"]) == 0
+        assert "name" not in json.loads(capsys.readouterr().out)
+
+
+#: Each command with the kind each of its file arguments takes, None for any.
+FILE_ARGUMENTS = [
+    (["precision"], ("automaton", "log")),
+    (["recall"], ("automaton", "log")),
+    (["coverage"], ("automaton", "automaton")),
+    (["eigenvalue"], ("automaton",)),
+    (["entropy"], ("automaton",)),
+    (["cardinality"], ("automaton",)),
+    (["convert", "--to", "log"], ("log",)),
+    (["convert", "--to", "dot"], (None,)),
+    (["convert", "--to", "automaton"], (None,)),
+    (["inspect"], (None,)),
+]
+
+#: A malformed automaton document, line log and XES log, then a well-formed
+#: automaton document, XES log and line log.
+INPUT_FILES = {
+    "bad.json": '{"alphabet": ["a"], "states": 1, "start": 0, "accepts": [],'
+    ' "transitions": [{"from": 0, "label": "zz", "to": 0}]}',
+    "bad.log": "a  b\n",
+    "bad.xes": '<log><trace><event><string key="concept:name" value=""/></event></trace></log>',
+    "spec.json": write_automaton(two_word_spec()),
+    "log.xes": '<log><trace><event><string key="concept:name" value="a"/></event></trace></log>',
+    "small.log": write_log(small_log()),
+}
+
+#: The files that each kind of argument cannot read, with what stderr says after the path.
+BAD_FOR = {
+    "automaton": [
+        ("bad.json", "transitions[0].label: 'zz' is not in the alphabet"),
+        ("bad.log", "line 1, column 1: Expecting value"),
+        ("log.xes", "expected an automaton, found an XES log"),
+    ],
+    "log": [
+        ("bad.log", "line 1, event 2: empty event name (double space?)"),
+        ("bad.xes", "trace 0: event with an empty concept:name attribute"),
+        ("spec.json", "expected an event log, found an automaton"),
+    ],
+    None: [
+        ("bad.json", "transitions[0].label: 'zz' is not in the alphabet"),
+        ("bad.log", "line 1, event 2: empty event name (double space?)"),
+        ("bad.xes", "trace 0: event with an empty concept:name attribute"),
+    ],
+}
+
+READ_ERROR_CASES = [
+    pytest.param(
+        command, kinds, position, name, message, id=f"{' '.join(command)} #{position} {name}"
+    )
+    for command, kinds in FILE_ARGUMENTS
+    for position, kind in enumerate(kinds)
+    for name, message in BAD_FOR[kind]
+]
+
+
+@pytest.mark.parametrize("command, kinds, position, name, message", READ_ERROR_CASES)
+def test_every_read_error_names_its_file(
+    capsys, tmp_path, command, kinds, position, name, message
+):
+    # The other arguments are good files of their kind, so the error can only be this one's.
+    good = {"automaton": "spec.json", "log": "small.log", None: "spec.json"}
+    for file, text in INPUT_FILES.items():
+        (tmp_path / file).write_text(text, encoding="utf-8")
+    paths = [tmp_path / good[kind] for kind in kinds]
+    paths[position] = bad = tmp_path / name
+    assert main([command[0], *map(str, paths), *command[1:]]) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
+
 
 class TestFamilies:
     def test_bounded_repeat_language(self, capsys, tmp_path):

@@ -307,6 +307,31 @@ def test_short_circuited_operands_are_refused(name):
             SHORT_CIRCUITED_CALLS[name](sc)
 
 
+#: Every entry point that takes solver bounds, called on a finite language.
+BOUNDED_CALLS = {
+    "precision": lambda spec, **bounds: precision(spec, small_log(), **bounds),
+    "coverage": lambda spec, **bounds: coverage(spec, spec, **bounds),
+    "eig_short_circuit_measure": eig_short_circuit_measure,
+}
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ({"tol": -1.0}, "tol must be a finite number above 0, got -1.0"),
+        ({"tol": math.nan}, "tol must be a finite number above 0, got nan"),
+        ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+    ],
+    ids=["tol -1", "tol nan", "max_iter 0"],
+)
+@pytest.mark.parametrize("name", BOUNDED_CALLS)
+def test_bad_solver_bounds_are_refused_without_a_solve(name, bounds, message):
+    # A finite language is measured by its length profile and needs no power
+    # iteration, yet the bounds it was given are checked all the same.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BOUNDED_CALLS[name](two_word_spec(), **bounds)
+
+
 def nth_from_end(n: int, markers: str, alphabet: str, silent_skip: bool = False) -> Nfa:
     """Words over ``alphabet`` whose n-th symbol from the end is one of ``markers``."""
     labs = list(alphabet)
