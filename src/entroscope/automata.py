@@ -6,9 +6,9 @@ state.  Labels are plain ``str`` values, compared and sorted as strings.  Two
 strings are reserved: ``SILENT`` (``""``) marks an unobservable move, and
 ``CHI`` (``"__chi__"``) the loop-back moves that ``short_circuit`` adds.
 All values are immutable after construction; every operation below is a
-pure function returning fresh automata.  Derived views (``moves``,
-``rows``, ``arrays``, ``minimal``) are built on first use and kept with
-the automaton.
+pure function returning fresh automata.  Derived views (``rows``,
+``arrays``, ``minimal``) are built on first use and kept with the
+automaton.
 
 The construction algorithms work on Python ints and lists: ``determinize``
 keys a subset of states by an int bitmask, and ``minimize`` refines
@@ -25,9 +25,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate
-from operator import or_
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -142,14 +141,6 @@ class Nfa:
         return CHI in self.alphabet
 
     @cached_property
-    def moves(self) -> dict[tuple[int, str], frozenset[int]]:
-        """Transition map ``(state, label) -> successor set``."""
-        out: dict[tuple[int, str], set[int]] = {}
-        for p, lab, q in self.transitions:
-            out.setdefault((p, lab), set()).add(q)
-        return {key: frozenset(val) for key, val in out.items()}
-
-    @cached_property
     def minimal(self) -> Dfa:
         """The minimal trim DFA of the language: ``minimize(as_dfa(self))``.
 
@@ -199,11 +190,6 @@ class Dfa(Nfa):
             np.array(sorted(self.accepts), dtype=np.intp),
             self.start,
         )
-
-
-def empty_language_automaton(alphabet: Iterable[str] = ()) -> Dfa:
-    """Canonical automaton of the empty language over ``alphabet``: one state, nothing else."""
-    return Dfa(1, frozenset(alphabet), frozenset(), 0, frozenset())
 
 
 def is_deterministic(a: Nfa) -> bool:
@@ -277,28 +263,27 @@ def _closure(seeds: Iterable[int], successors: Callable[[int], Iterable[int]]) -
     return seen
 
 
-def silent_closure(a: Nfa, states: Iterable[int]) -> frozenset[int]:
-    """Smallest superset of ``states`` closed under silent transitions."""
-    return frozenset(_closure(states, lambda p: a.moves.get((p, SILENT), ())))
-
-
 def determinize(a: Nfa) -> Dfa:
     """Rabin-Scott powerset construction, extended with silent closures.
 
     Only subset states reachable from the closure of the start state are
     materialised, discovered breadth-first with labels in sorted order, so
     the result is reproducible.  A subset is an ``int`` bitmask of states.
-    Each state's silent closure is taken once, and each state's move on a
-    label is stored as the mask of its targets' closures, so a subset's move
-    is the OR of its members' masks.
+    Each state's silent closure is taken once, and each labelled move is
+    stored as the mask of its target's closure, so a subset's move on a label
+    is the OR of its members' masks on that label.
     """
     labels = sorted(a.alphabet)
     column = {lab: i for i, lab in enumerate(labels)}
-    masks = [sum(1 << q for q in silent_closure(a, [p])) for p in range(a.state_count)]
+    silent: list[list[int]] = [[] for _ in range(a.state_count)]
+    for p, lab, q in a.transitions:
+        if lab == SILENT:
+            silent[p].append(q)
+    masks = [sum(1 << q for q in _closure([p], silent.__getitem__)) for p in range(a.state_count)]
     closed: list[list[tuple[int, int]]] = [[] for _ in range(a.state_count)]
-    for (p, lab), targets in a.moves.items():
+    for p, lab, q in a.transitions:
         if lab != SILENT:
-            closed[p].append((column[lab], reduce(or_, map(masks.__getitem__, targets))))
+            closed[p].append((column[lab], masks[q]))
     accept_bits = sum(1 << q for q in a.accepts)
 
     def moves(subset: int) -> list[tuple[str, int]]:

@@ -87,7 +87,10 @@ def _positive(parse: Callable[[str], float]) -> Callable[[str], float]:
 
 
 _MEASURE_OPTIONS: dict[str, dict] = {
-    "--measure": {"choices": ("eig", "card"), "default": "eig"},
+    "--measure": {
+        "choices": [kind.value for kind in MeasureKind],
+        "default": MeasureKind.SHORT_CIRCUIT_EIGENVALUE.value,
+    },
     "--tol": {"type": _positive(float), "default": DEFAULT_TOLERANCE},
     "--max-iter": {"type": _positive(int), "default": DEFAULT_MAX_ITERATIONS},
     "--format": {"choices": ("text", "json", "csv"), "default": "text"},

@@ -8,7 +8,6 @@ trace it is given: neither reserved label string, the silent ``SILENT``
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from itertools import repeat
 from typing import Iterable, Iterator, Mapping
 
@@ -57,24 +56,9 @@ class EventLog:
         return f"EventLog({self.total_count} traces, {len(self._entries)} distinct)"
 
 
-def multiplicity(log: EventLog, trace: tuple[str, ...]) -> int:
-    """How many times ``trace`` was recorded; 0 if absent."""
-    return log._entries.get(trace, 0)
-
-
-def union(x: EventLog, y: EventLog) -> EventLog:
-    """Multiset union: multiplicities add per trace."""
-    return EventLog(Counter(x._entries) + Counter(y._entries))
-
-
 def distinct_language(log: EventLog) -> frozenset[tuple[str, ...]]:
     """The language of the log: every trace that occurs at least once."""
     return frozenset(log._entries)
-
-
-def log_alphabet(log: EventLog) -> frozenset[str]:
-    """Labels occurring in at least one trace."""
-    return frozenset(lab for trace in log._entries for lab in trace)
 
 
 def prefix_tree_acceptor(log: EventLog) -> Dfa:
@@ -85,7 +69,9 @@ def prefix_tree_acceptor(log: EventLog) -> Dfa:
     """
     children: list[dict[str, int]] = [{}]
     accepts: set[int] = set()
+    alphabet: set[str] = set()
     for trace in log._entries:
+        alphabet.update(trace)
         node = 0
         for lab in trace:
             nxt = children[node].get(lab)
@@ -95,5 +81,5 @@ def prefix_tree_acceptor(log: EventLog) -> Dfa:
             node = nxt
         accepts.add(node)
     return _explore(
-        0, lambda node: sorted(children[node].items()), accepts.__contains__, log_alphabet(log)
+        0, lambda node: sorted(children[node].items()), accepts.__contains__, frozenset(alphabet)
     )

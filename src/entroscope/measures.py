@@ -89,7 +89,15 @@ class AutomatonStats:
 
 @dataclass(frozen=True)
 class MeasureReport:
-    """A computed quotient with its raw measures and solver diagnostics, built by ``_assemble``."""
+    """A computed quotient with its raw measures and solver diagnostics, built by ``_assemble``.
+
+    ``iterations`` sums the steps of every eigen solve behind the report: the
+    bisection steps of each length-profile solve and the power steps of each
+    power iteration, a language measured for both sides counted once.  So
+    ``precision`` of an infinite spec adds its shared side's bisection steps
+    to the spec's power steps.  ``converged`` is true iff each of those same
+    solves converged.  A cardinality report has no solve: 0 and true.
+    """
 
     kind: MeasureKind
     numerator_value: float

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 import xml.etree.ElementTree as ElementTree
-from collections import deque
+from collections import Counter, deque
 from typing import Iterable
 
 import numpy as np
@@ -407,6 +407,21 @@ def random_log(
         random_trace(rng, alphabet, max_len) for _ in range(rng.randint(0, max_traces))
     ]
     return EventLog(traces)
+
+
+def empty_language_automaton(alphabet: Iterable[str] = ()) -> Dfa:
+    """Canonical automaton of the empty language over ``alphabet``: one state, nothing else."""
+    return Dfa(1, frozenset(alphabet), frozenset(), 0, frozenset())
+
+
+def multiplicity(log: EventLog, trace: tuple[str, ...]) -> int:
+    """How many times ``trace`` was recorded, read from the log's ``(trace, count)`` pairs."""
+    return dict(log).get(trace, 0)
+
+
+def union(x: EventLog, y: EventLog) -> EventLog:
+    """Multiset union: multiplicities add per trace."""
+    return EventLog(Counter(dict(x)) + Counter(dict(y)))
 
 
 def word_log(words: list[str]) -> EventLog:

@@ -8,7 +8,8 @@ them.
 
 from __future__ import annotations
 
-from entroscope import Dfa, EventLog, Nfa, prefix_tree_acceptor, union
+from entroscope import Dfa, EventLog, Nfa, prefix_tree_acceptor
+from helpers import union
 
 A, B, C, D, E, F = "abcdef"
 LOGIN_ALPHABET = frozenset({A, B, C, D, E, F})

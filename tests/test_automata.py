@@ -16,7 +16,6 @@ from entroscope import (
     canonicalize,
     count_words,
     determinize,
-    empty_language_automaton,
     has_finite_language,
     intersect,
     is_deterministic,
@@ -25,7 +24,6 @@ from entroscope import (
     minimize,
     prefix_tree_acceptor,
     short_circuit,
-    silent_closure,
     trim,
 )
 from helpers import (
@@ -33,6 +31,7 @@ from helpers import (
     bounded_language_dfa,
     bounded_language_nfa,
     dense_matrix,
+    empty_language_automaton,
     random_dfa,
     random_nfa,
     sorted_words,
@@ -79,8 +78,6 @@ class TestConstruction:
         assert loop.short_circuited
         with pytest.raises(TypeError):
             Dfa(1, frozenset(), frozenset(), 0, frozenset(), short_circuited=True)
-        with pytest.raises(TypeError):
-            empty_language_automaton(short_circuited=True)
 
     def test_rejects_silent_in_alphabet(self):
         with pytest.raises(ValueError, match="silent"):
@@ -110,24 +107,21 @@ class TestIsDeterministic:
 
 
 class TestSilentClosure:
+    """``determinize`` takes each state's silent closure, so its subsets show what one holds."""
+
     def test_identity_without_silent_edges(self):
-        assert silent_closure(chain(3), [1]) == frozenset({1})
+        # Every subset is one state, so ``determinize`` keeps the chain as it is.
+        aut = chain(3)
+        assert determinize(aut) == Dfa(3, aut.alphabet, aut.transitions, 0, aut.accepts)
 
     def test_chain_closure(self):
-        aut = Nfa(
-            3,
-            frozenset(),
-            frozenset({(0, SILENT, 1), (1, SILENT, 2)}),
-            0,
-            frozenset(),
-        )
-        assert silent_closure(aut, [0]) == frozenset({0, 1, 2})
+        # The start's closure reaches the accept state at the chain's end, through state 1.
+        aut = Nfa(3, frozenset(), frozenset({(0, SILENT, 1), (1, SILENT, 2)}), 0, frozenset({2}))
+        assert determinize(aut) == Dfa(1, frozenset(), frozenset(), 0, frozenset({0}))
 
     def test_cycle_closure_terminates(self):
-        aut = Nfa(
-            2, frozenset(), frozenset({(0, SILENT, 1), (1, SILENT, 0)}), 0, frozenset()
-        )
-        assert silent_closure(aut, [1]) == frozenset({0, 1})
+        aut = Nfa(2, frozenset(), frozenset({(0, SILENT, 1), (1, SILENT, 0)}), 1, frozenset({0}))
+        assert determinize(aut) == Dfa(1, frozenset(), frozenset(), 0, frozenset({0}))
 
 
 class TestDeterminize:

@@ -19,7 +19,6 @@ from entroscope import (
     as_dfa,
     automata,
     eig_short_circuit_measure,
-    empty_language_automaton,
     minimize,
     precision,
     recall,
@@ -27,7 +26,7 @@ from entroscope import (
 )
 from entroscope.cli import main
 from entroscope.formats import read_automaton, read_log, write_automaton, write_log
-from helpers import all_words_of_length, bounded_language_dfa, word_log
+from helpers import all_words_of_length, bounded_language_dfa, empty_language_automaton, word_log
 from login_fixtures import flexible_spec, retry_spec, small_log, two_word_spec
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -19,7 +19,6 @@ from entroscope import (
     determinize,
     is_deterministic,
     minimize,
-    multiplicity,
     precision,
     recall,
     short_circuit,
@@ -34,7 +33,14 @@ from entroscope.formats import (
     write_log,
     write_report,
 )
-from helpers import random_log, random_nfa, tree_read_xes, word_log
+from helpers import (
+    empty_language_automaton,
+    multiplicity,
+    random_log,
+    random_nfa,
+    tree_read_xes,
+    word_log,
+)
 from login_fixtures import retry_spec, small_log
 
 RETRY_SPEC_DOC = """
@@ -423,8 +429,6 @@ class TestDot:
         assert "__start -> 0" in dot
 
     def test_empty_automaton_renders_one_node(self):
-        from entroscope import empty_language_automaton
-
         dot = export_dot(empty_language_automaton())
         assert dot.count("shape=circle") == 1
 
@@ -457,8 +461,6 @@ class TestReports:
         assert "runtime_ms" in fields
 
     def test_undefined_case(self):
-        from entroscope import empty_language_automaton
-
         report = precision(empty_language_automaton(), small_log())
         fields = json.loads(write_report(report, "json"))
         assert fields["undefined"] is True

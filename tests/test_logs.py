@@ -11,12 +11,10 @@ from entroscope import (
     count_words,
     distinct_language,
     has_finite_language,
-    multiplicity,
     prefix_tree_acceptor,
-    union,
 )
 from entroscope.formats import read_log
-from helpers import ABC, random_log, word_log
+from helpers import ABC, multiplicity, random_log, union, word_log
 from login_fixtures import extended_log, small_log
 
 

@@ -22,7 +22,6 @@ from entroscope import (
     coverage,
     determinize,
     eig_short_circuit_measure,
-    empty_language_automaton,
     minimize,
     perron_frobenius,
     precision,
@@ -33,7 +32,13 @@ from entroscope import (
 )
 from entroscope import automata
 from entroscope.formats import report_fields
-from helpers import all_words_of_length, dense_matrix, language_included, word_log
+from helpers import (
+    all_words_of_length,
+    dense_matrix,
+    empty_language_automaton,
+    language_included,
+    word_log,
+)
 from login_fixtures import (
     anything_spec,
     extended_log,

@@ -28,7 +28,6 @@ from entroscope import (
     coverage,
     determinize,
     eig_short_circuit_measure,
-    empty_language_automaton,
     has_finite_language,
     intersect,
     is_deterministic,
@@ -48,6 +47,7 @@ from helpers import (
     bounded_language_dfa,
     bounded_language_nfa,
     bounded_words,
+    empty_language_automaton,
     kahn_order,
     language_included,
     nerode_classes,
@@ -132,6 +132,9 @@ def test_determinize_preserves_bounded_language(aut):
 
 @settings(max_examples=300, deadline=None)
 @given(nfas(random_start=True))
+@example(Nfa(3, frozenset("a"), {(0, "a", 1), (1, "a", 2)}, 1, {2}))  # no silent move
+@example(Nfa(3, frozenset("a"), {(0, SILENT, 1), (1, SILENT, 2), (2, "a", 0)}, 0, {2}))  # chain
+@example(Nfa(2, frozenset("a"), {(0, SILENT, 1), (1, SILENT, 0), (1, "a", 1)}, 1, {0}))  # cycle
 def test_determinize_is_the_breadth_first_subset_construction(aut):
     assert determinize(aut) == subset_dfa(aut)
 

@@ -12,14 +12,19 @@ from entroscope import (
     SparseMatrix,
     adjacency_matrix,
     determinize,
-    empty_language_automaton,
     is_ergodic,
     length_profile_eigenvalue,
     minimize,
     perron_frobenius,
     short_circuit,
 )
-from helpers import count_words_of_length, dense_matrix, random_dfa, sparse_matrix
+from helpers import (
+    count_words_of_length,
+    dense_matrix,
+    empty_language_automaton,
+    random_dfa,
+    sparse_matrix,
+)
 from login_fixtures import retry_spec
 
 a, b = "a", "b"
