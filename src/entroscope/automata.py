@@ -146,7 +146,9 @@ class Nfa:
 
         ``as_dfa`` trims a nondeterministic automaton before the subset
         construction.  Built on first use and kept with this automaton, so
-        each operand of several measures is minimized once.
+        each operand of several measures is minimized once.  ``coverage``
+        keeps one product with the minimal DFA, so that a pair measured both
+        ways is walked and solved once.
         """
         return minimize(as_dfa(self))
 
@@ -455,8 +457,8 @@ def _live(order: int, sources: np.ndarray, targets: np.ndarray, seeds: np.ndarra
     return live
 
 
-def product_moves(x: Dfa, y: Dfa) -> tuple[Moves, bool]:
-    """The trim product of ``x`` and ``y`` as ``Moves`` over their shared labels, and a flag.
+def product_moves(x: Dfa, y: Dfa) -> tuple[Moves, bool, bool]:
+    """The trim product of ``x`` and ``y`` as ``Moves`` over their shared labels, and two flags.
 
     Pairs, coded as ``px * y.state_count + py``, are numbered breadth-first
     with labels in sorted order, as ``_explore`` numbers states: a level at
@@ -466,22 +468,25 @@ def product_moves(x: Dfa, y: Dfa) -> tuple[Moves, bool]:
     search from the accepting pairs misses are dropped and the rest keep
     their order, as in ``trim``; a dead start leaves one state with no move.
 
-    The flag is ``L(x) <= L(y)``: it is false once a reached pair has an
-    accept or a move of ``x`` that ``y`` cannot match.  It is exact when
-    ``x`` is trim, so that every state lies on an accepted word, as a minimal
-    DFA is.  ``coverage`` reads the moves and the flag of minimal operands;
-    ``intersect`` builds its ``Dfa`` from the moves alone.
+    The flags are ``L(x) <= L(y)`` and ``L(y) <= L(x)``: the first is false
+    once a reached pair has an accept or a move of ``x`` that ``y`` cannot
+    match, and the second likewise with the sides swapped.  Each is exact
+    when its left operand is trim, so that every state lies on an accepted
+    word, as a minimal DFA is.  ``product_moves(y, x)`` numbers the pairs
+    alike, so it gives equal ``Moves`` and the flags swapped: ``coverage``
+    walks a pair measured both ways once, and reads the moves and both flags
+    of minimal operands; ``intersect`` builds its ``Dfa`` from the moves alone.
     """
     labels = sorted(x.alphabet & y.alphabet)
     x_table, x_accepts, x_degree = _operand(x, labels)
-    y_table, y_accepts, _ = _operand(y, labels)
+    y_table, y_accepts, y_degree = _operand(y, labels)
     width = y.state_count
     index = np.full(x.state_count * width, -1, dtype=np.int32)
     level = np.array([x.start * width + y.start], dtype=np.int64)
     index[level] = 0
     found = 1
     sources, columns, targets, accepting = [], [], [], []
-    x_in_y = True
+    x_in_y = y_in_x = True
     while level.size:
         first = found - level.size  # the number of the level's first pair
         px, py = np.divmod(level, width)
@@ -491,6 +496,7 @@ def product_moves(x: Dfa, y: Dfa) -> tuple[Moves, bool]:
         accepting.append(first + np.flatnonzero(in_x & in_y))
         matched = both.sum(axis=1)
         x_in_y = x_in_y and not (in_x > in_y).any() and bool((matched == x_degree[px]).all())
+        y_in_x = y_in_x and not (in_y > in_x).any() and bool((matched == y_degree[py]).all())
         parent, column = np.nonzero(both)
         codes = x_next[parent, column].astype(np.int64) * width + y_next[parent, column]
         level = codes[index[codes] < 0]
@@ -513,7 +519,7 @@ def product_moves(x: Dfa, y: Dfa) -> tuple[Moves, bool]:
         source, column, target = number[source[kept]], column[kept], number[target[kept]]
         accept, found = number[accept], int(number[-1]) + 1
     offsets = np.searchsorted(source, np.arange(found + 1))
-    return Moves(labels, offsets, source, column, target, accept), x_in_y
+    return Moves(labels, offsets, source, column, target, accept), x_in_y, y_in_x
 
 
 def _refuse_short_circuited(*operands: Nfa) -> None:
@@ -530,7 +536,7 @@ def intersect(x: Dfa, y: Dfa) -> Dfa:
     reachable, so only dead pairs, which reach no accepting pair, are pruned.
     """
     _refuse_short_circuited(x, y)
-    m, _ = product_moves(x, y)
+    m = product_moves(x, y)[0]
     labels = map(m.labels.__getitem__, m.columns.tolist())
     transitions = frozenset(zip(m.sources.tolist(), labels, m.targets.tolist()))
     return Dfa(m.order, x.alphabet & y.alphabet, transitions, 0, frozenset(m.accepting.tolist()))

@@ -12,9 +12,11 @@ minimal DFA, which is built on first use and kept with the operand:
 measuring a pair both ways minimizes each operand once.  Their intersection
 is measured short-circuited.  One ``automata.product_moves`` walk per pair,
 on int arrays, gives the trim product, never built as a ``Dfa``, whose
-eigenvalue is that of its minimal quotient, and tells whether the first
-operand's language lies inside the second's; if so, it is the shared
-language and its own solve serves.  The chi moves are added only after
+eigenvalue is that of its minimal quotient, and tells whether either
+operand's language lies inside the other's; if the first's does, it is the
+shared language and its own solve serves.  A pair measured both ways is
+walked and solved once: ``coverage(x, y)`` leaves the product with
+``y.minimal`` for ``coverage(y, x)``.  The chi moves are added only after
 intersecting, so the loop-back marker is never part of the compared
 languages.
 
@@ -274,18 +276,29 @@ def coverage(
     is contained in ``L(y)``: then the shared language is ``L(x)`` and one
     solve serves both sides, so the numerator stats are those of ``x``.
     Minimal operands are trim, so their one product walk decides that
-    inclusion.  Otherwise the numerator stats describe the trim product of
-    the two minimal automata, short-circuited, which is walked and solved
-    but never built as a ``Dfa`` or minimized; it is measured like an
-    operand, so a finite product is solved exactly by its length profile
-    even where both operands are infinite, as for ``a*b & ab*``.  An empty
-    ``L(x)`` is reported as undefined.
+    inclusion both ways.  Otherwise the numerator stats describe the trim
+    product of the two minimal automata, short-circuited, which is walked
+    and solved but never built as a ``Dfa`` or minimized; it is measured
+    like an operand, so a finite product is solved exactly by its length
+    profile even where both operands are infinite, as for ``a*b & ab*``.  An
+    empty ``L(x)`` is reported as undefined.
+
+    A pair measured both ways is walked and solved once: the walked product,
+    its measure if solved and the flag ``L(y) <= L(x)`` are left on
+    ``y.minimal`` and taken off by the next ``coverage`` whose first operand
+    is ``y``.  They serve only ``coverage(y, x)`` with the same
+    ``x.minimal``, ``tol`` and ``max_iter``, which gives the report that a
+    walk would.
     """
     _refuse_short_circuited(x, y)
     kind = MeasureKind.SHORT_CIRCUIT_EIGENVALUE
     started = time.perf_counter()
     m_x, m_y = x.minimal, y.minimal
     own = measure(m_x.arrays, kind, tol, max_iter)
-    product, x_in_y = product_moves(m_x, m_y)
-    shared = own if x_in_y else measure(product, kind, tol, max_iter)
+    partner, bounds, moves, product, x_in_y = vars(m_x).pop("_reverse", (None,) * 5)
+    if partner is not m_y or bounds != (tol, max_iter):
+        moves, x_in_y, y_in_x = product_moves(m_x, m_y)
+        product = None if x_in_y else measure(moves, kind, tol, max_iter)
+        vars(m_y)["_reverse"] = (m_x, (tol, max_iter), moves, product, y_in_x)
+    shared = own if x_in_y else product or measure(moves, kind, tol, max_iter)
     return _assemble(kind, shared, own, started)

@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import math
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -30,7 +32,8 @@ from entroscope import (
     short_circuit,
     trim,
 )
-from entroscope import automata
+from entroscope import automata, measures
+from entroscope.automata import product_moves
 from entroscope.formats import report_fields
 from helpers import (
     all_words_of_length,
@@ -288,10 +291,37 @@ def test_each_operand_is_minimized_once():
 
     x, y = retry_spec(), flexible_spec()
     once = [(as_dfa(trim(x)),), (as_dfa(trim(y)),)]
-    assert minimized(lambda: (coverage(x, y), coverage(y, x))) == once
+    with mock.patch.object(measures, "product_moves", wraps=product_moves) as walks:
+        assert minimized(lambda: (coverage(x, y), coverage(y, x))) == once
+    assert walks.call_count == 1
     assert x.minimal is x.minimal
     # Replay needs no minimal DFA.
     assert minimized(lambda: recall(retry_spec(), small_log())) == []
+
+
+def test_a_pair_product_serves_only_the_reverse_call_with_the_same_partner():
+    # L(flexible) is not inside L(retry), so the first call solves the product.
+    x, y = flexible_spec(), retry_spec()
+    with mock.patch.object(measures, "product_moves", wraps=product_moves) as walks:
+        coverage(x, y)
+        coverage(y, dataclasses.replace(x))  # an equal partner, but not the same one
+        coverage(y, x)  # the product was taken off by the call before
+    assert walks.call_count == 3
+
+
+def test_a_long_lived_operand_keeps_at_most_one_partner_alive():
+    a, b = "a", "b"
+    long_lived = Dfa(1, frozenset({a}), frozenset({(0, a, 0)}), 0, frozenset({0}))
+    partners = []
+    for i in range(50):
+        # (a^i b)*: neither language lies inside the other, so a product is left behind.
+        moves = {(k, a, k + 1) for k in range(i)} | {(i, b, 0)}
+        partner = Dfa(i + 1, frozenset({a, b}), frozenset(moves), 0, frozenset({0}))
+        coverage(partner, long_lived)
+        partners.append(weakref.ref(partner.minimal))
+        del partner
+    gc.collect()
+    assert sum(ref() is not None for ref in partners) <= 1
 
 
 #: Every entry point that takes an automaton, called with a short-circuited one.

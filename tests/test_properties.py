@@ -19,6 +19,7 @@ from entroscope import (
     SILENT,
     InfiniteLanguageError,
     MeasureKind,
+    MeasureReport,
     Nfa,
     accepts,
     adjacency_matrix,
@@ -415,8 +416,12 @@ def nfa_pairs(draw):
 
 
 def walked_rows(x: Dfa, y: Dfa) -> tuple[list[dict], list[int], bool]:
-    """``product_moves(x, y)`` in the shape of the reference walk ``product_rows``."""
-    m, x_in_y = product_moves(x, y)
+    """``product_moves(x, y)`` in the shape of the reference walk ``product_rows``.
+
+    Its second flag is checked here against the reference walk the other way.
+    """
+    m, x_in_y, y_in_x = product_moves(x, y)
+    assert y_in_x == product_rows(y, x)[2]
     moves = list(zip(m.sources.tolist(), m.columns.tolist(), m.targets.tolist()))
     assert [move[:2] for move in moves] == sorted({move[:2] for move in moves})
     assert m.labels == sorted(x.alphabet & y.alphabet)
@@ -492,13 +497,24 @@ def test_product_walk_flags_are_the_word_level_inclusions():
     @given(nfa_pairs())
     def check(pair):
         x, y = pair
-        mx, my = minimize(x), minimize(y)
-        flags = product_moves(mx, my)[1], product_moves(my, mx)[1]
-        assert flags == (language_included(x, y), language_included(y, x))
+        _, *flags = product_moves(minimize(x), minimize(y))
+        assert flags == [language_included(x, y), language_included(y, x)]
         outcomes.update(flags)
 
     check()
     assert outcomes == {True, False}
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfa_pairs())
+def test_a_pair_walks_alike_both_ways(pair):
+    mx, my = (minimize(a) for a in pair)
+    forward, x_in_y, y_in_x = product_moves(mx, my)
+    backward, *flags = product_moves(my, mx)
+    assert flags == [y_in_x, x_in_y]
+    assert forward.labels == backward.labels and forward.start == backward.start
+    for a, b in zip(forward[1:-1], backward[1:-1]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @settings(max_examples=100, deadline=None)
@@ -513,10 +529,42 @@ def test_pair_measures_walk_each_pair_once(pair):
     with mock.patch.object(measures, "product_moves", spy), mock.patch.object(
         automata, "minimize", wraps=minimize
     ) as prepared:
-        coverage(*pair)
+        coverage(*pair), coverage(*pair[::-1])
     assert walks == [tuple(minimize(a) for a in pair)]
     # Each operand is made a DFA once, and minimize is given that DFA.
     assert [c.args for c in prepared.call_args_list] == [(as_dfa(a),) for a in pair]
+
+
+A_STAR_TWICE = Nfa(2, frozenset(ABC[:1]), {(0, ABC[0], 1), (1, ABC[0], 1)}, 0, {0, 1})
+AB_STAR = Dfa(1, frozenset(ABC[:2]), frozenset({(0, ABC[0], 0), (0, ABC[1], 0)}), 0, frozenset({0}))
+
+
+def without_runtime(report: MeasureReport) -> MeasureReport:
+    return dataclasses.replace(report, runtime_ms=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfa_pairs(), st.sampled_from([{}, {"tol": 1e-6}, {"max_iter": 20}]))
+@example((A_STAR, A_STAR_TWICE), {})  # equal languages
+@example((empty_language_automaton(ABC), A_STAR), {})
+@example((A_STAR, empty_language_automaton(ABC)), {})
+@example((A_STAR, AB_STAR), {})  # an inclusion one way only
+@example((AB_STAR, A_STAR), {})
+def test_the_reverse_call_reports_what_a_fresh_walk_does(pair, bounds):
+    x, y = pair
+    coverage(x, y)
+    walks = []
+
+    def spy(a, b):
+        walks.append((a, b))
+        return product_moves(a, b)
+
+    with mock.patch.object(measures, "product_moves", spy):
+        report = coverage(y, x, **bounds)
+    fresh = coverage(dataclasses.replace(y), dataclasses.replace(x), **bounds)
+    assert without_runtime(report) == without_runtime(fresh)
+    # Other bounds walk again, so a product solved under the first ones is never served.
+    assert len(walks) == (1 if bounds else 0)
 
 
 def test_containment_in_a_larger_automaton_gives_exact_ones():
@@ -549,20 +597,28 @@ def test_measure_path_solves_the_short_circuited_product(pair):
     mx, my = minimize(as_dfa(x)), minimize(as_dfa(y))
     # A minimal operand is its own product with itself, numbered alike.
     assert intersect(mx, mx) == mx and intersect(my, my) == my
-    for a, b, ma, mb in ((x, y, mx, my), (y, x, my, mx)):
-        solved = []
+    solved = []
 
-        def spy(matrix, tol, max_iter):
-            solved.append((matrix.order, list(matrix.entries)))
-            return perron_frobenius(matrix, tol, max_iter)
+    def spy(matrix, tol, max_iter):
+        solved.append((matrix.order, list(matrix.entries)))
+        return perron_frobenius(matrix, tol, max_iter)
 
-        with mock.patch.object(measures, "perron_frobenius", spy):
-            report = coverage(a, b)
+    with mock.patch.object(measures, "perron_frobenius", spy):
+        reports = coverage(x, y), coverage(y, x)
+    product = intersect(mx, my)
+    _, x_in_y, y_in_x = product_moves(mx, my)
+    # Each operand is solved in its own direction, and the product once over
+    # both: in the first direction whose operand's language it is not.
+    if not x_in_y:
+        languages = [mx, product, my]
+    else:
+        languages = [mx, my] if y_in_x else [mx, my, product]
+    # The spy sees infinite languages only.
+    want = [counted_entries(short_circuit(a)) for a in languages if not has_finite_language(a)]
+    assert solved == want
+    for report, ma, inside in zip(reports, (mx, my), (x_in_y, y_in_x)):
         own = short_circuit(ma)
-        measured = [own] if product_moves(ma, mb)[1] else [own, short_circuit(intersect(ma, mb))]
-        # The spy sees infinite languages only.
-        finite = has_finite_language(ma), has_finite_language(intersect(ma, mb))
-        assert solved == [counted_entries(sc) for sc, f in zip(measured, finite) if not f]
+        measured = [own] if inside else [own, short_circuit(product)]
         for sc in measured:
             matrix = adjacency_matrix(sc)
             assert (matrix.order, list(matrix.entries)) == counted_entries(sc)
@@ -627,7 +683,7 @@ def profile_solves_a_finite_product_of_infinite_operands(x: Nfa, y: Nfa) -> bool
     mx, my = minimize(as_dfa(x)), minimize(as_dfa(y))
     if has_finite_language(mx) or has_finite_language(my):
         return False
-    product, _ = product_moves(mx, my)
+    product, _, _ = product_moves(mx, my)
     try:
         want = length_profile_eigenvalue(product.length_profile())
     except InfiniteLanguageError:
