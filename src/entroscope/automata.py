@@ -11,14 +11,15 @@ pure function returning fresh automata.  Derived views (``rows``,
 automaton.
 
 The construction algorithms work on Python ints and lists: ``determinize``
-keys a subset of states by an int bitmask, and ``minimize`` refines
-numbered blocks, relabelling only the smaller half of each split.  What the
-measures read works on int arrays (``Moves``): ``product_moves`` walks an
-operand pair a breadth-first level at a time in numpy, with a dense int32
-index of ``4 * nx * ny`` bytes for operands of ``nx`` and ``ny`` states (at
-most 76 KB on the benchmark pairs, 4.7 MB at 770 x 1,537), and one
-depth-first search over the arrays decides finiteness and orders the word
-count.
+keys a subset of states by an int bitmask, and ``minimize`` refines numbered
+blocks of the trim partial function, with no dead state, splitting on each
+popped block's in-moves a label at a time and relabelling only the smaller
+half of each split.  What the measures read works on int arrays (``Moves``):
+``product_moves`` walks an operand pair a breadth-first level at a time in
+numpy, with a dense int32 index of ``4 * nx * ny`` bytes for operands of
+``nx`` and ``ny`` states (at most 76 KB on the benchmark pairs, 4.7 MB at
+770 x 1,537), and one depth-first search over the arrays decides finiteness
+and orders the word count.
 """
 
 from __future__ import annotations
@@ -339,42 +340,42 @@ def canonicalize(d: Dfa) -> Dfa:
 
 
 def minimize(d: Nfa) -> Dfa:
-    """Minimal trim DFA for ``L(d)``: Hopcroft partition refinement on ``as_dfa(d)``.
+    """Minimal trim DFA for ``L(d)``: Hopcroft refinement of ``trim(as_dfa(d))``'s partial function.
 
-    An extra, empty row is the dead state: in refinement every missing move,
-    the dead state's own included, leads there.  Blocks are numbered sets
-    of states, and ``block_of`` gives each state's block number.  The
-    partition starts as the accept states and the rest, and both go on one
-    worklist of block numbers.  Each block popped splits every block on
-    every label; the smaller half of a split block gets a new number, which
+    Every state of the trim DFA is useful, so a missing move is the only way
+    to an empty future, and no dead state stands for it.  One pass over the
+    transitions lists each state's outgoing and incoming ``(label, state)``
+    moves.  Blocks are numbered sets of states, and ``block_of`` gives each
+    state's block number.  The partition starts as the accept states and the
+    rest, and both go on one worklist of block numbers, so that states with
+    a move on a label part from those without one.  Each block popped groups
+    its in-moves by label and splits every block those moves leave, a label
+    at a time; the smaller half of a split block gets a new number, which
     is queued, and only its states are relabelled, so that a state is
-    relabelled O(log n) times.  No ``trim`` is needed: dead states end in
-    the dead row's block, moves into it are dropped, and only blocks
-    reachable from the start's are numbered, breadth-first as
-    ``canonicalize`` would number them.  So language-equal inputs minimise
-    to structurally identical automata, and a dead start gives the empty
-    automaton.
+    relabelled O(log n) times (Valmari and Lehtinen, STACS 2008).  The
+    blocks are numbered breadth-first from the start's, as ``canonicalize``
+    would number them, so language-equal inputs minimise to structurally
+    identical automata, and a dead start gives the empty automaton.
     """
-    t = as_dfa(d)
-    rows = [*t.rows, {}]
-    dead = t.state_count
-    predecessors: list[dict[int, list[int]]] = []
-    for lab in sorted(t.alphabet):
-        by_target: dict[int, list[int]] = {}
-        for p, row in enumerate(rows):
-            by_target.setdefault(row.get(lab, dead), []).append(p)
-        predecessors.append(by_target)
+    t = trim(as_dfa(d))
+    outgoing: list[list[tuple[str, int]]] = [[] for _ in range(t.state_count)]
+    incoming: list[list[tuple[str, int]]] = [[] for _ in range(t.state_count)]
+    for p, lab, q in t.transitions:
+        outgoing[p].append((lab, q))
+        incoming[q].append((lab, p))
 
-    blocks = [set(t.accepts), set(range(dead + 1)) - t.accepts]  # the first may be empty
-    block_of = [int(q not in t.accepts) for q in range(dead + 1)]
+    blocks = [set(t.accepts), set(range(t.state_count)) - t.accepts]  # the first may be empty
+    block_of = [int(q not in t.accepts) for q in range(t.state_count)]
     worklist = [0, 1]
     while worklist:
-        splitter = list(blocks[worklist.pop()])  # a snapshot: the block may split below
-        for by_target in predecessors:
+        by_label: dict[str, list[int]] = {}  # read before any split: the block may split below
+        for q in blocks[worklist.pop()]:
+            for lab, p in incoming[q]:
+                by_label.setdefault(lab, []).append(p)
+        for sources in by_label.values():
             touched: dict[int, list[int]] = {}
-            for q in splitter:
-                for p in by_target.get(q, ()):
-                    touched.setdefault(block_of[p], []).append(p)
+            for p in sources:
+                touched.setdefault(block_of[p], []).append(p)
             for b, inside in touched.items():
                 block = blocks[b]
                 if len(inside) == len(block):
@@ -388,12 +389,8 @@ def minimize(d: Nfa) -> Dfa:
                 worklist.append(len(blocks))
                 blocks.append(smaller)
 
-    dead_block = block_of[dead]
-
-    def moves(b: int) -> Iterator[tuple[str, int]]:
-        for lab, q in rows[next(iter(blocks[b]))].items():
-            if block_of[q] != dead_block:
-                yield lab, block_of[q]
+    def moves(b: int) -> list[tuple[str, int]]:
+        return [(lab, block_of[q]) for lab, q in sorted(outgoing[next(iter(blocks[b]))])]
 
     def accepting(b: int) -> bool:
         return next(iter(blocks[b])) in t.accepts
@@ -587,9 +584,9 @@ def has_finite_language(d: Nfa) -> bool:
     return _topological_order(t.offsets, t.targets, t.start) is not None
 
 
-def count_words(d: Dfa) -> int:
-    """Exact number of accepted words of a finite-language automaton."""
-    return sum(trim(d).arrays.length_profile().values())
+def count_words(d: Nfa) -> int:
+    """Exact number of accepted words of a finite-language automaton, counted on ``as_dfa(d)``."""
+    return sum(trim(as_dfa(d)).arrays.length_profile().values())
 
 
 def accepts(d: Dfa, word: Sequence[str]) -> bool:

@@ -40,7 +40,6 @@ from .automata import (
     Dfa,
     InfiniteLanguageError,
     Nfa,
-    as_dfa,
     count_words,
     has_finite_language,
     is_deterministic,
@@ -217,7 +216,7 @@ def _run_quotient_command(args: argparse.Namespace) -> int:
 def _run_scalar_command(args: argparse.Namespace) -> int:
     automaton, _ = _read(args.automaton, Nfa)
     if args.command == "cardinality":
-        value = count_words(as_dfa(automaton))
+        value = count_words(automaton)
         _emit(f"cardinality = {value}\n", args.out)
         return EXIT_OK
     result = eig_short_circuit_measure(automaton, args.tol, args.max_iter)

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from entroscope import CHI, SILENT, Dfa, EventLog, Nfa, SparseMatrix
+from entroscope import CHI, SILENT, Dfa, EventLog, Nfa, SparseMatrix, prefix_tree_acceptor
 from entroscope.formats import FormatError, _fail
 
 ABC = ["a", "b", "c"]
@@ -407,6 +407,23 @@ def random_log(
         random_trace(rng, alphabet, max_len) for _ in range(rng.randint(0, max_traces))
     ]
     return EventLog(traces)
+
+
+def looped_prefix_tree(rng: random.Random, traces: int) -> Dfa:
+    """A mined specification's shape: a prefix tree that loops back to its root.
+
+    The tree is that of ``traces`` random traces of 3 to 30 events over 12
+    labels, and a ``restart`` move leads from each accept state to the root,
+    so the language is infinite.
+    """
+    labels = [f"e{i:02d}" for i in range(12)]
+    log = EventLog(
+        [tuple(rng.choice(labels) for _ in range(rng.randint(3, 30))) for _ in range(traces)]
+    )
+    tree = prefix_tree_acceptor(log)
+    loops = {(q, "restart", tree.start) for q in tree.accepts}
+    alphabet = tree.alphabet | {"restart"}
+    return Dfa(tree.state_count, alphabet, tree.transitions | loops, tree.start, tree.accepts)
 
 
 def empty_language_automaton(alphabet: Iterable[str] = ()) -> Dfa:

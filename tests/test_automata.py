@@ -1,3 +1,4 @@
+import json
 import pickle
 import random
 from collections import Counter
@@ -5,6 +6,7 @@ from collections import Counter
 import pytest
 
 from entroscope.automata import product_moves
+from entroscope.formats import read_automaton
 from entroscope import (
     CHI,
     SILENT,
@@ -376,6 +378,22 @@ class TestCountWords:
     def test_infinite_language_raises(self):
         with pytest.raises(InfiniteLanguageError):
             count_words(determinize(retry_spec()))
+
+    @pytest.mark.parametrize(
+        "accepts, moves",
+        [
+            # {b, ab, ba}: deterministic, but read as an ``Nfa``
+            ([2, 3], [(0, "a", 1), (1, "b", 3), (0, "b", 2), (2, "a", 3)]),
+            # {a, b, ab}: a silent move from the start, and "a" read two ways
+            ([3], [(0, None, 1), (0, "a", 2), (1, "a", 3), (1, "b", 3), (2, "b", 3), (2, None, 3)]),
+        ],
+        ids=["deterministic", "silent"],
+    )
+    def test_counts_a_read_document(self, accepts, moves):
+        transitions = [{"from": p, "label": lab, "to": q} for p, lab, q in moves]
+        doc = {"alphabet": ["a", "b"], "states": 4, "start": 0, "accepts": accepts}
+        aut = read_automaton(json.dumps({**doc, "transitions": transitions}))
+        assert count_words(aut) == len(bounded_language_nfa(aut, ["a", "b"], 4)) == 3
 
     def test_matches_enumeration_on_random_acyclic(self):
         rng = random.Random(23)

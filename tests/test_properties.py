@@ -51,6 +51,7 @@ from helpers import (
     empty_language_automaton,
     kahn_order,
     language_included,
+    looped_prefix_tree,
     nerode_classes,
     product_rows,
     random_log,
@@ -158,6 +159,15 @@ LOOP = Nfa(1, frozenset(ABC), frozenset({(0, "a", 0)}), 0, frozenset())
 ACCEPTING_LOOP = Nfa(1, frozenset(ABC), frozenset({(0, "a", 0)}), 0, frozenset({0}))
 NO_ACCEPT = Nfa(2, frozenset(ABC), frozenset({(0, "a", 1), (1, SILENT, 0)}), 0, frozenset())
 DEAD_START = Nfa(3, frozenset(ABC), frozenset({(0, "a", 1), (2, "b", 2)}), 0, frozenset({2}))
+# States 1 and 2 differ only in that 1 has a "b" move into a sink that accepts nothing and 2
+# has no "b" move: both have the empty future after "b", so they are one class.
+SINK_OR_NONE = Nfa(
+    5,
+    frozenset(ABC),
+    frozenset({(0, "a", 1), (0, "b", 2), (1, "c", 3), (2, "c", 3), (1, "b", 4), (4, "a", 4)}),
+    0,
+    frozenset({3}),
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -167,14 +177,29 @@ DEAD_START = Nfa(3, frozenset(ABC), frozenset({(0, "a", 1), (2, "b", 2)}), 0, fr
 @example(ACCEPTING_LOOP)
 @example(NO_ACCEPT)
 @example(DEAD_START)
+@example(SINK_OR_NONE)
 def test_minimize_leaves_one_state_per_live_nerode_class(aut):
     # The empty language has no such class, and one state that accepts nothing.
     assert minimize(aut).state_count == (nerode_classes(aut) or 1)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_minimize_merges_the_shared_tails_of_a_prefix_tree(seed):
+@pytest.mark.parametrize(
+    "seed, looped",
+    [
+        *(pytest.param(seed, False, id=str(seed)) for seed in range(12)),
+        pytest.param(0, True, id="looped"),
+    ],
+)
+def test_minimize_merges_the_shared_tails_of_a_prefix_tree(seed, looped):
     # A tree is where a block is split many times: each split must keep its states apart.
+    # Looped back to the root from each accept state, as a mined specification is, the tree
+    # has an infinite language and many labels, most of them missing at each state.
+    if looped:
+        tree = looped_prefix_tree(random.Random(seed), 50)
+        m = minimize(tree)
+        assert m.state_count == nerode_classes(tree) < tree.state_count
+        assert bounded_language_dfa(m, 12) == bounded_language_dfa(tree, 12)
+        return
     log = random_log(random.Random(seed), max_traces=150, max_len=10)
     tree = prefix_tree_acceptor(log)
     m = minimize(tree)
