@@ -143,15 +143,13 @@ class Nfa:
 
     @cached_property
     def minimal(self) -> Dfa:
-        """The minimal trim DFA of the language: ``minimize(as_dfa(self))``.
+        """The minimal trim DFA of the language: ``minimize(self)``, which trims it first.
 
-        ``as_dfa`` trims a nondeterministic automaton before the subset
-        construction.  Built on first use and kept with this automaton, so
-        each operand of several measures is minimized once.  ``coverage``
-        keeps one product with the minimal DFA, so that a pair measured both
-        ways is walked and solved once.
+        Built on first use and kept with this automaton, so each operand of
+        several measures is minimized once, and ``coverage`` keeps one product
+        with it, so that a pair measured both ways is walked and solved once.
         """
-        return minimize(as_dfa(self))
+        return minimize(self)
 
 
 @dataclass(frozen=True)
@@ -205,8 +203,9 @@ def as_dfa(a: Nfa) -> Dfa:
     """A DFA for ``L(a)``, built by ``determinize(trim(a))`` only if ``a`` is nondeterministic.
 
     A ``Dfa`` is returned as it is, and a deterministic ``Nfa`` is
-    reinterpreted as a ``Dfa`` with the same states and transitions.
-    Trimming keeps dead states out of the subset construction.
+    reinterpreted as one, untrimmed, so ``recall``'s replay of a large spec
+    pays for no trim.  ``recall`` passes its spec as it is, so a dead core of
+    a nondeterministic ``a`` is trimmed here, before the subset construction.
     """
     if isinstance(a, Dfa):
         return a
@@ -340,9 +339,10 @@ def canonicalize(d: Dfa) -> Dfa:
 
 
 def minimize(d: Nfa) -> Dfa:
-    """Minimal trim DFA for ``L(d)``: Hopcroft refinement of ``trim(as_dfa(d))``'s partial function.
+    """Minimal trim DFA for ``L(d)``: Hopcroft refinement of ``as_dfa(trim(d))``'s partial function.
 
-    Every state of the trim DFA is useful, so a missing move is the only way
+    ``d`` is trimmed before the subset construction, so its subsets hold only
+    useful states and the DFA is trim as built: a missing move is the only way
     to an empty future, and no dead state stands for it.  One pass over the
     transitions lists each state's outgoing and incoming ``(label, state)``
     moves.  Blocks are numbered sets of states, and ``block_of`` gives each
@@ -357,7 +357,7 @@ def minimize(d: Nfa) -> Dfa:
     would number them, so language-equal inputs minimise to structurally
     identical automata, and a dead start gives the empty automaton.
     """
-    t = trim(as_dfa(d))
+    t = as_dfa(trim(d))
     outgoing: list[list[tuple[str, int]]] = [[] for _ in range(t.state_count)]
     incoming: list[list[tuple[str, int]]] = [[] for _ in range(t.state_count)]
     for p, lab, q in t.transitions:
@@ -579,14 +579,14 @@ def _topological_order(offsets: np.ndarray, targets: np.ndarray, start: int) -> 
 
 
 def has_finite_language(d: Nfa) -> bool:
-    """True iff no directed cycle survives trimming ``as_dfa(d)``."""
-    t = trim(as_dfa(d)).arrays
+    """True iff ``as_dfa(trim(d))``, a trim DFA of ``L(d)``, has no directed cycle."""
+    t = as_dfa(trim(d)).arrays
     return _topological_order(t.offsets, t.targets, t.start) is not None
 
 
 def count_words(d: Nfa) -> int:
-    """Exact number of accepted words of a finite-language automaton, counted on ``as_dfa(d)``."""
-    return sum(trim(as_dfa(d)).arrays.length_profile().values())
+    """Exact number of accepted words of a finite-language ``d``, counted on ``as_dfa(trim(d))``."""
+    return sum(as_dfa(trim(d)).arrays.length_profile().values())
 
 
 def accepts(d: Dfa, word: Sequence[str]) -> bool:

@@ -119,10 +119,13 @@ class TestMeasureCommands:
         path.write_text(write_automaton(padded), encoding="utf-8")
         expected = {"eigenvalue": "eigenvalue = 1.513\n", "entropy": "entropy = 0.597\n"}
         for command, line in expected.items():
-            with mock.patch.object(automata, "minimize", wraps=minimize) as spy:
+            with mock.patch.object(automata, "minimize", wraps=minimize) as spy, mock.patch.object(
+                automata, "determinize", wraps=automata.determinize
+            ) as subsets:
                 assert main([command, str(path)]) == 0
             assert capsys.readouterr().out == line
-            assert [c.args for c in spy.call_args_list] == [(as_dfa(trim(padded)),)]
+            assert [c.args for c in spy.call_args_list] == [(padded,)]
+            assert [c.args for c in subsets.call_args_list] == [(trim(padded),)]
 
     def test_the_subset_construction_sees_only_useful_states(self, capsys, tmp_path):
         # {a}, plus a dead core entered on b that accepts nothing: the NFA for
@@ -142,7 +145,8 @@ class TestMeasureCommands:
         out = capsys.readouterr().out
         assert out.startswith("cardinality = 1\n")
         assert "trim: false\n" in out and "finite_language: true\n" in out
-        assert len(spy.call_args_list) == 4
+        # Only recall determinizes: the trimmed spec is deterministic for the others.
+        assert len(spy.call_args_list) == 1
         assert all(automata.is_trim(c.args[0]) for c in spy.call_args_list)
 
     @pytest.mark.parametrize("command", ["precision", "coverage"])
@@ -632,6 +636,23 @@ class TestFamilyClosedForms:
         spec = read_automaton((fam / "parallel_block.json").read_text())
         value = eig_short_circuit_measure(as_dfa(spec)).value
         assert value == pytest.approx(120 ** (1 / 6), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", list(MeasureKind))
+    def test_precision_falls_strictly_as_the_family_grows(self, capsys, tmp_path, kind):
+        # Each family's languages are nested and the first is its log's, so
+        # precision against that log starts at exactly 1 and falls strictly.
+        for family, option, values, digits in (
+            ("bounded-repeat", "--x", range(2, 21), 2),
+            ("permutations", "--count", range(5, 121), 3),
+        ):
+            stem, falling = family.replace("-", "_"), []
+            for v in values:
+                fam = _family(tmp_path, family, option, str(v))
+                spec = read_automaton((fam / f"{stem}_{v:0{digits}d}.json").read_text())
+                log = read_log((fam / f"{stem}_log.log").read_text())
+                falling.append(precision(spec, log, kind).value)
+            assert falling[0] == 1.0
+            assert all(a > b for a, b in zip(falling, falling[1:]))
 
 
 def _cli_output(*args: str, hash_seed: str) -> bytes:

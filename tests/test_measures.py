@@ -20,7 +20,6 @@ from entroscope import (
     InfiniteLanguageError,
     MeasureKind,
     Nfa,
-    as_dfa,
     coverage,
     determinize,
     eig_short_circuit_measure,
@@ -290,13 +289,34 @@ def test_each_operand_is_minimized_once():
         return [c.args for c in spy.call_args_list]
 
     x, y = retry_spec(), flexible_spec()
-    once = [(as_dfa(trim(x)),), (as_dfa(trim(y)),)]
+    once = [(x,), (y,)]
     with mock.patch.object(measures, "product_moves", wraps=product_moves) as walks:
         assert minimized(lambda: (coverage(x, y), coverage(y, x))) == once
     assert walks.call_count == 1
     assert x.minimal is x.minimal
     # Replay needs no minimal DFA.
     assert minimized(lambda: recall(retry_spec(), small_log())) == []
+
+
+def test_no_trim_reads_a_subset_dfa():
+    # Each operand is trimmed before the subset construction, never after it.
+    built, trimmed = [], []
+
+    def subsets(a):
+        built.append(determinize(a))
+        return built[-1]
+
+    def trimming(a):
+        trimmed.append(a)
+        return trim(a)
+
+    x, y = retry_spec(), flexible_spec()
+    with mock.patch.object(automata, "determinize", subsets), mock.patch.object(
+        automata, "trim", trimming
+    ):
+        coverage(x, y), coverage(y, x)
+    assert built and trimmed
+    assert not any(a is d for a in trimmed for d in built)
 
 
 def test_a_pair_product_serves_only_the_reverse_call_with_the_same_partner():

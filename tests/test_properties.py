@@ -556,8 +556,8 @@ def test_pair_measures_walk_each_pair_once(pair):
     ) as prepared:
         coverage(*pair), coverage(*pair[::-1])
     assert walks == [tuple(minimize(a) for a in pair)]
-    # Each operand is made a DFA once, and minimize is given that DFA.
-    assert [c.args for c in prepared.call_args_list] == [(as_dfa(a),) for a in pair]
+    # Each operand is minimized once, and minimize is given the operand itself.
+    assert [c.args for c in prepared.call_args_list] == [(a,) for a in pair]
 
 
 A_STAR_TWICE = Nfa(2, frozenset(ABC[:1]), {(0, ABC[0], 1), (1, ABC[0], 1)}, 0, {0, 1})
