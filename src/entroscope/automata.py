@@ -214,6 +214,12 @@ def as_dfa(a: Nfa) -> Dfa:
     return determinize(trim(a))
 
 
+def _trim_dfa(a: Nfa) -> Dfa:
+    """A trim DFA of ``L(a)``: ``as_dfa(trim(a))``, but ``a`` is trimmed once, not twice."""
+    t = trim(a)
+    return as_dfa(t) if isinstance(t, Dfa) or is_deterministic(t) else determinize(t)
+
+
 def _explore(
     start: Hashable,
     moves: Callable[[Hashable], Iterable[tuple[str, Hashable]]],
@@ -357,7 +363,7 @@ def minimize(d: Nfa) -> Dfa:
     would number them, so language-equal inputs minimise to structurally
     identical automata, and a dead start gives the empty automaton.
     """
-    t = as_dfa(trim(d))
+    t = _trim_dfa(d)
     outgoing: list[list[tuple[str, int]]] = [[] for _ in range(t.state_count)]
     incoming: list[list[tuple[str, int]]] = [[] for _ in range(t.state_count)]
     for p, lab, q in t.transitions:
@@ -580,21 +586,20 @@ def _topological_order(offsets: np.ndarray, targets: np.ndarray, start: int) -> 
 
 def has_finite_language(d: Nfa) -> bool:
     """True iff ``as_dfa(trim(d))``, a trim DFA of ``L(d)``, has no directed cycle."""
-    t = as_dfa(trim(d)).arrays
+    t = _trim_dfa(d).arrays
     return _topological_order(t.offsets, t.targets, t.start) is not None
 
 
 def count_words(d: Nfa) -> int:
     """Exact number of accepted words of a finite-language ``d``, counted on ``as_dfa(trim(d))``."""
-    return sum(as_dfa(trim(d)).arrays.length_profile().values())
+    return sum(_trim_dfa(d).arrays.length_profile().values())
 
 
 def accepts(d: Dfa, word: Sequence[str]) -> bool:
     """Replay ``word``; labels outside the alphabet simply fail to move."""
-    state = d.start
+    rows, state = d.rows, d.start
     for lab in word:
-        nxt = d.rows[state].get(lab)
-        if nxt is None:
+        state = rows[state].get(lab)
+        if state is None:
             return False
-        state = nxt
     return state in d.accepts

@@ -162,8 +162,8 @@ def read_log(text: str) -> EventLog:
 
     One trace per line, events separated by single spaces; a fully empty
     line is the empty trace and ``#`` starts a comment line.  Lines are
-    counted first, so each distinct line is checked once; an error names
-    the first line that holds the bad text.
+    counted first, and each distinct line is checked once by two membership
+    tests; only a bad line is walked, to name its first bad event and line.
     """
     lines = text.splitlines()
     traces: dict[tuple[str, ...], int] = {}
@@ -171,12 +171,10 @@ def read_log(text: str) -> EventLog:
         if line.startswith("#"):
             continue
         events = tuple(line.split(" ")) if line else ()
-        for pos, token in enumerate(events, start=1):
-            if token in (SILENT, CHI):
-                where = f"line {lines.index(line) + 1}, event {pos}"
-                if token:
-                    _fail(where, f"{CHI!r} is reserved")
-                _fail(where, "empty event name (double space?)")
+        if SILENT in events or CHI in events:
+            pos = next(i for i, token in enumerate(events) if token in (SILENT, CHI))
+            problem = f"{CHI!r} is reserved" if events[pos] else "empty event name (double space?)"
+            _fail(f"line {lines.index(line) + 1}, event {pos + 1}", problem)
         traces[events] = mult
     return EventLog(traces)
 

@@ -28,11 +28,11 @@ eigenvalue comes from ``spectral.length_profile_eigenvalue``, so equal finite
 languages get equal numbers by any route; power iteration serves the rest.
 
 A specification and an event log (``precision``, ``recall``) are compared
-without an automaton of the log.  The shared language is the set of
-distinct traces that a specification DFA accepts on replay; a label outside
-the specification alphabet fails to move, just as ``intersect`` keeps only
-the common alphabet.  Acceptance is a property of the language, so only the
-specification's own measure, in ``precision``, needs its minimal DFA.
+without an automaton of the log.  Their shared language, the numerator of
+both, is the set of distinct traces a specification DFA accepts on replay,
+where a label outside its alphabet fails to move.  Acceptance is a property
+of the language, so any DFA serves, and each call leaves the measured
+numerator on the spec for the next call with the same log object and kind.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -89,6 +89,10 @@ class AutomatonStats:
     eigen: EigenResult | None = None
 
 
+#: A language's measure, an exact count or an eigenvalue, with its automaton's stats.
+Measured = tuple[int | float, AutomatonStats]
+
+
 @dataclass(frozen=True)
 class MeasureReport:
     """A computed quotient with its raw measures and solver diagnostics, built by ``_assemble``.
@@ -113,9 +117,7 @@ class MeasureReport:
     runtime_ms: float
 
 
-def measure(
-    moves: Moves, kind: MeasureKind, tol: float, max_iter: int
-) -> tuple[int | float, AutomatonStats]:
+def measure(moves: Moves, kind: MeasureKind, tol: float, max_iter: int) -> Measured:
     """Measure of the language of a trim move table, with its size and solve.
 
     The table is a walked product or a minimal DFA's own ``Dfa.arrays``,
@@ -158,9 +160,16 @@ def _shared_profile(spec: Dfa, log: EventLog) -> Counter[int]:
     return Counter(len(trace) for trace, _ in log if accepts(spec, trace))
 
 
-def _profile_measure(
-    profile: Mapping[int, int], kind: MeasureKind
-) -> tuple[int | float, AutomatonStats]:
+def _shared(spec: Nfa, log: EventLog, kind: MeasureKind, dfa: Callable[[], Dfa]) -> Measured:
+    """Measure of the ``log`` traces that ``dfa()`` accepts, kept on ``spec`` by log and kind."""
+    held, held_kind, shared = vars(spec).get("_shared", (None,) * 3)
+    if held is not log or held_kind is not kind:
+        shared = _profile_measure(_shared_profile(dfa(), log), kind)
+        vars(spec)["_shared"] = (log, kind, shared)
+    return shared
+
+
+def _profile_measure(profile: Mapping[int, int], kind: MeasureKind) -> Measured:
     """Measure of a finite language given by its length profile.
 
     The stats describe the graph whose eigenvalue that is: the chain
@@ -181,10 +190,7 @@ def _as_float(x: int | float) -> float:
 
 
 def _assemble(
-    kind: MeasureKind,
-    numerator: tuple[int | float, AutomatonStats],
-    denominator: tuple[int | float, AutomatonStats],
-    started: float,
+    kind: MeasureKind, numerator: Measured, denominator: Measured, started: float
 ) -> MeasureReport:
     """The quotient report, timed from ``started``; cardinalities are divided as integers.
 
@@ -225,20 +231,20 @@ def precision(
 
     The shared behaviour, the distinct log traces that ``spec`` accepts, is
     measured by its length profile, and so is a finite specification: a log
-    over its own prefix tree gives exactly 1.0.  ``tol`` and ``max_iter``
-    govern only an infinite specification's power iteration.  The numerator
-    stats describe the graph of the length profile: ``states`` is the
-    longest accepted length plus one, and ``transitions`` is that length
-    plus the number of distinct accepted lengths.
+    over its own prefix tree gives exactly 1.0.  The traces are replayed on
+    ``spec.minimal`` unless ``spec`` holds their measure for this ``log``
+    object and ``kind``.  ``tol`` and ``max_iter`` govern only an infinite
+    specification's power iteration.  The numerator stats describe the
+    length profile's graph: ``states`` is the longest accepted length plus
+    one, and ``transitions`` that length plus the number of distinct lengths.
 
     An empty specification language yields an undefined-flagged report; the
     cardinality kind additionally rejects infinite specification languages.
     """
     _refuse_short_circuited(spec)
     started = time.perf_counter()
-    m_spec = spec.minimal
-    numerator = _profile_measure(_shared_profile(m_spec, log), kind)
-    denominator = measure(m_spec.arrays, kind, tol, max_iter)
+    numerator = _shared(spec, log, kind, lambda: spec.minimal)
+    denominator = measure(spec.minimal.arrays, kind, tol, max_iter)
     return _assemble(kind, numerator, denominator, started)
 
 
@@ -252,13 +258,14 @@ def recall(
     Both languages are finite, so both are measured by their length
     profiles, as in ``precision``: the distinct traces that ``spec`` accepts
     over all distinct traces.  The traces are replayed on ``as_dfa(spec)``,
-    not minimized: acceptance depends on the language alone.  There is no
-    power iteration to bound, and each side's stats describe the graph of
-    its length profile.  An empty log yields an undefined-flagged report.
+    not minimized, unless ``spec`` holds their measure for this ``log``
+    object and ``kind``.  There is no power iteration to bound, and each
+    side's stats describe the graph of its length profile.  An empty log
+    yields an undefined-flagged report.
     """
     _refuse_short_circuited(spec)
     started = time.perf_counter()
-    numerator = _profile_measure(_shared_profile(as_dfa(spec), log), kind)
+    numerator = _shared(spec, log, kind, lambda: as_dfa(spec))
     denominator = _profile_measure(Counter(len(trace) for trace, _ in log), kind)
     return _assemble(kind, numerator, denominator, started)
 

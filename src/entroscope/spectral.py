@@ -167,7 +167,7 @@ def length_profile_eigenvalue(profile: Mapping[int, int]) -> EigenResult:
     steps = 0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         steps += 1
-        if sum(c * mid**e for e, c in terms) < 1.0:
+        if sum([c * mid**e for e, c in terms]) < 1.0:
             lo = mid
         else:
             hi = mid

@@ -191,6 +191,15 @@ class TestLogDocuments:
         with pytest.raises(FormatError, match="reserved"):
             read_log("a __chi__\n")
 
+    @pytest.mark.parametrize(
+        "bad, problem", [("", "empty event name"), ("__chi__", "'__chi__' is reserved")]
+    )
+    def test_a_bad_event_deep_in_a_long_line_is_positioned(self, bad, problem):
+        events = [f"e{i}" for i in range(1, 201)]
+        events[119] = bad
+        with pytest.raises(FormatError, match=f"^line 3, event 120: {problem}"):
+            read_log("a\n# x  y\n" + " ".join(events) + "\na\n")
+
     def test_round_trip_on_random_logs(self):
         rng = random.Random(17)
         for _ in range(50):

@@ -197,6 +197,70 @@ class TestPrecisionRecall:
         assert recall(retry_spec(), single).value == recall(retry_spec(), repeated).value
 
 
+def without_runtime(report):
+    return dataclasses.replace(report, runtime_ms=0.0)
+
+
+def outcome(call, spec: Nfa, log: EventLog, kind: MeasureKind):
+    """The report of ``call`` without its runtime, or the type of what it raised."""
+    try:
+        return without_runtime(call(spec, log, kind))
+    except InfiniteLanguageError as exc:
+        return type(exc)
+
+
+def replays(*calls) -> int:
+    """How many times ``calls`` replay a log on a specification."""
+    with mock.patch.object(measures, "_shared_profile", wraps=measures._shared_profile) as spy:
+        for call in calls:
+            call()
+    return spy.call_count
+
+
+class TestSharedNumerator:
+    """``precision`` and ``recall`` of one spec and log replay and solve the log once."""
+
+    @pytest.mark.parametrize("first,second", [(precision, recall), (recall, precision)])
+    def test_a_pair_replays_once(self, first, second):
+        spec, log = retry_spec(), small_log()
+        assert replays(lambda: first(spec, log), lambda: second(spec, log)) == 1
+
+    @pytest.mark.parametrize("kind", [EIG, CARD])
+    @pytest.mark.parametrize("first,second", [(precision, recall), (recall, precision)])
+    @pytest.mark.parametrize("spec,log,want_p,want_r", TABLE_ROWS)
+    def test_reports_equal_those_of_a_fresh_spec(
+        self, spec, log, want_p, want_r, first, second, kind
+    ):
+        held, log = spec(), log()
+        got = [outcome(call, held, log, kind) for call in (first, second)]
+        assert got == [outcome(call, spec(), log, kind) for call in (first, second)]
+
+    def test_an_equal_but_distinct_log_replays_again(self):
+        spec, log = retry_spec(), small_log()
+        assert replays(lambda: precision(spec, log), lambda: recall(spec, small_log())) == 2
+
+    def test_another_kind_replays_again(self):
+        spec, log = two_word_spec(), small_log()
+        assert replays(lambda: precision(spec, log), lambda: recall(spec, log, CARD)) == 2
+
+    def test_a_call_on_another_log_in_between_replays_again(self):
+        spec, log, other = retry_spec(), small_log(), extended_log()
+        calls = (
+            lambda: precision(spec, log),
+            lambda: recall(spec, other),
+            lambda: recall(spec, log),
+        )
+        assert replays(*calls) == 3
+
+    def test_a_refused_cardinality_precision_leaves_a_correct_recall(self):
+        spec, log = retry_spec(), small_log()
+        with pytest.raises(InfiniteLanguageError):
+            precision(spec, log, CARD)
+        report = recall(spec, log, CARD)
+        assert without_runtime(report) == without_runtime(recall(retry_spec(), log, CARD))
+        assert report.value == 0.5
+
+
 def same_length_log(count: int, length: int) -> EventLog:
     """``count`` distinct traces of ``length`` events over a..e."""
     return EventLog([(*"a" * (length - 1), last) for last in "abcde"[:count]])
@@ -317,6 +381,20 @@ def test_no_trim_reads_a_subset_dfa():
         coverage(x, y), coverage(y, x)
     assert built and trimmed
     assert not any(a is d for a in trimmed for d in built)
+
+
+def test_each_operand_is_trimmed_once():
+    # retry_spec is nondeterministic, so its trim NFA is determinized, not trimmed again.
+    trimmed = []
+
+    def trimming(a):
+        trimmed.append(a)
+        return trim(a)
+
+    x, y = retry_spec(), flexible_spec()
+    with mock.patch.object(automata, "trim", trimming):
+        coverage(x, y), coverage(y, x)
+    assert len(trimmed) == 2 and trimmed[0] is x and trimmed[1] is y
 
 
 def test_a_pair_product_serves_only_the_reverse_call_with_the_same_partner():

@@ -423,6 +423,37 @@ def test_trace_order_does_not_change_the_reports():
             assert without_runtime(first) == without_runtime(second)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    specs_and_logs(),
+    word_sets(),
+    st.lists(
+        st.tuples(
+            st.sampled_from([precision, recall]), st.sampled_from(MeasureKind), st.booleans()
+        ),
+        min_size=2,
+        max_size=5,
+    ),
+)
+def test_a_held_numerator_reports_what_a_fresh_spec_does(case, words, calls):
+    # Calls on one spec switch between two logs and two kinds, so the held
+    # numerator is served, passed over and replaced.
+    spec, walked = case
+    logs = (walked, EventLog(list(words)))
+
+    def outcome(measure, a, log, kind):
+        try:
+            return without_runtime(measure(a, log, kind))
+        except InfiniteLanguageError:
+            return InfiniteLanguageError
+
+    for measure, kind, other in calls:
+        log = logs[other]
+        assert outcome(measure, spec, log, kind) == outcome(
+            measure, dataclasses.replace(spec), log, kind
+        )
+
+
 def silent_union(x: Nfa, z: Nfa) -> Nfa:
     """An NFA of ``L(x) | L(z)``: a fresh start with silent moves to both starts."""
     shift = 1 + x.state_count
