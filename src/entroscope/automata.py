@@ -14,12 +14,14 @@ The construction algorithms work on Python ints and lists: ``determinize``
 keys a subset of states by an int bitmask, and ``minimize`` refines numbered
 blocks of the trim partial function, with no dead state, splitting on each
 popped block's in-moves a label at a time and relabelling only the smaller
-half of each split.  What the measures read works on int arrays (``Moves``):
-``product_moves`` walks an operand pair a breadth-first level at a time in
-numpy, with a dense int32 index of ``4 * nx * ny`` bytes for operands of
-``nx`` and ``ny`` states (at most 76 KB on the benchmark pairs, 4.7 MB at
-770 x 1,537), and one depth-first search over the arrays decides finiteness
-and orders the word count.
+half of each split; both number states in ``_explore``, whose ``Dfa`` keeps
+the rows it numbered by, so nothing sorts them back out of its transitions.
+What the measures read works on int arrays (``Moves``): ``product_moves``
+walks an operand pair a breadth-first level at a time in numpy, with a dense
+int32 index of ``4 * nx * ny`` bytes for operands of ``nx`` and ``ny`` states
+(at most 76 KB on the benchmark pairs, 4.7 MB at 770 x 1,537), and trims it
+by sweeping its move arrays; one depth-first search over the arrays decides
+finiteness and orders the word count.
 """
 
 from __future__ import annotations
@@ -165,11 +167,14 @@ class Dfa(Nfa):
 
     @cached_property
     def rows(self) -> list[dict[str, int]]:
-        """The partial transition function: per state, ``{label: target}`` in sorted label order."""
-        rows: list[dict[str, int]] = [{} for _ in range(self.state_count)]
-        for p, lab, q in sorted(self.transitions):
-            rows[p][lab] = q
-        return rows
+        """The partial transition function: per state, ``{label: target}`` in sorted label order.
+
+        ``_explore`` hands its DFA the rows it filled; any other sorts each state's moves.
+        """
+        buckets: list[list[tuple[str, int]]] = [[] for _ in range(self.state_count)]
+        for p, lab, q in self.transitions:
+            buckets[p].append((lab, q))
+        return [dict(sorted(row)) for row in buckets]
 
     @cached_property
     def arrays(self) -> Moves:
@@ -226,27 +231,34 @@ def _explore(
     accepting: Callable[[Hashable], bool],
     alphabet: frozenset[str],
 ) -> Dfa:
-    """The DFA on the keys reachable from ``start``, numbered breadth-first.
+    """The DFA on the keys reachable from ``start``, numbered breadth-first, with its rows.
 
-    ``moves(key)`` yields ``(label, successor key)`` pairs in a fixed label
+    ``moves(key)`` yields ``(label, successor key)`` pairs in sorted label
     order, so the numbering depends on the graph alone, not on what the keys
-    are (subsets, state pairs, states or blocks) or how they hash.  ``start``
-    becomes state 0 and ``accepting(key)`` marks the accept states.
+    are (subsets, states or blocks) or how they hash.  ``start`` becomes
+    state 0 and ``accepting(key)`` marks the accept states.  The ``Dfa`` keeps
+    the rows filled while numbering as its ``rows``, in that label order.
     """
     index = {start: 0}
     order = [start]
+    rows: list[dict[str, int]] = []
     transitions: list[Transition] = []
     accepts: list[int] = []
     for here, key in enumerate(order):  # ``order`` grows as keys are found
         if accepting(key):
             accepts.append(here)
+        row: dict[str, int] = {}
         for lab, target in moves(key):
             there = index.get(target)
             if there is None:
                 there = index[target] = len(order)
                 order.append(target)
+            row[lab] = there
             transitions.append((here, lab, there))
-    return Dfa(len(order), alphabet, frozenset(transitions), 0, frozenset(accepts))
+        rows.append(row)
+    d = Dfa(len(order), alphabet, frozenset(transitions), 0, frozenset(accepts))
+    vars(d)["rows"] = rows  # where ``cached_property`` keeps ``Dfa.rows``
+    return d
 
 
 def _graph(a: Nfa) -> tuple[list[list[int]], list[list[int]]]:
@@ -277,9 +289,10 @@ def determinize(a: Nfa) -> Dfa:
     Only subset states reachable from the closure of the start state are
     materialised, discovered breadth-first with labels in sorted order, so
     the result is reproducible.  A subset is an ``int`` bitmask of states.
-    Each state's silent closure is taken once, and each labelled move is
-    stored as the mask of its target's closure, so a subset's move on a label
-    is the OR of its members' masks on that label.
+    Each state's silent closure is taken once, and each state's labelled
+    moves are merged once into one mask per label, the OR of its targets'
+    closures, so a subset's move on a label is the OR of its members' masks,
+    collected in a list indexed by label.
     """
     labels = sorted(a.alphabet)
     column = {lab: i for i, lab in enumerate(labels)}
@@ -288,20 +301,22 @@ def determinize(a: Nfa) -> Dfa:
         if lab == SILENT:
             silent[p].append(q)
     masks = [sum(1 << q for q in _closure([p], silent.__getitem__)) for p in range(a.state_count)]
-    closed: list[list[tuple[int, int]]] = [[] for _ in range(a.state_count)]
+    merged: list[dict[int, int]] = [{} for _ in range(a.state_count)]
     for p, lab, q in a.transitions:
         if lab != SILENT:
-            closed[p].append((column[lab], masks[q]))
+            i = column[lab]
+            merged[p][i] = merged[p].get(i, 0) | masks[q]
+    closed = [list(row.items()) for row in merged]
     accept_bits = sum(1 << q for q in a.accepts)
 
     def moves(subset: int) -> list[tuple[str, int]]:
-        out: dict[int, int] = {}
+        out = [0] * len(labels)  # a target mask holds its target, so a move's is never 0
         while subset:
             low = subset & -subset
             for i, mask in closed[low.bit_length() - 1]:
-                out[i] = out.get(i, 0) | mask
+                out[i] |= mask
             subset ^= low
-        return [(labels[i], out[i]) for i in sorted(out)]
+        return [(lab, mask) for lab, mask in zip(labels, out) if mask]
 
     return _explore(masks[a.start], moves, accept_bits.__and__, a.alphabet)
 
@@ -349,8 +364,9 @@ def minimize(d: Nfa) -> Dfa:
 
     ``d`` is trimmed before the subset construction, so its subsets hold only
     useful states and the DFA is trim as built: a missing move is the only way
-    to an empty future, and no dead state stands for it.  One pass over the
-    transitions lists each state's outgoing and incoming ``(label, state)``
+    to an empty future, and no dead state stands for it.  Its ``rows``, which
+    a subset DFA keeps from its construction, are each state's outgoing moves,
+    and one pass over them lists each state's incoming ``(label, state)``
     moves.  Blocks are numbered sets of states, and ``block_of`` gives each
     state's block number.  The partition starts as the accept states and the
     rest, and both go on one worklist of block numbers, so that states with
@@ -360,15 +376,16 @@ def minimize(d: Nfa) -> Dfa:
     is queued, and only its states are relabelled, so that a state is
     relabelled O(log n) times (Valmari and Lehtinen, STACS 2008).  The
     blocks are numbered breadth-first from the start's, as ``canonicalize``
-    would number them, so language-equal inputs minimise to structurally
-    identical automata, and a dead start gives the empty automaton.
+    would number them, each read through the row of one state picked once,
+    so language-equal inputs minimise to structurally identical automata,
+    and a dead start gives the empty automaton.
     """
     t = _trim_dfa(d)
-    outgoing: list[list[tuple[str, int]]] = [[] for _ in range(t.state_count)]
+    rows = t.rows
     incoming: list[list[tuple[str, int]]] = [[] for _ in range(t.state_count)]
-    for p, lab, q in t.transitions:
-        outgoing[p].append((lab, q))
-        incoming[q].append((lab, p))
+    for p, row in enumerate(rows):
+        for lab, q in row.items():
+            incoming[q].append((lab, p))
 
     blocks = [set(t.accepts), set(range(t.state_count)) - t.accepts]  # the first may be empty
     block_of = [int(q not in t.accepts) for q in range(t.state_count)]
@@ -395,11 +412,13 @@ def minimize(d: Nfa) -> Dfa:
                 worklist.append(len(blocks))
                 blocks.append(smaller)
 
+    first = [next(iter(block), -1) for block in blocks]  # a representative; none for an empty one
+
     def moves(b: int) -> list[tuple[str, int]]:
-        return [(lab, block_of[q]) for lab, q in sorted(outgoing[next(iter(blocks[b]))])]
+        return [(lab, block_of[q]) for lab, q in rows[first[b]].items()]
 
     def accepting(b: int) -> bool:
-        return next(iter(blocks[b])) in t.accepts
+        return first[b] in t.accepts
 
     return _explore(block_of[t.start], moves, accepting, t.alphabet)
 
@@ -444,19 +463,18 @@ def _firsts(values: np.ndarray) -> np.ndarray:
 
 
 def _live(order: int, sources: np.ndarray, targets: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """True at the states that reach a seed, found by a backward frontier over reversed moves."""
-    by_target = np.argsort(targets, kind="stable")
-    offsets = np.searchsorted(targets[by_target], np.arange(order + 1))
-    predecessors = sources[by_target]
+    """True at the states that reach a seed, marked by sweeping the moves until none is added.
+
+    Each sweep marks the source of every move into a marked state, so there
+    is one sweep more than the longest distance from a live pair to its
+    nearest accepting pair: a handful on most products, one per pair on a chain.
+    """
     live = np.zeros(order, dtype=bool)
     live[seeds] = True
-    while seeds.size:
-        ends = offsets[seeds + 1]
-        counts = ends - offsets[seeds]
-        found = predecessors[np.arange(counts.sum()) + np.repeat(ends - np.cumsum(counts), counts)]
-        found = found[~live[found]]
-        seeds = found[_firsts(found)]
-        live[seeds] = True
+    marked = 0
+    while (now := np.count_nonzero(live)) > marked:
+        marked = now
+        live[sources[live[targets]]] = True
     return live
 
 
@@ -467,18 +485,19 @@ def product_moves(x: Dfa, y: Dfa) -> tuple[Moves, bool, bool]:
     with labels in sorted order, as ``_explore`` numbers states: a level at
     a time, each new pair in the order it first appears among the level's
     moves, listed parent by parent in label order.  A dense int32 index,
-    4 bytes per pair of states, holds the numbers.  Pairs that a backward
-    search from the accepting pairs misses are dropped and the rest keep
-    their order, as in ``trim``; a dead start leaves one state with no move.
+    4 bytes per pair of states, holds the numbers.  Pairs that ``_live``'s
+    sweep from the accepting pairs leaves unmarked are dropped and the rest
+    keep their order, as in ``trim``; a dead start leaves one state with no move.
 
-    The flags are ``L(x) <= L(y)`` and ``L(y) <= L(x)``: the first is false
-    once a reached pair has an accept or a move of ``x`` that ``y`` cannot
-    match, and the second likewise with the sides swapped.  Each is exact
-    when its left operand is trim, so that every state lies on an accepted
-    word, as a minimal DFA is.  ``product_moves(y, x)`` numbers the pairs
-    alike, so it gives equal ``Moves`` and the flags swapped: ``coverage``
-    walks a pair measured both ways once, and reads the moves and both flags
-    of minimal operands; ``intersect`` builds its ``Dfa`` from the moves alone.
+    The flags are ``L(x) <= L(y)`` and ``L(y) <= L(x)``, read off all reached
+    pairs after the walk: the first is false if a reached pair has an accept
+    or a move of ``x`` that ``y`` cannot match, and the second likewise with
+    the sides swapped.  Each is exact when its left operand is trim, so that
+    every state lies on an accepted word, as a minimal DFA is.
+    ``product_moves(y, x)`` numbers the pairs alike, so it gives equal
+    ``Moves`` and the flags swapped: ``coverage`` walks a pair measured both
+    ways once, and reads the moves and both flags of minimal operands;
+    ``intersect`` builds its ``Dfa`` from the moves alone.
     """
     labels = sorted(x.alphabet & y.alphabet)
     x_table, x_accepts, x_degree = _operand(x, labels)
@@ -488,30 +507,30 @@ def product_moves(x: Dfa, y: Dfa) -> tuple[Moves, bool, bool]:
     level = np.array([x.start * width + y.start], dtype=np.int64)
     index[level] = 0
     found = 1
-    sources, columns, targets, accepting = [], [], [], []
-    x_in_y = y_in_x = True
+    levels, sources, columns, targets = [level], [], [], []
     while level.size:
         first = found - level.size  # the number of the level's first pair
         px, py = np.divmod(level, width)
         x_next, y_next = x_table[px], y_table[py]
-        both = (x_next >= 0) & (y_next >= 0)
-        in_x, in_y = x_accepts[px], y_accepts[py]
-        accepting.append(first + np.flatnonzero(in_x & in_y))
-        matched = both.sum(axis=1)
-        x_in_y = x_in_y and not (in_x > in_y).any() and bool((matched == x_degree[px]).all())
-        y_in_x = y_in_x and not (in_y > in_x).any() and bool((matched == y_degree[py]).all())
-        parent, column = np.nonzero(both)
+        parent, column = np.nonzero((x_next >= 0) & (y_next >= 0))
         codes = x_next[parent, column].astype(np.int64) * width + y_next[parent, column]
         level = codes[index[codes] < 0]
         level = level[_firsts(level)]
         index[level] = np.arange(found, found + level.size, dtype=np.int32)
         found += level.size
+        levels.append(level)
         sources.append(first + parent)
         columns.append(column)
         targets.append(index[codes])
-    source, column, target, accept = (
-        np.concatenate(part).astype(np.int32) for part in (sources, columns, targets, accepting)
+    source, column, target = (
+        np.concatenate(part).astype(np.int32) for part in (sources, columns, targets)
     )
+    px, py = np.divmod(np.concatenate(levels), width)  # every reached pair, in number order
+    in_x, in_y = x_accepts[px], y_accepts[py]
+    matched = np.bincount(source, minlength=found)
+    x_in_y = not (in_x > in_y).any() and bool((matched == x_degree[px]).all())
+    y_in_x = not (in_y > in_x).any() and bool((matched == y_degree[py]).all())
+    accept = np.flatnonzero(in_x & in_y).astype(np.int32)
     live = _live(found, source, target, accept)
     if not live[0]:
         source = column = target = accept = source[:0]

@@ -54,7 +54,7 @@ class SparseMatrix:
         """
         codes = np.multiply(sources, order, dtype=np.int64)
         codes += targets
-        codes = codes[np.argsort(codes, kind="stable")]
+        codes.sort()
         steps = np.empty(codes.size, dtype=np.int64)  # nonzero where a run of equal codes ends
         steps[:-1] = codes[1:] - codes[:-1]
         steps[-1:] = 1

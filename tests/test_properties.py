@@ -315,6 +315,30 @@ def test_constructions_number_states_canonically(x, y, words):
         assert canonicalize(out) == out
 
 
+def row_items(d: Dfa) -> list[list[tuple[str, int]]]:
+    """``d.rows`` with each row's label order kept, which ``==`` on dicts ignores."""
+    return [list(row.items()) for row in d.rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfas(random_start=True), word_sets())
+def test_an_explored_dfa_keeps_the_rows_its_transitions_sort_into(aut, words):
+    # A numbered DFA keeps the rows it was numbered by; one built from the
+    # same fields sorts them out of its transitions, as the triples sort.
+    for d in (
+        determinize(aut),
+        minimize(aut),
+        canonicalize(minimize(aut)),
+        prefix_tree_acceptor(EventLog(words)),
+    ):
+        rebuilt = Dfa(d.state_count, d.alphabet, d.transitions, d.start, d.accepts)
+        assert row_items(d) == row_items(rebuilt)
+        by_state: list[list[tuple[str, int]]] = [[] for _ in range(d.state_count)]
+        for p, lab, q in sorted(d.transitions):
+            by_state[p].append((lab, q))
+        assert row_items(rebuilt) == by_state
+
+
 @settings(max_examples=100, deadline=None)
 @given(word_sets(), word_sets())
 def test_eig_measure_is_strictly_increasing(u, v):
@@ -508,6 +532,40 @@ def test_the_array_walk_numbers_and_flags_pairs_as_the_reference_walk(pair, name
         x, y = minimize(x), minimize(y)
     assert walked_rows(x, y) == product_rows(x, y)
     assert walked_rows(y, x) == product_rows(y, x)
+
+
+def looped_lasso(n: int) -> Dfa:
+    """``a^n``, with a ``b`` move from its last state back to state ``n // 2``."""
+    moves = {(i, "a", i + 1) for i in range(n)} | {(n, "b", n // 2)}
+    return Dfa(n + 1, frozenset({"a", "b"}), frozenset(moves), 0, frozenset({n}))
+
+
+def two_branches(n: int, m: int, last: str) -> Dfa:
+    """``a^n b | c a^m last`` as a DFA: a chain of ``n + 2`` states and one of ``m + 3``."""
+    moves = {(i, "a", i + 1) for i in range(n)} | {(n, "b", n + 1), (0, "c", n + 2)}
+    moves |= {(i, "a", i + 1) for i in range(n + 2, n + 2 + m)} | {(n + 2 + m, last, n + 3 + m)}
+    alphabet = frozenset({"a", "b", "c", last})
+    return Dfa(n + 4 + m, alphabet, frozenset(moves), 0, frozenset({n + 1, n + 3 + m}))
+
+
+@pytest.mark.parametrize("n", [200, 800])
+def test_the_trim_of_a_looped_lasso_product_marks_pairs_far_from_its_accept(n):
+    # The start pair lies n moves from the one accepting pair, so the sweep
+    # marks it last, and every pair of the self-product is live.
+    x = looped_lasso(n)
+    rows, accepting, x_in_y = walked_rows(x, x)
+    assert (rows, accepting, x_in_y) == product_rows(x, x)
+    assert len(rows) == n + 1 and accepting == [n] and x_in_y
+
+
+def test_the_trim_drops_a_long_chain_of_dead_pairs():
+    # The c-branches walk 301 pairs together, but d and e never meet, so
+    # only the n + 2 pairs of the a^n b branch are kept.
+    x, y = two_branches(300, 300, "d"), two_branches(300, 300, "e")
+    for left, right in ((x, y), (y, x)):
+        rows, accepting, inside = walked_rows(left, right)
+        assert (rows, accepting, inside) == product_rows(left, right)
+        assert len(rows) == 302 and accepting == [301] and not inside
 
 
 def same_automaton(a: Dfa, b: Dfa) -> bool:
