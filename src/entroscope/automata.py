@@ -53,7 +53,9 @@ class Moves(NamedTuple):
     Move ``i`` leads from state ``sources[i]`` to ``targets[i]`` on label
     ``labels[columns[i]]``, and each state's moves come in label order, at
     ``offsets[p]:offsets[p + 1]`` for state ``p``.  ``accepting`` lists the
-    accept states in increasing order.
+    accept states in increasing order.  The table is also the matrix of the
+    eig measure: ``spectral.perron_frobenius`` counts its moves from ``i`` to
+    ``j``, plus a chi move from each accept state to ``start``.
     """
 
     labels: list[str]

@@ -31,8 +31,9 @@ A specification and an event log (``precision``, ``recall``) are compared
 without an automaton of the log.  Their shared language, the numerator of
 both, is the set of distinct traces a specification DFA accepts on replay,
 where a label outside its alphabet fails to move.  Acceptance is a property
-of the language, so any DFA serves, and each call leaves the measured
-numerator on the spec for the next call with the same log object and kind.
+of the language, so any DFA serves.  A call that replays leaves the measured
+numerator on the spec, and the next call with the same log object and kind
+takes it off: a pair measured both ways replays once and holds no log after.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping
-
-import numpy as np
 
 from .automata import (
     Dfa,
@@ -62,7 +61,6 @@ from .spectral import (
     DEFAULT_MAX_ITERATIONS,
     DEFAULT_TOLERANCE,
     EigenResult,
-    SparseMatrix,
     _check_bounds,
     length_profile_eigenvalue,
     perron_frobenius,
@@ -126,8 +124,8 @@ def measure(moves: Moves, kind: MeasureKind, tol: float, max_iter: int) -> Measu
     point refuses bad ones, even for a finite language.  A finite language
     is measured by its length profile, and its cardinality is an exact
     ``int``.  Otherwise the cardinality raises ``InfiniteLanguageError`` and
-    the eigenvalue is solved by power iteration with a chi move from each
-    accept state to the start.
+    the table goes to ``perron_frobenius`` as it is: the solver adds the chi
+    move from each accept state to the start as it counts the matrix.
     """
     _check_bounds(tol, max_iter)
     try:
@@ -136,11 +134,7 @@ def measure(moves: Moves, kind: MeasureKind, tol: float, max_iter: int) -> Measu
     except InfiniteLanguageError:
         if kind is MeasureKind.CARDINALITY:
             raise
-        loops = np.full(moves.accepting.size, moves.start, dtype=moves.targets.dtype)
-        sources = np.concatenate((moves.sources, moves.accepting))
-        targets = np.concatenate((moves.targets, loops))
-        matrix = SparseMatrix.from_moves(moves.order, sources, targets)
-        result = perron_frobenius(matrix, tol, max_iter)
+        result = perron_frobenius(moves, tol, max_iter)
         value = result.value
     chi = moves.accepting.size if kind is MeasureKind.SHORT_CIRCUIT_EIGENVALUE else 0
     return value, AutomatonStats(moves.order, moves.sources.size + chi, result)
@@ -161,8 +155,8 @@ def _shared_profile(spec: Dfa, log: EventLog) -> Counter[int]:
 
 
 def _shared(spec: Nfa, log: EventLog, kind: MeasureKind, dfa: Callable[[], Dfa]) -> Measured:
-    """Measure of the ``log`` traces that ``dfa()`` accepts, kept on ``spec`` by log and kind."""
-    held, held_kind, shared = vars(spec).get("_shared", (None,) * 3)
+    """Measure of the ``log`` traces that ``dfa()`` accepts, held on ``spec`` till its next call."""
+    held, held_kind, shared = vars(spec).pop("_shared", (None,) * 3)
     if held is not log or held_kind is not kind:
         shared = _profile_measure(_shared_profile(dfa(), log), kind)
         vars(spec)["_shared"] = (log, kind, shared)
@@ -233,10 +227,13 @@ def precision(
     measured by its length profile, and so is a finite specification: a log
     over its own prefix tree gives exactly 1.0.  The traces are replayed on
     ``spec.minimal`` unless ``spec`` holds their measure for this ``log``
-    object and ``kind``.  ``tol`` and ``max_iter`` govern only an infinite
-    specification's power iteration.  The numerator stats describe the
-    length profile's graph: ``states`` is the longest accepted length plus
-    one, and ``transitions`` that length plus the number of distinct lengths.
+    object and ``kind``, which it then drops: a lone ``precision`` keeps
+    ``log`` alive until the next call on ``spec`` (ROADMAP item 11), and a
+    ``recall`` with the same log releases it.  ``tol`` and ``max_iter``
+    govern only an infinite specification's power iteration.  The numerator
+    stats describe the length profile's graph: ``states`` is the longest
+    accepted length plus one, and ``transitions`` that length plus the
+    number of distinct lengths.
 
     An empty specification language yields an undefined-flagged report; the
     cardinality kind additionally rejects infinite specification languages.
@@ -259,9 +256,10 @@ def recall(
     profiles, as in ``precision``: the distinct traces that ``spec`` accepts
     over all distinct traces.  The traces are replayed on ``as_dfa(spec)``,
     not minimized, unless ``spec`` holds their measure for this ``log``
-    object and ``kind``.  There is no power iteration to bound, and each
-    side's stats describe the graph of its length profile.  An empty log
-    yields an undefined-flagged report.
+    object and ``kind``, which it then drops, as ``precision`` does: a lone
+    ``recall`` keeps ``log`` alive until the next call on ``spec``.  There is
+    no power iteration to bound, and each side's stats describe the graph of
+    its length profile.  An empty log yields an undefined-flagged report.
     """
     _refuse_short_circuited(spec)
     started = time.perf_counter()

@@ -1,4 +1,4 @@
-"""Sparse adjacency matrices and dominant-eigenvalue computation.
+"""Dominant-eigenvalue computation on move tables.
 
 The general solver is a power iteration on the diagonally shifted matrix
 ``M + I``.  The shift makes every irreducible non-negative matrix primitive,
@@ -6,9 +6,8 @@ so the iteration cannot oscillate on periodic structures such as cycle
 automata; the reported value is ``rho(M) = rho(M + I) - 1``.  It serves
 infinite languages only: ``length_profile_eigenvalue`` takes the eigenvalue
 of a finite one from the number of words of each length, with no matrix.
-A ``SparseMatrix`` is only ever counted from moves: ``from_moves`` counts the
-move arrays of ``automata.Moves`` into numpy arrays, and the solver iterates
-on them as they are.
+A DFA's ``automata.Moves`` table is the matrix: ``perron_frobenius`` adds
+the short circuit's loop-backs to its moves as it counts them.
 """
 
 from __future__ import annotations
@@ -20,54 +19,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .automata import Dfa
+from .automata import Dfa, Moves
 
 #: Relative Rayleigh-quotient change below which a solve counts as converged.
 DEFAULT_TOLERANCE = 1e-9
 
 #: Iteration cap; non-convergence is flagged, never raised.
 DEFAULT_MAX_ITERATIONS = 300_000
-
-
-@dataclass(frozen=True, eq=False)
-class SparseMatrix:
-    """Square non-negative integer matrix in coordinate form, counted from moves.
-
-    The int64 arrays ``rows``, ``cols`` and ``weights`` list the nonzero
-    entries in ``(row, col)`` order: absent coordinates are zero, stored
-    weights are at least one and each ``(row, col)`` pair appears at most
-    once.  ``from_moves`` is the constructor that makes them so.  Two
-    matrices compare by identity; compare their ``entries``.
-    """
-
-    order: int
-    rows: np.ndarray
-    cols: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def from_moves(cls, order: int, sources: np.ndarray, targets: np.ndarray) -> SparseMatrix:
-        """Count of moves from state ``i`` to state ``j``, given as parallel arrays.
-
-        The codes ``i * order + j``, sorted, are counted in runs, so the
-        entries come out in order, each once, with a weight of at least one.
-        """
-        codes = np.multiply(sources, order, dtype=np.int64)
-        codes += targets
-        codes.sort()
-        steps = np.empty(codes.size, dtype=np.int64)  # nonzero where a run of equal codes ends
-        steps[:-1] = codes[1:] - codes[:-1]
-        steps[-1:] = 1
-        ends = steps.nonzero()[0]
-        weights = ends + 1
-        weights[1:] = ends[1:] - ends[:-1]
-        rows, cols = np.divmod(codes[ends], order)
-        return cls(order, rows, cols, weights)
-
-    @property
-    def entries(self) -> tuple[tuple[int, int, int], ...]:
-        """The ``(row, col, weight)`` triples in ``(row, col)`` order."""
-        return tuple(zip(self.rows.tolist(), self.cols.tolist(), self.weights.tolist()))
 
 
 @dataclass(frozen=True)
@@ -80,10 +38,9 @@ class EigenResult:
     residual: float
 
 
-def adjacency_matrix(d: Dfa) -> SparseMatrix:
-    """Count of labels moving state ``i`` to state ``j``, as a sparse matrix."""
-    m = d.arrays
-    return SparseMatrix.from_moves(m.order, m.sources, m.targets)
+def adjacency_matrix(d: Dfa) -> Moves:
+    """The moves of ``d`` with no accept state, so that ``perron_frobenius`` adds no loop-back."""
+    return d.arrays._replace(accepting=d.arrays.accepting[:0])
 
 
 def _check_bounds(tol: float, max_iter: int) -> None:
@@ -98,28 +55,41 @@ def _check_bounds(tol: float, max_iter: int) -> None:
 
 
 def perron_frobenius(
-    m: SparseMatrix,
+    m: Moves,
     tol: float = DEFAULT_TOLERANCE,
     max_iter: int = DEFAULT_MAX_ITERATIONS,
 ) -> EigenResult:
-    """Spectral radius of a non-negative matrix by shifted power iteration.
+    """Spectral radius of a short-circuited move table by shifted power iteration.
 
-    Starts from the all-ones vector, so runs are deterministic.  On hitting
-    the iteration cap the best estimate is returned with ``converged=False``
-    rather than raising.  The bounds are checked by ``_check_bounds``, as
-    ``measures.measure`` checks them for a language that needs no solve.
+    Entry ``(i, j)`` counts the moves from ``i`` to ``j``, plus one if ``i``
+    accepts and ``j`` is the start.  The codes ``i * order + j`` of the moves
+    and loop-backs are sorted and counted in runs, so each row sums its
+    entries in column order, whatever the labels.  Starts from the all-ones
+    vector, so runs are deterministic.  At the iteration cap the best estimate
+    is returned with ``converged=False``, not raised.  The bounds are checked
+    by ``_check_bounds``, which ``measures.measure`` calls before any solve.
     """
     _check_bounds(tol, max_iter)
-    if not m.rows.size:
+    order, moved = m.order, m.targets.size
+    codes = np.multiply(np.concatenate((m.sources, m.accepting)), order, dtype=np.int64)
+    codes[:moved] += m.targets
+    codes[moved:] += m.start
+    if not codes.size:
         return EigenResult(0.0, 0, True, 0.0)
-    rows, cols, weights = m.rows, m.cols, m.weights.astype(np.float64)
-
-    x = np.full(m.order, 1.0 / math.sqrt(m.order))
+    codes.sort()
+    steps = np.empty(codes.size, dtype=np.int64)  # nonzero where a run of equal codes ends
+    steps[:-1] = codes[1:] - codes[:-1]
+    steps[-1] = 1
+    ends = steps.nonzero()[0]
+    weights = ends + 1.0
+    weights[1:] = ends[1:] - ends[:-1]
+    rows, cols = np.divmod(codes[ends], order)
+    x = np.full(order, 1.0 / math.sqrt(order))
     rayleigh = math.inf
     residual = math.inf
     for iteration in range(1, max_iter + 1):
         # y = (M + I) x; the shift keeps the iteration primitive.
-        y = x + np.bincount(rows, weights=weights * x[cols], minlength=m.order)
+        y = x + np.bincount(rows, weights=weights * x[cols], minlength=order)
         estimate = float(x @ y)
         residual = abs(estimate - rayleigh) / estimate
         # The Rayleigh quotient can plateau transiently on non-symmetric
@@ -150,9 +120,11 @@ def length_profile_eigenvalue(profile: Mapping[int, int]) -> EigenResult:
     past float range are first rescaled: ``z = w / r`` with ``r = max_k
     c_k^(1/(k+1)) <= 1/z*`` keeps ``w*`` in ``(0, 1]`` and coefficients <= 1.
 
-    ``iterations`` counts the bisection steps and ``residual`` is the width of
-    the final bracket on the value, relative to the value.  The empty
-    profile, the empty language, measures 0.
+    ``iterations`` counts the bisection steps and ``residual`` is ``hi / lo -
+    1`` for the final float bracket ``[lo, hi]``.  The sums that steer the
+    bisection are rounded, so they can misjudge the side of ``z*`` near the
+    last ulp: the bracket and ``residual`` are estimates, not a bound
+    (ROADMAP item 12).  The empty profile, the empty language, measures 0.
     """
     terms = sorted((k + 1, c) for k, c in profile.items() if c)
     if any(e < 1 or c < 0 for e, c in terms):
@@ -171,6 +143,6 @@ def length_profile_eigenvalue(profile: Mapping[int, int]) -> EigenResult:
             lo = mid
         else:
             hi = mid
-    # The sum is at least 1 at hi and below 1 at lo, so the value
-    # 1/hi is within a factor hi/lo of the radius, from below.
+    # The rounded sum is at least 1 at hi and below 1 at lo; z* is
+    # near [lo, hi] but, by a rounding error, may lie just outside it.
     return EigenResult(2.0**log_r / hi, steps, True, hi / lo - 1.0)

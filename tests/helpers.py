@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from entroscope import CHI, SILENT, Dfa, EventLog, Nfa, SparseMatrix, prefix_tree_acceptor
+from entroscope import CHI, SILENT, Dfa, EventLog, Moves, Nfa, prefix_tree_acceptor
 from entroscope.formats import FormatError, _fail
 
 ABC = ["a", "b", "c"]
@@ -446,17 +446,41 @@ def word_log(words: list[str]) -> EventLog:
     return EventLog([tuple(word) for word in words])
 
 
-def sparse_matrix(order: int, entries: Iterable[tuple[int, int, int]]) -> SparseMatrix:
-    """``SparseMatrix.from_moves`` of ``weight`` moves from ``row`` to ``col`` per entry."""
-    moves = [(row, col) for row, col, weight in entries for _ in range(weight)]
+def sparse_matrix(order: int, entries: Iterable[tuple[int, int, int]]) -> Moves:
+    """Move table of ``weight`` moves from ``row`` to ``col`` per entry, with no accept state.
+
+    Parallel moves get distinct columns, so the table is deterministic; its
+    matrix, as ``perron_frobenius`` counts it, has the entries given.
+    """
+    moves = sorted((row, col) for row, col, weight in entries for _ in range(weight))
+    degree = Counter(row for row, _ in moves)
+    columns = [k for row in range(order) for k in range(degree[row])]
     sources, targets = np.array(moves, dtype=np.intp).reshape(-1, 2).T
-    return SparseMatrix.from_moves(order, sources, targets)
+    return Moves(
+        [str(k) for k in range(max(degree.values(), default=0))],
+        np.array([0, *itertools.accumulate(degree[row] for row in range(order))], dtype=np.intp),
+        sources,
+        np.array(columns, dtype=np.intp),
+        targets,
+        np.array([], dtype=np.intp),
+    )
 
 
-def dense_matrix(rows: list[list[int]]) -> SparseMatrix:
+def dense_matrix(rows: list[list[int]]) -> Moves:
     """``sparse_matrix`` of a dense row-major listing."""
     entries = ((i, j, w) for i, row in enumerate(rows) for j, w in enumerate(row))
     return sparse_matrix(len(rows), entries)
+
+
+def matrix_entries(m: Moves) -> list[tuple[int, int, int]]:
+    """The ``(row, col, count)`` triples of the matrix that ``perron_frobenius`` solves for ``m``.
+
+    Each counts the moves from ``row`` to ``col``, plus the loop-back from an
+    accepting ``row`` to the start; they come in ``(row, col)`` order.
+    """
+    counts = Counter(zip(m.sources.tolist(), m.targets.tolist()))
+    counts.update((p, m.start) for p in m.accepting.tolist())
+    return sorted((p, q, w) for (p, q), w in counts.items())
 
 
 def sorted_words(words) -> list[tuple[str, ...]]:

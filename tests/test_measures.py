@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -259,6 +260,24 @@ class TestSharedNumerator:
         report = recall(spec, log, CARD)
         assert without_runtime(report) == without_runtime(recall(retry_spec(), log, CARD))
         assert report.value == 0.5
+
+    def test_a_pair_measured_both_ways_releases_its_log(self):
+        # The second call takes the held numerator off the spec, log and all,
+        # so the log's memory comes back once the caller drops it.
+        bits = Dfa(1, frozenset("01"), frozenset({(0, "0", 0), (0, "1", 0)}), 0, frozenset({0}))
+        precision(bits, word_log(["0", "1"])), recall(bits, word_log(["0"]))  # fills the caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            log = word_log([format(i, "020b") for i in range(2000)])
+            size = tracemalloc.get_traced_memory()[0] - base
+            precision(bits, log), recall(bits, log)
+            del log
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held < size / 4
 
 
 def same_length_log(count: int, length: int) -> EventLog:

@@ -52,6 +52,7 @@ from helpers import (
     kahn_order,
     language_included,
     looped_prefix_tree,
+    matrix_entries,
     nerode_classes,
     product_rows,
     random_log,
@@ -714,7 +715,7 @@ def test_measure_path_solves_the_short_circuited_product(pair):
     solved = []
 
     def spy(matrix, tol, max_iter):
-        solved.append((matrix.order, list(matrix.entries)))
+        solved.append((matrix.order, matrix_entries(matrix)))
         return perron_frobenius(matrix, tol, max_iter)
 
     with mock.patch.object(measures, "perron_frobenius", spy):
@@ -735,7 +736,7 @@ def test_measure_path_solves_the_short_circuited_product(pair):
         measured = [own] if inside else [own, short_circuit(product)]
         for sc in measured:
             matrix = adjacency_matrix(sc)
-            assert (matrix.order, list(matrix.entries)) == counted_entries(sc)
+            assert (matrix.order, matrix_entries(matrix)) == counted_entries(sc)
         for stats, sc in ((report.numerator, measured[-1]), (report.denominator, own)):
             assert (stats.states, stats.transitions) == (sc.state_count, len(sc.transitions))
 
@@ -749,13 +750,44 @@ def test_a_finite_operand_sends_no_matrix_to_the_power_iteration(pair):
     solved = []
 
     def spy(matrix, tol, max_iter):
-        solved.append((matrix.order, list(matrix.entries)))
+        solved.append((matrix.order, matrix_entries(matrix)))
         return perron_frobenius(matrix, tol, max_iter)
 
     with mock.patch.object(measures, "perron_frobenius", spy):
         coverage(*pair), coverage(*pair[::-1])
     infinite = [m for m in (mx, my) if not has_finite_language(m)]
     assert solved == [counted_entries(short_circuit(m)) for m in infinite]
+
+
+#: a*(a|b), whose minimal DFA has a state with a loop, a move on and a loop-back.
+A_STAR_THEN_A_OR_B = Nfa(2, frozenset(ABC), {(0, "a", 0), (0, "a", 1), (0, "b", 1)}, 0, {1})
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfa_pairs())
+@example((A_STAR_THEN_A_OR_B, A_STAR_THEN_A_OR_B))
+def test_the_solver_short_circuits_a_move_table_as_short_circuit_does(pair):
+    # The solver counts each loop-back with the moves into its (row, col)
+    # entry, as if it were the chi move of the short-circuited automaton.
+    mx, my = (minimize(as_dfa(a)) for a in pair)
+    for d in (mx, my):
+        assert perron_frobenius(d.arrays) == perron_frobenius(adjacency_matrix(short_circuit(d)))
+    sc = short_circuit(intersect(mx, my))
+    assert perron_frobenius(product_moves(mx, my)[0]) == perron_frobenius(adjacency_matrix(sc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nfas(), st.permutations(ABC))
+@example(
+    Nfa(2, frozenset(ABC), {(0, "a", 0), (0, "a", 1), (0, "b", 1), (1, "c", 0)}, 0, {0}), "acb"
+)
+def test_renaming_labels_leaves_the_solve_bit_identical(a, names):
+    # Renaming reorders each state's moves but not the (row, col) entries
+    # they count, which each row sums in column order.
+    d = minimize(as_dfa(a))
+    renamed = as_dfa(relabeled(d, "".join(names)))
+    assert matrix_entries(renamed.arrays) == matrix_entries(d.arrays)
+    assert perron_frobenius(renamed.arrays) == perron_frobenius(d.arrays)
 
 
 @st.composite

@@ -1,15 +1,11 @@
 import math
 import random
-from collections import Counter
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from entroscope import (
     Dfa,
-    SparseMatrix,
+    Moves,
     adjacency_matrix,
     determinize,
     is_ergodic,
@@ -22,6 +18,7 @@ from helpers import (
     count_words_of_length,
     dense_matrix,
     empty_language_automaton,
+    matrix_entries,
     random_dfa,
     sparse_matrix,
 )
@@ -30,51 +27,25 @@ from login_fixtures import retry_spec
 a, b = "a", "b"
 
 
-@st.composite
-def move_arrays(draw) -> tuple[int, np.ndarray, np.ndarray]:
-    """An order and parallel source and target arrays, repeats and no moves included."""
-    order = draw(st.integers(1, 6))
-    state = st.integers(0, order - 1)
-    moves = draw(st.lists(st.tuples(state, state), max_size=30))
-    moves += moves[: draw(st.integers(0, len(moves)))]  # some moves twice
-    sources, targets = np.array(moves, dtype=np.intp).reshape(-1, 2).T
-    return order, sources, targets
-
-
-class TestSparseMatrix:
-    @settings(max_examples=200, deadline=None)
-    @given(move_arrays())
-    def test_from_moves_counts_each_coordinate_once(self, moves):
-        order, sources, targets = moves
-        m = SparseMatrix.from_moves(order, sources, targets)
-        coordinates = [(r, c) for r, c, _ in m.entries]
-        assert m.order == order
-        assert coordinates == sorted(set(coordinates))
-        assert all(w >= 1 for _, _, w in m.entries)
-        assert sum(w for _, _, w in m.entries) == sources.size
-        counts = Counter(zip(sources.tolist(), targets.tolist()))
-        assert m.entries == tuple((r, c, w) for (r, c), w in sorted(counts.items()))
-
-
 class TestAdjacencyMatrix:
     def test_short_circuited_retry_spec(self):
         sc = short_circuit(minimize(determinize(retry_spec())))
-        assert adjacency_matrix(sc).entries == dense_matrix([
+        assert matrix_entries(adjacency_matrix(sc)) == matrix_entries(dense_matrix([
             [1, 1, 0, 0],
             [0, 0, 1, 0],
             [0, 1, 0, 1],
             [1, 0, 0, 0],
-        ]).entries
+        ]))
 
     def test_empty_language_is_order_one_zero(self):
         m = adjacency_matrix(empty_language_automaton())
-        assert m.order == 1 and not m.entries
+        assert m.order == 1 and not matrix_entries(m)
 
     def test_counts_parallel_labels(self):
         labs = frozenset("uvwxyz")
         loops = frozenset((0, lab, 0) for lab in labs)
         d = Dfa(1, labs, loops, 0, frozenset({0}))
-        assert adjacency_matrix(d).entries == dense_matrix([[6]]).entries
+        assert matrix_entries(adjacency_matrix(d)) == matrix_entries(dense_matrix([[6]]))
 
 
 REGRESSION_MATRICES = [
@@ -139,7 +110,8 @@ class TestPerronFrobenius:
             m = adjacency_matrix(sc)
             perm = list(range(m.order))
             rng.shuffle(perm)
-            shuffled = sparse_matrix(m.order, ((perm[r], perm[c], w) for r, c, w in m.entries))
+            entries = ((perm[r], perm[c], w) for r, c, w in matrix_entries(m))
+            shuffled = sparse_matrix(m.order, entries)
             got = perron_frobenius(shuffled).value
             want = perron_frobenius(m).value
             assert got == pytest.approx(want, rel=1e-7)
@@ -177,7 +149,7 @@ class TestPerronFrobenius:
         assert result.value > 0
 
 
-def profile_graph(profile: dict[int, int]) -> SparseMatrix:
+def profile_graph(profile: dict[int, int]) -> Moves:
     """The chain 0 -> 1 -> ... -> K plus a loop-back of weight c_k from k."""
     longest = max(profile)
     entries = [(i, i + 1, 1) for i in range(longest)]
@@ -237,7 +209,7 @@ class TestEntropy:
             0,
             frozenset({0}),
         )
-        assert adjacency_matrix(d).entries == dense_matrix(rows).entries
+        assert matrix_entries(adjacency_matrix(d)) == matrix_entries(dense_matrix(rows))
         value = perron_frobenius(adjacency_matrix(d)).value
         assert math.log2(value) == pytest.approx(1.0, abs=1e-9)
 

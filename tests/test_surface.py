@@ -24,9 +24,9 @@ SURFACE = [
     "InfiniteLanguageError",
     "MeasureKind",
     "MeasureReport",
+    "Moves",
     "Nfa",
     "SILENT",
-    "SparseMatrix",
     "accepts",
     "adjacency_matrix",
     "as_dfa",
