@@ -14,6 +14,28 @@ from typing import Iterable, Iterator, Mapping
 from .automata import CHI, SILENT, Dfa, _explore
 
 
+#: A ``CHI`` event, as a line of events joined by newlines.
+_CHI_LINE = f"\n{CHI}\n"
+
+
+def _unreserved_labels(trace: tuple) -> bool:
+    """Whether every event of ``trace`` is a ``str`` and neither ``SILENT`` nor ``CHI``.
+
+    ``str.join`` refuses any event that is not a ``str``, and in the events
+    joined between newlines a reserved one shows as an empty or a ``CHI``
+    line, so two substring searches check the whole trace.  Only the empty
+    trace and a label that holds a newline can fake such a line; then each
+    event is compared.
+    """
+    try:
+        lines = "\n" + "\n".join(trace) + "\n"
+    except TypeError:
+        return False
+    return ("\n\n" not in lines and _CHI_LINE not in lines) or (
+        SILENT not in trace and CHI not in trace
+    )
+
+
 class EventLog:
     """Finite multiset of traces; multiplicities are positive integers."""
 
@@ -23,12 +45,7 @@ class EventLog:
         counts: dict[tuple[str, ...], int] = {}
         pairs = entries.items() if isinstance(entries, Mapping) else zip(entries, repeat(1))
         for trace, mult in pairs:
-            if not (
-                isinstance(trace, tuple)
-                and all(map(isinstance, trace, repeat(str)))
-                and SILENT not in trace
-                and CHI not in trace
-            ):
+            if not (isinstance(trace, tuple) and _unreserved_labels(trace)):
                 raise ValueError(
                     "invariant violated: log entries must be traces, tuples of unreserved labels"
                 )

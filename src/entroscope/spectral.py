@@ -3,16 +3,21 @@
 The general solver is a power iteration on the diagonally shifted matrix
 ``M + I``.  The shift makes every irreducible non-negative matrix primitive,
 so the iteration cannot oscillate on periodic structures such as cycle
-automata; the reported value is ``rho(M) = rho(M + I) - 1``.  It serves
-infinite languages only: ``length_profile_eigenvalue`` takes the eigenvalue
-of a finite one from the number of words of each length, with no matrix.
-A DFA's ``automata.Moves`` table is the matrix: ``perron_frobenius`` adds
-the short circuit's loop-backs to its moves as it counts them.
+automata; the reported value is ``rho(M) = rho(M + I) - 1``.  A DFA's
+``automata.Moves`` table is the matrix: ``perron_frobenius`` adds the short
+circuit's loop-backs to its moves as it counts them.
+
+It serves infinite languages only: ``length_profile_eigenvalue`` takes the
+eigenvalue of a finite one from the number of words of each length, with no
+matrix, by a bisection that sums only inside a window around the root, which
+an a-priori bound on the sum's rounding error certifies (assuming a libm
+``pow`` within 1 ulp and Python's ``sum``).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Mapping
@@ -26,6 +31,10 @@ DEFAULT_TOLERANCE = 1e-9
 
 #: Iteration cap; non-convergence is flagged, never raised.
 DEFAULT_MAX_ITERATIONS = 300_000
+
+#: Cap on the Newton steps that place a length-profile solve's window; they
+#: take 3-6 where the lengths are of similar size.
+_NEWTON_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -105,6 +114,63 @@ def perron_frobenius(
     return EigenResult(rayleigh - 1.0, max_iter, False, residual)
 
 
+def _terms(terms: list[tuple[int, float]], z: float) -> list[float]:
+    """The terms ``c_k z^(k+1)`` at ``z`` in length order; every pass over a profile is one call."""
+    return [c * z**e for e, c in terms]
+
+
+def _error_bound(terms: list[tuple[int, float]]) -> tuple[float, float]:
+    """``(rho, eta)`` such that ``|sum(_terms(terms, z)) - T(z)| <= rho T(z) + eta``.
+
+    ``T(z)`` is the exact sum of ``float(c) z^e``, for every float ``z`` in
+    [0, 1] whose sum does not overflow.  A term is one ``pow`` within 1 ulp
+    (relative error ``2u``, ``u = 2^-53``, or ``2^-1074`` absolute once it
+    underflows) times one rounded multiply (``u``, or ``2^-1075``).  ``sum``
+    adds ``n`` positive terms with a relative error of at most ``(n - 1) u``
+    plainly summed (Python 3.11 and earlier) and ``2u + O(n u^2)`` compensated
+    (3.12 and later); Higham, "Accuracy and Stability of Numerical
+    Algorithms", chapter 4.  Both bounds are at least doubled, so the
+    rounding of this function's own arithmetic is covered too.
+    """
+    n = len(terms)
+    largest = max(float(c) for _, c in terms)
+    return 2 * (n + 4) * 2.0**-53, n * (math.ldexp(largest, -1072) + 2.0**-1073)
+
+
+def _window(terms: list[tuple[int, float]]) -> tuple[float, float]:
+    """Floats ``below < above``: each float ``z <= below`` sums below 1, each ``z >= above`` not.
+
+    ``G(y) = log sum_k c_k e^((k+1) y)`` is convex and increasing in ``y =
+    log z``, so Newton steps on it from ``z = min_k c_k^(-1/(k+1))``, where
+    no term passes 1 and no sum overflows, fall onto the root from the right.  One rounded sum on
+    each side of the estimate then certifies that side for every float
+    beyond it, as ``_error_bound``'s exact ``T`` increases: a sum of at most
+    ``1 - slack`` leaves ``T`` too small to round to 1, and one of at least
+    ``1 + slack`` too large to round below 1.  A side not so certified falls
+    back to 0 or 1, where the bisection sums every midpoint.
+    """
+    exponents = [e for e, _ in terms]
+    z = min(1.0, 2.0 ** -max(math.log2(c) / e for e, c in terms if c))
+    for _ in range(_NEWTON_STEPS):
+        values = _terms(terms, z)
+        total = sum(values)
+        slope = sum(map(operator.mul, exponents, values)) / total  # G'(y)
+        step = math.log(total) / slope
+        z *= math.exp(-step)
+        if abs(step) <= 2.0**-40:
+            break
+    rho, eta = _error_bound(terms)
+    slack = 3 * (rho + eta)
+    # Far enough from the estimate for G to move by 4 slacks, and 4 ulps.
+    half = 4 * slack / slope + 2.0**-51
+    below, above = z * (1 - half), min(1.0, z * (1 + half))
+    if not sum(_terms(terms, below)) <= 1 - slack:
+        below = 0.0
+    if not sum(_terms(terms, above)) >= 1 + slack:
+        above = 1.0
+    return below, above
+
+
 def length_profile_eigenvalue(profile: Mapping[int, int]) -> EigenResult:
     """Short-circuit eigenvalue of a finite language, from its length profile.
 
@@ -119,6 +185,12 @@ def length_profile_eigenvalue(profile: Mapping[int, int]) -> EigenResult:
     bracket stops shrinking in floating point, with no iteration cap.  Counts
     past float range are first rescaled: ``z = w / r`` with ``r = max_k
     c_k^(1/(k+1)) <= 1/z*`` keeps ``w*`` in ``(0, 1]`` and coefficients <= 1.
+
+    Only midpoints inside the window that ``_window`` certifies are summed;
+    one outside it takes the side the certificate gives, which is the side
+    its sum would give, so every field is what summing at every midpoint
+    gives.  The certificate assumes a libm ``pow`` within 1 ulp and Python's
+    ``sum`` (``_error_bound``).
 
     ``iterations`` counts the bisection steps and ``residual`` is ``hi / lo -
     1`` for the final float bracket ``[lo, hi]``.  The sums that steer the
@@ -135,11 +207,12 @@ def length_profile_eigenvalue(profile: Mapping[int, int]) -> EigenResult:
     if max(c for _, c in terms) > sys.float_info.max:
         log_r = max(math.log2(c) / e for e, c in terms)
         terms = [(e, 2.0 ** (math.log2(c) - e * log_r)) for e, c in terms]
+    below, above = _window(terms)
     lo, hi = 0.0, 1.0
     steps = 0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         steps += 1
-        if sum([c * mid**e for e, c in terms]) < 1.0:
+        if mid <= below or (mid < above and sum(_terms(terms, mid)) < 1.0):
             lo = mid
         else:
             hi = mid

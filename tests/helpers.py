@@ -8,15 +8,20 @@ determinization, minimization, and intersection can be checked against it.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
+import sys
 import xml.etree.ElementTree as ElementTree
 from collections import Counter, deque
-from typing import Iterable
+from itertools import repeat
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from entroscope import CHI, SILENT, Dfa, EventLog, Moves, Nfa, prefix_tree_acceptor
 from entroscope.formats import FormatError, _fail
+from entroscope.spectral import EigenResult
 
 ABC = ["a", "b", "c"]
 
@@ -485,3 +490,70 @@ def matrix_entries(m: Moves) -> list[tuple[int, int, int]]:
 
 def sorted_words(words) -> list[tuple[str, ...]]:
     return sorted(words, key=lambda w: (len(w), w))
+
+
+def reference_length_profile_eigenvalue(profile: Mapping[int, int]) -> EigenResult:
+    """The plain bisection: the rounded sum is evaluated at every midpoint.
+
+    ``length_profile_eigenvalue`` must return exactly this, field by field;
+    it skips only the sums whose sign its certified window already gives.
+    """
+    terms = sorted((k + 1, c) for k, c in profile.items() if c)
+    if any(e < 1 or c < 0 for e, c in terms):
+        raise ValueError("length profile needs non-negative lengths and counts")
+    if not terms:
+        return EigenResult(0.0, 0, True, 0.0)
+    log_r = 0.0
+    if max(c for _, c in terms) > sys.float_info.max:
+        log_r = max(math.log2(c) / e for e, c in terms)
+        terms = [(e, 2.0 ** (math.log2(c) - e * log_r)) for e, c in terms]
+    lo, hi = 0.0, 1.0
+    steps = 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        steps += 1
+        if sum([c * mid**e for e, c in terms]) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return EigenResult(2.0**log_r / hi, steps, True, hi / lo - 1.0)
+
+
+def reference_event_log(entries) -> dict:
+    """The counts ``EventLog(entries)`` holds, each event of each trace checked by type and ``in``.
+
+    Raises ``ValueError`` with ``EventLog``'s messages, for the first bad
+    trace or multiplicity in entry order.
+    """
+    counts: dict = {}
+    pairs = entries.items() if isinstance(entries, Mapping) else zip(entries, repeat(1))
+    for trace, mult in pairs:
+        if not (
+            isinstance(trace, tuple)
+            and all(map(isinstance, trace, repeat(str)))
+            and SILENT not in trace
+            and CHI not in trace
+        ):
+            raise ValueError(
+                "invariant violated: log entries must be traces, tuples of unreserved labels"
+            )
+        try:  # any integer, numpy's included, but no bool
+            count = 0 if isinstance(mult, bool) else operator.index(mult)
+        except TypeError:
+            count = 0
+        if count < 1:
+            raise ValueError("invariant violated: multiplicity must be a positive integer")
+        counts[trace] = counts.get(trace, 0) + count
+    return counts
+
+
+class LookAlike:
+    """An event that is no ``str`` but hashes and compares equal to one."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __hash__(self) -> int:
+        return hash(self.text)
+
+    def __eq__(self, other: object) -> bool:
+        return other == self.text

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entroscope import (
     CHI,
@@ -14,7 +16,15 @@ from entroscope import (
     prefix_tree_acceptor,
 )
 from entroscope.formats import read_log
-from helpers import ABC, multiplicity, random_log, union, word_log
+from helpers import (
+    ABC,
+    LookAlike,
+    multiplicity,
+    random_log,
+    reference_event_log,
+    union,
+    word_log,
+)
 from login_fixtures import extended_log, small_log
 
 
@@ -25,6 +35,72 @@ class TestTrace:
                 EventLog([trace])
             with pytest.raises(ValueError, match="reserved"):
                 EventLog({trace: 1})
+
+
+#: Events of every kind a trace check tells apart: plain and reserved
+#: labels, labels a newline-joined line could mistake for reserved ones, a
+#: ``str`` subclass, and events that are no ``str``, one of which hashes
+#: and compares equal to a label.  A trace is a tuple of them, or a ``str``,
+#: which is no trace.
+events = st.sampled_from(
+    [
+        "a",
+        "b",
+        SILENT,
+        CHI,
+        "\n",
+        "a\n",
+        "\nb",
+        f"a\n{CHI}",
+        f"\n{CHI}\n",
+        "_chi_",
+        np.str_("a"),
+        np.str_(CHI),
+        LookAlike("a"),
+        LookAlike(SILENT),
+        1,
+        None,
+    ]
+)
+traces = st.one_of(st.lists(events, max_size=6).map(tuple), st.text(max_size=2))
+multiplicities = st.sampled_from([1, 2, 0, -1, True, 1.5, np.int64(3)])
+
+
+def outcome(build, entries):
+    """What ``build(entries)`` makes of them: its counts or its error message."""
+    try:
+        return dict(build(entries))
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestTraceCheck:
+    """``EventLog`` accepts what a check of every event by type and by ``in`` accepts."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(traces, multiplicities), max_size=5))
+    def test_as_a_mapping_and_as_a_list(self, pairs):
+        as_map = dict(pairs)
+        assert outcome(EventLog, as_map) == outcome(reference_event_log, as_map)
+        as_list = [trace for trace, _ in pairs]
+        assert outcome(EventLog, as_list) == outcome(reference_event_log, as_list)
+
+    def test_a_str_subclass_is_a_label(self):
+        assert multiplicity(EventLog([(np.str_("a"), "b")]), ("a", "b")) == 1
+
+    def test_no_str_is_refused_though_it_equals_a_label_seen(self):
+        with pytest.raises(ValueError, match="log entries must be traces"):
+            EventLog([("a", "b"), ("b", LookAlike("a"))])
+
+    def test_a_newline_in_a_label_is_no_reserved_event(self):
+        log = EventLog([(f"a\n{CHI}", "b\n"), ("\n",)])
+        assert multiplicity(log, (f"a\n{CHI}", "b\n")) == 1 and multiplicity(log, ("\n",)) == 1
+
+    def test_a_bad_trace_is_reported_before_a_later_bad_multiplicity(self):
+        with pytest.raises(ValueError, match="log entries must be traces"):
+            EventLog({("a", 1): 1, ("b",): 0})
+        with pytest.raises(ValueError, match="multiplicity"):
+            EventLog({("b",): 0, ("a", 1): 1})
 
 
 class TestMultiplicity:

@@ -1,7 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entroscope import (
     Dfa,
@@ -13,6 +16,7 @@ from entroscope import (
     minimize,
     perron_frobenius,
     short_circuit,
+    spectral,
 )
 from helpers import (
     count_words_of_length,
@@ -20,6 +24,7 @@ from helpers import (
     empty_language_automaton,
     matrix_entries,
     random_dfa,
+    reference_length_profile_eigenvalue,
     sparse_matrix,
 )
 from login_fixtures import retry_spec
@@ -194,6 +199,100 @@ class TestLengthProfileEigenvalue:
         for bad in ({-1: 1}, {2: -1}):
             with pytest.raises(ValueError, match="non-negative"):
                 length_profile_eigenvalue(bad)
+
+
+#: Length profile shaped like a ``long-lasso`` log's: 8 words, 99 to 155 long.
+LASSO_PROFILE = {k: 1 for k in range(99, 156, 8)}
+
+#: Lengths below 300 with counts up to 10^12.
+short_profiles = st.dictionaries(
+    st.integers(0, 299), st.integers(1, 10**12), min_size=1, max_size=20
+)
+
+#: Counts past float range, which the solve rescales; lengths from 2 keep
+#: the eigenvalue, about ``c^(1/(k+1))``, within float range.
+huge_profiles = st.dictionaries(
+    st.integers(2, 299), st.integers(1, 10**600), min_size=1, max_size=8
+).filter(lambda p: max(p.values()) > 2**1024)
+
+#: Counts below float range whose sum passes it.
+near_max_profiles = st.dictionaries(
+    st.integers(0, 40), st.integers(10**307, int(1.7e308)), min_size=2, max_size=8
+)
+
+#: One length, which Newton solves in one step, and short words, where z* is near 1.
+small_profiles = st.one_of(
+    st.builds(lambda k, c: {k: c}, st.integers(0, 2000), st.integers(1, 10**300)),
+    st.dictionaries(st.integers(0, 3), st.integers(1, 3), min_size=1, max_size=4),
+)
+
+
+def profile_terms(profile):
+    """The ``(k + 1, c)`` terms of a profile within float range, as the solve sorts them."""
+    return sorted((k + 1, c) for k, c in profile.items())
+
+
+class TestCertifiedWindow:
+    """The window skips sums; every result is still the plain bisection's, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(short_profiles, huge_profiles, near_max_profiles, small_profiles))
+    @example({5: 10**308, 6: 10**308})
+    @example({0: 1})
+    @example({0: 7})
+    @example(LASSO_PROFILE)
+    def test_every_field_equals_the_plain_bisection(self, profile):
+        assert length_profile_eigenvalue(profile) == reference_length_profile_eigenvalue(profile)
+
+    @settings(max_examples=100, deadline=None)
+    @given(short_profiles)
+    @example(LASSO_PROFILE)
+    @example({0: 1})
+    def test_window_holds_in_exact_arithmetic(self, profile):
+        # T is the exact sum; by _error_bound, a rounded sum lies within
+        # rho T + eta of it, so no float z <= below sums to 1 or more and no
+        # float z >= above sums below 1.
+        terms = profile_terms(profile)
+        below, above = spectral._window(terms)
+        rho, eta = map(Fraction, spectral._error_bound(terms))
+
+        def exact(z):
+            return sum(Fraction(float(c)) * Fraction(z) ** e for e, c in terms)
+
+        assert 0.0 <= below < above <= 1.0
+        assert below == 0.0 or (1 + rho) * exact(below) + eta < 1
+        assert above == 1.0 or (1 - rho) * exact(above) - eta >= 1
+
+    def test_lasso_profile_takes_few_sums(self, monkeypatch):
+        calls = []
+        terms = spectral._terms
+        monkeypatch.setattr(spectral, "_terms", lambda *args: calls.append(args) or terms(*args))
+        result = length_profile_eigenvalue(LASSO_PROFILE)
+        assert result == reference_length_profile_eigenvalue(LASSO_PROFILE)
+        assert result.iterations == 53
+        assert len(calls) <= 20
+        below, above = spectral._window(profile_terms(LASSO_PROFILE))
+        assert 0.0 < below < above < 1.0 and above / below - 1 < 1e-13
+
+    def test_uncertified_window_falls_back_to_every_sum(self, monkeypatch):
+        # One word of length 10^18 next to a single letter: G is so curved
+        # that the Newton steps end far from the root, and neither side of
+        # the window is certified.
+        profile = {0: 1, 10**18: 1}
+        assert spectral._window(profile_terms(profile)) == (0.0, 1.0)
+        calls = []
+        terms, window = spectral._terms, spectral._window
+
+        def window_then_count(t):
+            found = window(t)
+            calls.clear()
+            return found
+
+        monkeypatch.setattr(spectral, "_terms", lambda *args: calls.append(args) or terms(*args))
+        monkeypatch.setattr(spectral, "_window", window_then_count)
+        result = length_profile_eigenvalue(profile)
+        assert result == reference_length_profile_eigenvalue(profile)
+        assert len(calls) == result.iterations  # a sum at every bisection step
 
 
 class TestEntropy:
