@@ -67,12 +67,12 @@ def read_named_automaton(text: str) -> tuple[Nfa, str | None]:
     raw_alphabet = doc.get("alphabet")
     if not isinstance(raw_alphabet, list):
         _fail("alphabet", "must be a list of label strings")
-    alphabet: list[str] = []
+    alphabet: set[str] = set()
     for i, raw in enumerate(raw_alphabet):
         lab = _label_string(raw, f"alphabet[{i}]")
         if lab in alphabet:
             _fail(f"alphabet[{i}]", f"duplicate label {raw!r}")
-        alphabet.append(lab)
+        alphabet.add(lab)
 
     raw_states = doc.get("states")
     names: dict[str, int] = {}
@@ -118,7 +118,6 @@ def read_named_automaton(text: str) -> tuple[Nfa, str | None]:
     if not isinstance(raw_transitions, list):
         _fail("transitions", "must be a list of objects")
     transitions = set()
-    alphabet_set = frozenset(alphabet)
     for i, raw in enumerate(raw_transitions):
         where = f"transitions[{i}]"
         if not isinstance(raw, dict):
@@ -133,10 +132,10 @@ def read_named_automaton(text: str) -> tuple[Nfa, str | None]:
             lab = SILENT
         else:
             lab = _label_string(raw_label, f"{where}.label")
-            if lab not in alphabet_set:
+            if lab not in alphabet:
                 _fail(f"{where}.label", f"{raw_label!r} is not in the alphabet")
         transitions.add((source, lab, target))
-    return Nfa(state_count, alphabet_set, frozenset(transitions), start, accepts), doc.get("name")
+    return Nfa(state_count, alphabet, frozenset(transitions), start, accepts), doc.get("name")
 
 
 def write_automaton(a: Nfa, name: str | None = None) -> str:
@@ -161,22 +160,27 @@ def read_log(text: str) -> EventLog:
     """Parse the line-based log format.
 
     One trace per line, events separated by single spaces; a fully empty
-    line is the empty trace and ``#`` starts a comment line.  Lines are
-    counted first, and each distinct line is checked once by two membership
-    tests; only a bad line is walked, to name its first bad event and line.
+    line is the empty trace and ``#`` starts a comment line.  Each distinct
+    line is split once and ``EventLog`` checks the traces; only when it
+    refuses them are the lines walked, in file order, to name the first bad
+    event and its line.
     """
     lines = text.splitlines()
-    traces: dict[tuple[str, ...], int] = {}
-    for line, mult in Counter(lines).items():
-        if line.startswith("#"):
-            continue
-        events = tuple(line.split(" ")) if line else ()
-        if SILENT in events or CHI in events:
-            pos = next(i for i, token in enumerate(events) if token in (SILENT, CHI))
-            problem = f"{CHI!r} is reserved" if events[pos] else "empty event name (double space?)"
-            _fail(f"line {lines.index(line) + 1}, event {pos + 1}", problem)
-        traces[events] = mult
-    return EventLog(traces)
+    traces = {
+        tuple(line.split(" ")) if line else (): mult
+        for line, mult in Counter(lines).items()
+        if not line.startswith("#")
+    }
+    try:
+        return EventLog(traces)
+    except ValueError:
+        number, pos, event = next(
+            (number, pos, event)
+            for number, line in enumerate(lines, 1) if line and not line.startswith("#")
+            for pos, event in enumerate(line.split(" "), 1) if event in (SILENT, CHI)
+        )
+    problem = f"{CHI!r} is reserved" if event else "empty event name (double space?)"
+    _fail(f"line {number}, event {pos}", problem)
 
 
 def write_log(log: EventLog) -> str:
@@ -211,6 +215,8 @@ def read_xes(text: str | bytes) -> EventLog:
     event counts only if its lifecycle:transition is absent or ``complete``
     (in any case), so an activity recorded by its start and its completion
     occurs once.  Traces are counted as tuples of names while parsing.
+    Each counted event is checked here, not left to ``EventLog``: only this
+    pass can name its trace and tell a missing name from an empty one.
     """
     parser = expat.ParserCreate(None, "}")
     local_names: dict[str, str] = {}

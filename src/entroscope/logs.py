@@ -3,6 +3,8 @@
 A trace is a plain tuple of ``str`` labels, and ``EventLog`` checks every
 trace it is given: neither reserved label string, the silent ``SILENT``
 (``""``) nor the short-circuit ``CHI`` (``"__chi__"``), can occur in one.
+That check is the only one a line log gets; ``formats.read_log`` only
+locates the bad event of a log that ``EventLog`` refuses.
 """
 
 from __future__ import annotations
@@ -14,30 +16,17 @@ from typing import Iterable, Iterator, Mapping
 from .automata import CHI, SILENT, Dfa, _explore
 
 
-#: A ``CHI`` event, as a line of events joined by newlines.
-_CHI_LINE = f"\n{CHI}\n"
-
-
 def _unreserved_labels(trace: tuple) -> bool:
-    """Whether every event of ``trace`` is a ``str`` and neither ``SILENT`` nor ``CHI``.
-
-    ``str.join`` refuses any event that is not a ``str``, and in the events
-    joined between newlines a reserved one shows as an empty or a ``CHI``
-    line, so two substring searches check the whole trace.  Only the empty
-    trace and a label that holds a newline can fake such a line; then each
-    event is compared.
-    """
+    """Whether every event of ``trace`` is a ``str`` and neither ``SILENT`` nor ``CHI``."""
     try:
-        lines = "\n" + "\n".join(trace) + "\n"
+        "".join(trace)  # refuses an event that is no str
     except TypeError:
         return False
-    return ("\n\n" not in lines and _CHI_LINE not in lines) or (
-        SILENT not in trace and CHI not in trace
-    )
+    return SILENT not in trace and CHI not in trace
 
 
 class EventLog:
-    """Finite multiset of traces; multiplicities are positive integers."""
+    """Finite multiset of traces, each checked here; multiplicities are positive integers."""
 
     __slots__ = ("_entries",)
 

@@ -546,6 +546,27 @@ def reference_event_log(entries) -> dict:
     return counts
 
 
+def reference_read_log(text: str) -> EventLog:
+    """``read_log`` as it was when it checked each distinct line itself.
+
+    It tests every distinct line for a reserved event before ``EventLog``
+    sees the traces, so its logs and its positioned messages are an oracle
+    for a reader that leaves the check to ``EventLog``.
+    """
+    lines = text.splitlines()
+    traces: dict[tuple[str, ...], int] = {}
+    for line, mult in Counter(lines).items():
+        if line.startswith("#"):
+            continue
+        events = tuple(line.split(" ")) if line else ()
+        if SILENT in events or CHI in events:
+            pos = next(i for i, token in enumerate(events) if token in (SILENT, CHI))
+            problem = f"{CHI!r} is reserved" if events[pos] else "empty event name (double space?)"
+            _fail(f"line {lines.index(line) + 1}, event {pos + 1}", problem)
+        traces[events] = mult
+    return EventLog(traces)
+
+
 class LookAlike:
     """An event that is no ``str`` but hashes and compares equal to one."""
 

@@ -38,6 +38,7 @@ from helpers import (
     multiplicity,
     random_log,
     random_nfa,
+    reference_read_log,
     tree_read_xes,
     word_log,
 )
@@ -155,6 +156,12 @@ class TestAutomatonDocuments:
             read_automaton(json.dumps(doc))
         assert str(refused.value).startswith(location)
 
+    def test_a_late_duplicate_in_a_wide_alphabet_is_refused(self):
+        labels = [f"l{i}" for i in range(20_000)] + ["l0"]
+        doc = {"alphabet": labels, "states": 1, "start": 0, "accepts": [], "transitions": []}
+        with pytest.raises(FormatError, match=r"^alphabet\[20000\]: duplicate label 'l0'$"):
+            read_automaton(json.dumps(doc))
+
     def test_short_circuited_automata_are_not_serialisable(self):
         from entroscope import Dfa
 
@@ -222,6 +229,36 @@ class TestLogDocuments:
         log = EventLog([("ok",), tuple(names)])
         with pytest.raises(FormatError, match=rf"^trace \[.*\]: .*{re.escape(problem)}"):
             write_log(log)
+
+
+#: Lines of a line log: blank, comments, and events that may be empty (a
+#: double, leading or trailing space), reserved, or start a comment.
+log_lines = st.one_of(
+    st.just(""),
+    st.text(alphabet="a #", max_size=3).map("#".__add__),
+    st.lists(st.sampled_from(["a", "b", "#", "", CHI]), min_size=1, max_size=5).map(" ".join),
+)
+
+
+@st.composite
+def line_log_texts(draw):
+    """A line log text that repeats some of a few distinct lines, in any order."""
+    pool = draw(st.lists(log_lines, min_size=1, max_size=4))
+    lines = draw(st.lists(st.sampled_from(pool), max_size=8))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(line_log_texts())
+def test_read_log_gives_the_reference_log_or_message(text):
+    try:
+        expected = reference_read_log(text)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as refused:
+            read_log(text)
+        assert str(refused.value) == str(exc)
+    else:
+        assert read_log(text) == expected
 
 
 def _writable(name: str) -> bool:

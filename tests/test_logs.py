@@ -96,6 +96,11 @@ class TestTraceCheck:
         log = EventLog([(f"a\n{CHI}", "b\n"), ("\n",)])
         assert multiplicity(log, (f"a\n{CHI}", "b\n")) == 1 and multiplicity(log, ("\n",)) == 1
 
+    @pytest.mark.parametrize("trace", [("a\nb", CHI), ("a\n", "")])
+    def test_a_newline_label_beside_a_reserved_event_is_refused(self, trace):
+        with pytest.raises(ValueError, match="log entries must be traces"):
+            EventLog([trace])
+
     def test_a_bad_trace_is_reported_before_a_later_bad_multiplicity(self):
         with pytest.raises(ValueError, match="log entries must be traces"):
             EventLog({("a", 1): 1, ("b",): 0})
