@@ -71,8 +71,8 @@ class Moves(NamedTuple):
         """The number of states."""
         return self.offsets.size - 1
 
-    def length_profile(self) -> dict[int, int]:
-        """Exact number of accepted words of each length, shortest first, of a trim table.
+    def length_profile(self) -> Counter[int]:
+        """Exact number of accepted words of each length, of a trim table.
 
         Paths from ``start`` are counted per length in topological order.
         The search for it stops at the first cycle, which in a trim table
@@ -91,7 +91,7 @@ class Moves(NamedTuple):
             longer = {k + 1: c for k, c in paths[p].items()}
             for q in targets[offsets[p] : offsets[p + 1]].tolist():
                 paths[q].update(longer)
-        return dict(sorted(profile.items()))
+        return profile
 
 
 def _check(cond: bool, invariant: str) -> None:

@@ -2,20 +2,3 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-
-
-def pytest_terminal_summary(terminalreporter):
-    """One pass/fail line per acceptance criterion at the end of a run."""
-    lines = []
-    for status in ("passed", "failed", "error"):
-        for report in terminalreporter.stats.get(status, []):
-            nodeid = getattr(report, "nodeid", "")
-            if "test_acceptance.py" not in nodeid or getattr(report, "when", "call") != "call":
-                continue
-            name = nodeid.split("::")[-1]
-            lines.append((name, "PASS" if status == "passed" else "FAIL"))
-    if not lines:
-        return
-    terminalreporter.write_sep("-", "acceptance criteria")
-    for name, verdict in sorted(lines):
-        terminalreporter.write_line(f"{verdict}  {name}")

@@ -399,15 +399,15 @@ class TestInspectAndConvert:
         assert main(["inspect", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode")
 
-    def test_an_xes_file_is_decoded_as_it_declares(self, capsys, tmp_path):
+    def test_an_xes_file_is_decoded_as_it_declares(self, tmp_path):
         path = tmp_path / "latin1.xes"
         path.write_bytes(
             '<?xml version="1.0" encoding="ISO-8859-1"?>\n'
             '<log><trace><event><string key="concept:name" value="caf\u00e9"/></event>'
             "</trace></log>\n".encode("latin-1")
         )
-        assert main(["convert", str(path), "--to", "log"]) == 0
-        assert capsys.readouterr().out == "caf\u00e9\n"
+        # Through a process, so that its stdout is what is tested.
+        assert _cli_output("convert", str(path), "--to", "log", hash_seed="0") == "café\n".encode()
 
     @pytest.mark.parametrize(
         "name, text, expected",
@@ -462,11 +462,13 @@ FILE_ARGUMENTS = [
     (["inspect"], (None,)),
 ]
 
-#: A malformed automaton document, line log and XES log, then a well-formed
-#: automaton document, XES log and line log.
+#: Two malformed automaton documents, a malformed line log and XES log, then
+#: a well-formed automaton document, XES log and line log.
 INPUT_FILES = {
     "bad.json": '{"alphabet": ["a"], "states": 1, "start": 0, "accepts": [],'
     ' "transitions": [{"from": 0, "label": "zz", "to": 0}]}',
+    "reserved.json": '{"alphabet": ["__chi__"], "states": 1, "start": 0, "accepts": [],'
+    ' "transitions": []}',
     "bad.log": "a  b\n",
     "bad.xes": '<log><trace><event><string key="concept:name" value=""/></event></trace></log>',
     "spec.json": write_automaton(two_word_spec()),
@@ -478,6 +480,7 @@ INPUT_FILES = {
 BAD_FOR = {
     "automaton": [
         ("bad.json", "transitions[0].label: 'zz' is not in the alphabet"),
+        ("reserved.json", "alphabet[0]: '__chi__' is reserved"),
         ("bad.log", "line 1, column 1: Expecting value"),
         ("log.xes", "expected an automaton, found an XES log"),
     ],
@@ -488,6 +491,7 @@ BAD_FOR = {
     ],
     None: [
         ("bad.json", "transitions[0].label: 'zz' is not in the alphabet"),
+        ("reserved.json", "alphabet[0]: '__chi__' is reserved"),
         ("bad.log", "line 1, event 2: empty event name (double space?)"),
         ("bad.xes", "trace 0: event with an empty concept:name attribute"),
     ],
@@ -550,6 +554,9 @@ class TestFamilies:
         explicit = as_dfa(read_automaton((tmp_path / "permutations_120.json").read_text()))
         block = as_dfa(read_automaton((tmp_path / "parallel_block.json").read_text()))
         assert bounded_language_dfa(explicit, 5) == bounded_language_dfa(block, 5)
+        # Both documents are written alike, byte for byte.
+        block_bytes = (tmp_path / "parallel_block.json").read_bytes()
+        assert (tmp_path / "permutations_120.json").read_bytes() == block_bytes
 
     @pytest.mark.parametrize(
         "name, option, value",
@@ -676,3 +683,142 @@ def test_output_is_identical_across_processes(retry_spec_file, small_log_file, t
     ):
         first = _cli_output(*args, hash_seed="0")
         assert first and first == _cli_output(*args, hash_seed="1")
+
+
+#: The documents of the scenario below, by file name: an XES log whose first
+#: activity is recorded by its start and its completion, an automaton with a
+#: silent move, one with a dead state, and a line log that begins with a brace.
+SCENARIO_FILES = {
+    "lifecycle.xes": """<?xml version="1.0" encoding="UTF-8"?>
+<log xes.version="1.0" xmlns="http://www.xes-standard.org/">
+  <trace>
+    <string key="concept:name" value="case-1"/>
+    <event>
+      <string key="concept:name" value="a"/>
+      <string key="lifecycle:transition" value="start"/>
+    </event>
+    <event>
+      <string key="concept:name" value="a"/>
+      <string key="lifecycle:transition" value="complete"/>
+    </event>
+    <event><string key="concept:name" value="b"/></event>
+  </trace>
+  <trace>
+    <event><string key="concept:name" value="a"/></event>
+    <event><string key="concept:name" value="b"/></event>
+  </trace>
+  <trace><event><string key="concept:name" value="b"/></event></trace>
+</log>
+""",
+    "silent.json": '{"alphabet": ["a"], "states": 2, "start": 0, "accepts": [1], "transitions":'
+    ' [{"from": 0, "label": null, "to": 1}, {"from": 1, "label": "a", "to": 1}]}',
+    "dead.json": '{"alphabet": ["a", "b"], "states": 3, "start": 0, "accepts": [1], "transitions":'
+    ' [{"from": 0, "label": "a", "to": 1}, {"from": 0, "label": "b", "to": 2}]}',
+    "brace.log": "{x} y\n{x}\n",
+}
+
+SPEC, LOG = "bounded_repeat_03.json", "bounded_repeat_log.log"
+
+#: Commands on the scenario's files, each with all that it prints.  Recall of
+#: the bounded-repeat log is 1, as the spec holds every word of it; coverage
+#: of a spec by itself takes the inclusion shortcut, and kleene's by
+#: bounded-repeat is solved on the short-circuited product.  In the XES log,
+#: the first two traces are both "a b".  The scalar commands give the eig
+#: measure of a^i b (i <= 3), its base-2 log and its 4 words, and the golden
+#: ratio for a*b.  Trimming the dead state leaves one word.
+SCENARIO_OUTPUTS = [
+    (f"precision {SPEC} {LOG}", "precision = 0.955\n"),
+    (f"recall {SPEC} {LOG}", "recall = 1.000\n"),
+    (f"coverage {SPEC} {SPEC}", "coverage = 1.000\n"),
+    (f"coverage kleene.json {SPEC}", "coverage = 0.948\n"),
+    (f"precision {SPEC} lifecycle.xes", "precision = 0.863\n"),
+    (f"eigenvalue {SPEC}", "eigenvalue = 1.534\n"),
+    (f"entropy {SPEC}", "entropy = 0.617\n"),
+    (f"cardinality {SPEC}", "cardinality = 4\n"),
+    ("eigenvalue kleene.json", "eigenvalue = 1.618\n"),
+    ("cardinality dead.json", "cardinality = 1\n"),
+]
+
+#: Commands on the scenario's files, each with lines that it prints.  The
+#: recall of the bounded-repeat log is a length-profile solve on each side,
+#: pinned to the bit with its bisection steps, so that the finite solve
+#: cannot drift under either summation that Python's ``sum`` uses (plain up
+#: to 3.11, compensated from 3.12).  A report's kind is the --measure token.
+#: A log measured against its own prefix tree shares one length profile on
+#: both sides.  The XES log holds 3 traces, 2 distinct, also once converted
+#: to a line log.  No move returns to the start of the silent-move document.
+SCENARIO_LINES = [
+    (
+        f"recall {SPEC} {LOG} --format json",
+        [
+            '  "numerator": 1.465571231876768,',
+            '  "denominator": 1.465571231876768,',
+            '  "iterations": 106,',
+        ],
+    ),
+    (f"recall {SPEC} {LOG} --measure card --format json", ['  "kind": "card",']),
+    (f"precision tree.json {LOG} --format json", ['  "value": 1.0,']),
+    ("inspect lifecycle.xes", ["distinct_traces: 2", "total_traces: 3"]),
+    ("inspect lifecycle.log", ["distinct_traces: 2", "total_traces: 3"]),
+    ("inspect silent.json", ["trim: true", "ergodic: false"]),
+    ("inspect dead.json", ["trim: false", "finite_language: true"]),
+    ("inspect brace.log", ["type: log"]),
+]
+
+REPORT_HEADER = (
+    "kind,numerator,denominator,value,undefined,converged,iterations,states_numerator,"
+    "transitions_numerator,states_denominator,transitions_denominator,runtime_ms"
+)
+
+
+@pytest.fixture(scope="class")
+def scenario(tmp_path_factory):
+    """The scenario's documents, the bounded-repeat and kleene families, and two converted files."""
+    root = tmp_path_factory.mktemp("scenario")
+    for name, text in SCENARIO_FILES.items():
+        (root / name).write_text(text, encoding="utf-8")
+    _family(root, "bounded-repeat", "--x", "3")
+    _family(root, "kleene")
+    for source, kind, target in (
+        (LOG, "automaton", "tree.json"),
+        ("lifecycle.xes", "log", "lifecycle.log"),
+    ):
+        assert main(["convert", str(root / source), "--to", kind, "--out", str(root / target)]) == 0
+    return root
+
+
+class TestSmokeScenario:
+    """The CLI's pinned outputs on the paper's families and small edge-case documents."""
+
+    @pytest.fixture(autouse=True)
+    def _inside(self, monkeypatch, scenario):
+        monkeypatch.chdir(scenario)
+
+    @pytest.mark.parametrize("command, out", SCENARIO_OUTPUTS, ids=[c for c, _ in SCENARIO_OUTPUTS])
+    def test_prints(self, capsys, command, out):
+        assert main(command.split()) == 0
+        assert capsys.readouterr() == (out, "")
+
+    @pytest.mark.parametrize("command, lines", SCENARIO_LINES, ids=[c for c, _ in SCENARIO_LINES])
+    def test_prints_lines(self, capsys, command, lines):
+        assert main(command.split()) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line not in printed] == []
+
+    def test_an_infinite_language_has_no_cardinality(self, capsys):
+        assert main(["cardinality", "kleene.json"]) == 3
+        err = "error: language is infinite: a cycle survives trimming\n"
+        assert capsys.readouterr() == ("", err)
+
+    def test_the_report_schema(self, capsys):
+        # 0/0 is the only degenerate quotient, and "undefined" marks it.
+        assert main(["recall", SPEC, LOG, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == REPORT_HEADER
+        assert main(["recall", SPEC, LOG, "--format", "json"]) == 0
+        report = capsys.readouterr().out
+        assert list(json.loads(report)) == REPORT_HEADER.split(",")
+        assert "division_by_zero" not in report
+
+    def test_a_process_writes_the_silent_move_as_tau(self):
+        dot = _cli_output("convert", "silent.json", "--to", "dot", hash_seed="0")
+        assert '  0 -> 1 [label="τ"];' in dot.decode("utf-8").splitlines()

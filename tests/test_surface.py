@@ -1,9 +1,10 @@
-"""The library's public surface: what ``entroscope`` exports and what the benchmark traces.
+"""The library's public surface: what ``entroscope`` exports and installs, and what is traced.
 
 The tracer in ``perfbench/tracing.py`` replaces library functions by name, so
 a traced name that leaves the library breaks the benchmark.  Its ``TRACED``
 table is read from the file's source, not imported, so that this check runs
-wherever the tests do.
+wherever the tests do.  ``pyproject.toml`` is read as text too, as Python
+3.10 has no ``tomllib``.
 """
 
 import ast
@@ -60,7 +61,9 @@ DELETED = {
     "union": "entroscope.logs",
 }
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def traced_functions() -> list[tuple[str, str]]:
@@ -84,6 +87,13 @@ def test_all_lists_the_public_names_and_each_resolves():
 def test_a_name_that_only_tests_reached_is_gone(name, home):
     assert not hasattr(entroscope, name)
     assert not hasattr(importlib.import_module(home), name)
+
+
+def test_the_console_script_runs_cli_main():
+    _, _, after = PYPROJECT.read_text(encoding="utf-8").partition("\n[project.scripts]\n")
+    scripts = after.split("\n[", 1)[0].splitlines()
+    assert 'entroscope = "entroscope.cli:main"' in scripts
+    assert callable(importlib.import_module("entroscope.cli").main)
 
 
 def test_an_nfa_keeps_no_move_map():
