@@ -115,7 +115,7 @@ class Nfa:
     start: int
     accepts: frozenset[int]
 
-    def __post_init__(self) -> set[str]:
+    def __post_init__(self) -> None:
         object.__setattr__(self, "alphabet", frozenset(self.alphabet))
         object.__setattr__(self, "transitions", frozenset(self.transitions))
         object.__setattr__(self, "accepts", frozenset(self.accepts))
@@ -127,18 +127,16 @@ class Nfa:
             not self.accepts or (0 <= min(self.accepts) and max(self.accepts) < n),
             "accept state out of range",
         )
-        used: set[str] = set()
         if self.transitions:
             sources, labels, targets = zip(*self.transitions)
+            used = set(labels)
             _check(0 <= min(sources) and max(sources) < n, "transition source out of range")
             _check(0 <= min(targets) and max(targets) < n, "transition target out of range")
-            used.update(labels)
             _check(
                 CHI not in used or self.short_circuited,
                 "chi transition on a non-short-circuited automaton",
             )
             _check(used - {SILENT} <= self.alphabet, "transition label outside the alphabet")
-        return used  # so that ``Dfa`` need not collect the labels again
 
     @property
     def short_circuited(self) -> bool:
@@ -158,14 +156,14 @@ class Nfa:
 
 @dataclass(frozen=True)
 class Dfa(Nfa):
-    """Deterministic automaton: no silent moves, one successor per label."""
+    """Deterministic automaton: no silent moves, one successor per label.
 
-    def __post_init__(self) -> set[str]:
-        used = super().__post_init__()
-        _check(SILENT not in used, "deterministic automaton carries a silent transition")
-        moves = {(p, lab) for p, lab, _ in self.transitions}
-        _check(len(moves) == len(self.transitions), "duplicate move for a (state, label) pair")
-        return used
+    The one determinism check is ``is_deterministic``, which construction calls.
+    """
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _check(is_deterministic(self), "silent or duplicate move for a (state, label) pair")
 
     @cached_property
     def rows(self) -> list[dict[str, int]]:
@@ -201,18 +199,21 @@ class Dfa(Nfa):
 
 
 def is_deterministic(a: Nfa) -> bool:
-    """True iff ``a`` has no silent move and no label with two successors."""
-    moves = {(p, lab) for p, lab, _ in a.transitions}
-    return len(moves) == len(a.transitions) and all(lab != SILENT for _, lab in moves)
+    """True iff ``a`` has no silent move and no label with two successors.
+
+    This is the one determinism check: ``Dfa`` construction and ``as_dfa`` call it.
+    """
+    return len({(p, lab) for p, lab, _ in a.transitions if lab != SILENT}) == len(a.transitions)
 
 
 def as_dfa(a: Nfa) -> Dfa:
     """A DFA for ``L(a)``, built by ``determinize(trim(a))`` only if ``a`` is nondeterministic.
 
-    A ``Dfa`` is returned as it is, and a deterministic ``Nfa`` is
-    reinterpreted as one, untrimmed, so ``recall``'s replay of a large spec
-    pays for no trim.  ``recall`` passes its spec as it is, so a dead core of
-    a nondeterministic ``a`` is trimmed here, before the subset construction.
+    A ``Dfa`` is returned as it is, and an ``Nfa`` that passes
+    ``is_deterministic``, the one determinism check, is reinterpreted as one,
+    untrimmed, so ``recall``'s replay of a large spec pays for no trim.
+    ``recall`` passes its spec as it is, so a dead core of a nondeterministic
+    ``a`` is trimmed here, before the subset construction.
     """
     if isinstance(a, Dfa):
         return a

@@ -96,55 +96,6 @@ _MEASURE_OPTIONS: dict[str, dict] = {
     "--out": {"type": Path, "default": None},
 }
 
-#: Name, help, input files and options of each measure command, as the module docstring lists.
-_MEASURE_COMMANDS = (
-    ("precision", "precision of a specification w.r.t. a log", "spec log",
-     "--measure --tol --max-iter --format --out"),
-    ("recall", "recall of a specification w.r.t. a log", "spec log",
-     "--measure --format --out"),
-    ("coverage", "coverage of the first automaton by the second", "x y",
-     "--tol --max-iter --format --out"),
-    ("eigenvalue", "short-circuit eigenvalue measure of an automaton's language", "automaton",
-     "--tol --max-iter --out"),
-    ("entropy", "topological entropy (base-2 log of the eigenvalue measure)", "automaton",
-     "--tol --max-iter --out"),
-    ("cardinality", "exact word count of a finite language", "automaton", "--out"),
-)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="entroscope",
-        description="Entropy-based precision, recall, and coverage of automata and event logs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, description, inputs, flags in _MEASURE_COMMANDS:
-        p = sub.add_parser(name, help=description)
-        for argument in inputs.split():
-            p.add_argument(argument, type=Path)
-        for flag in flags.split():
-            p.add_argument(flag, **_MEASURE_OPTIONS[flag])
-
-    p = sub.add_parser("convert", help="convert between formats")
-    p.add_argument("input", type=Path)
-    p.add_argument("--to", choices=("dot", "log", "automaton"), required=True)
-    p.add_argument("--out", type=Path, default=None)
-
-    p = sub.add_parser("inspect", help="structural statistics of a file")
-    p.add_argument("input", type=Path)
-    p.add_argument("--out", type=Path, default=None)
-
-    p = sub.add_parser("family", help="generate a synthetic experiment family")
-    p.add_argument(
-        "name", choices=("bounded-repeat", "kleene", "permutations", "parallel-block")
-    )
-    p.add_argument("--x", type=int, default=None, help="repeat bound for bounded-repeat")
-    p.add_argument("--count", type=int, default=None, help="permutation count for permutations")
-    p.add_argument("--out", type=Path, default=Path("."))
-    return parser
-
-
 def _emit(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -332,18 +283,65 @@ def _run_family(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: Name, help, input files, options and handler of each measure command, as the
+#: module docstring lists.
+_MEASURE_COMMANDS = (
+    ("precision", "precision of a specification w.r.t. a log", "spec log",
+     "--measure --tol --max-iter --format --out", _run_quotient_command),
+    ("recall", "recall of a specification w.r.t. a log", "spec log",
+     "--measure --format --out", _run_quotient_command),
+    ("coverage", "coverage of the first automaton by the second", "x y",
+     "--tol --max-iter --format --out", _run_quotient_command),
+    ("eigenvalue", "short-circuit eigenvalue measure of an automaton's language", "automaton",
+     "--tol --max-iter --out", _run_scalar_command),
+    ("entropy", "topological entropy (base-2 log of the eigenvalue measure)", "automaton",
+     "--tol --max-iter --out", _run_scalar_command),
+    ("cardinality", "exact word count of a finite language", "automaton", "--out",
+     _run_scalar_command),
+)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="entroscope",
+        description="Entropy-based precision, recall, and coverage of automata and event logs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    for name, description, inputs, flags, run in _MEASURE_COMMANDS:
+        p = sub.add_parser(name, help=description)
+        p.set_defaults(run=run)
+        for argument in inputs.split():
+            p.add_argument(argument, type=Path)
+        for flag in flags.split():
+            p.add_argument(flag, **_MEASURE_OPTIONS[flag])
+
+    p = sub.add_parser("convert", help="convert between formats")
+    p.set_defaults(run=_run_convert)
+    p.add_argument("input", type=Path)
+    p.add_argument("--to", choices=("dot", "log", "automaton"), required=True)
+    p.add_argument("--out", type=Path, default=None)
+
+    p = sub.add_parser("inspect", help="structural statistics of a file")
+    p.set_defaults(run=_run_inspect)
+    p.add_argument("input", type=Path)
+    p.add_argument("--out", type=Path, default=None)
+
+    p = sub.add_parser("family", help="generate a synthetic experiment family")
+    p.set_defaults(run=_run_family)
+    p.add_argument(
+        "name", choices=("bounded-repeat", "kleene", "permutations", "parallel-block")
+    )
+    p.add_argument("--x", type=int, default=None, help="repeat bound for bounded-repeat")
+    p.add_argument("--count", type=int, default=None, help="permutation count for permutations")
+    p.add_argument("--out", type=Path, default=Path("."))
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command in ("precision", "recall", "coverage"):
-            return _run_quotient_command(args)
-        if args.command in ("eigenvalue", "entropy", "cardinality"):
-            return _run_scalar_command(args)
-        if args.command == "convert":
-            return _run_convert(args)
-        if args.command == "inspect":
-            return _run_inspect(args)
-        return _run_family(args)
+        return args.run(args)
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -336,6 +336,10 @@ def write_report(r: MeasureReport, format: str = "json") -> str:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(fields.keys())
-        writer.writerow("" if v is None else v for v in fields.values())
+        # A flag is spelled as in JSON, and None is an empty cell.
+        writer.writerow(
+            json.dumps(v) if isinstance(v, bool) else "" if v is None else v
+            for v in fields.values()
+        )
         return buffer.getvalue()
     raise ValueError(f"unknown report format: {format!r}")

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from entroscope.automata import product_moves
+from entroscope.automata import canonicalize, intersect, product_moves, short_circuit
 from entroscope.formats import read_automaton
 from entroscope import (
     CHI,
@@ -15,17 +15,14 @@ from entroscope import (
     Nfa,
     accepts,
     as_dfa,
-    canonicalize,
     count_words,
     determinize,
     has_finite_language,
-    intersect,
     is_deterministic,
     is_ergodic,
     is_trim,
     minimize,
     prefix_tree_acceptor,
-    short_circuit,
     trim,
 )
 from helpers import (
@@ -238,7 +235,7 @@ class TestShortCircuit:
 
     def test_retry_spec_matrix_rows(self):
         sc = short_circuit(minimize(determinize(retry_spec())))
-        from entroscope import adjacency_matrix
+        from entroscope.spectral import adjacency_matrix
 
         assert matrix_entries(adjacency_matrix(sc)) == matrix_entries(dense_matrix([
             [1, 1, 0, 0],

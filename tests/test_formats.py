@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import random
@@ -21,8 +22,8 @@ from entroscope import (
     minimize,
     precision,
     recall,
-    short_circuit,
 )
+from entroscope.automata import short_circuit
 from entroscope.formats import (
     FormatError,
     export_dot,
@@ -523,3 +524,11 @@ class TestReports:
         header, row = text.strip().split("\n")
         assert header.startswith("kind,numerator,denominator,value")
         assert row.startswith("card,")
+
+    @pytest.mark.parametrize("spec", [retry_spec, empty_language_automaton])
+    def test_csv_spells_each_flag_as_json_does(self, spec):
+        report = precision(spec(), small_log())
+        (row,) = csv.DictReader(write_report(report, "csv").splitlines())
+        fields = json.loads(write_report(report, "json"))
+        for flag in ("undefined", "converged"):
+            assert row[flag] == json.dumps(fields[flag])

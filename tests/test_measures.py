@@ -29,11 +29,10 @@ from entroscope import (
     precision,
     prefix_tree_acceptor,
     recall,
-    short_circuit,
     trim,
 )
 from entroscope import automata, measures
-from entroscope.automata import product_moves
+from entroscope.automata import product_moves, short_circuit
 from entroscope.formats import report_fields
 from helpers import (
     all_words_of_length,

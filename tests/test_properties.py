@@ -11,7 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entroscope import automata, measures
-from entroscope.automata import _topological_order, product_moves
+from entroscope.automata import (
+    _topological_order,
+    canonicalize,
+    intersect,
+    product_moves,
+    short_circuit,
+)
 from entroscope import (
     CHI,
     Dfa,
@@ -22,15 +28,12 @@ from entroscope import (
     MeasureReport,
     Nfa,
     accepts,
-    adjacency_matrix,
     as_dfa,
-    canonicalize,
     count_words,
     coverage,
     determinize,
     eig_short_circuit_measure,
     has_finite_language,
-    intersect,
     is_deterministic,
     is_ergodic,
     is_trim,
@@ -40,9 +43,9 @@ from entroscope import (
     precision,
     prefix_tree_acceptor,
     recall,
-    short_circuit,
     trim,
 )
+from entroscope.spectral import adjacency_matrix
 from helpers import (
     ABC,
     bounded_language_dfa,
@@ -296,6 +299,23 @@ def test_as_dfa_keeps_a_dfa_and_determinizes_an_nfa(aut):
     else:
         assert d == determinize(trim(aut))
     assert as_dfa(d) is d
+
+
+@settings(max_examples=300, deadline=None)
+@given(nfas())
+@example(Nfa(2, frozenset("ab"), {(0, "a", 1), (0, "b", 0), (1, "a", 1)}, 0, {1}))
+@example(Nfa(2, frozenset("a"), {(0, SILENT, 1)}, 0, {1}))
+@example(Nfa(3, frozenset("a"), {(0, "a", 1), (0, "a", 2)}, 0, {2}))
+def test_a_dfa_constructs_exactly_when_is_deterministic_holds(aut):
+    uses = Counter((p, lab) for p, lab, _ in aut.transitions)
+    deterministic = SILENT not in {lab for _, lab in uses} and all(c == 1 for c in uses.values())
+    assert is_deterministic(aut) == deterministic
+    fields = (aut.state_count, aut.alphabet, aut.transitions, aut.start, aut.accepts)
+    if deterministic:
+        assert Dfa(*fields).transitions == aut.transitions
+    else:
+        with pytest.raises(ValueError):
+            Dfa(*fields)
 
 
 @settings(max_examples=150, deadline=None)

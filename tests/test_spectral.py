@@ -9,15 +9,15 @@ from hypothesis import strategies as st
 from entroscope import (
     Dfa,
     Moves,
-    adjacency_matrix,
     determinize,
     is_ergodic,
     length_profile_eigenvalue,
     minimize,
     perron_frobenius,
-    short_circuit,
     spectral,
 )
+from entroscope.automata import short_circuit
+from entroscope.spectral import adjacency_matrix
 from helpers import (
     count_words_of_length,
     dense_matrix,

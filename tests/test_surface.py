@@ -29,16 +29,13 @@ SURFACE = [
     "Nfa",
     "SILENT",
     "accepts",
-    "adjacency_matrix",
     "as_dfa",
-    "canonicalize",
     "count_words",
     "coverage",
     "determinize",
     "distinct_language",
     "eig_short_circuit_measure",
     "has_finite_language",
-    "intersect",
     "is_deterministic",
     "is_ergodic",
     "is_trim",
@@ -48,7 +45,6 @@ SURFACE = [
     "precision",
     "prefix_tree_acceptor",
     "recall",
-    "short_circuit",
     "trim",
 ]
 
@@ -59,6 +55,15 @@ DELETED = {
     "log_alphabet": "entroscope.logs",
     "multiplicity": "entroscope.logs",
     "union": "entroscope.logs",
+}
+
+#: Names that left the package's surface, with the module that still defines
+#: each, as the tracer patches it there by name.
+UNEXPORTED = {
+    "adjacency_matrix": "entroscope.spectral",
+    "canonicalize": "entroscope.automata",
+    "intersect": "entroscope.automata",
+    "short_circuit": "entroscope.automata",
 }
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,6 +92,12 @@ def test_all_lists_the_public_names_and_each_resolves():
 def test_a_name_that_only_tests_reached_is_gone(name, home):
     assert not hasattr(entroscope, name)
     assert not hasattr(importlib.import_module(home), name)
+
+
+@pytest.mark.parametrize("name, home", sorted(UNEXPORTED.items()))
+def test_a_name_only_the_tracer_patches_stays_home_unexported(name, home):
+    assert not hasattr(entroscope, name)
+    assert callable(getattr(importlib.import_module(home), name, None))
 
 
 def test_the_console_script_runs_cli_main():
