@@ -19,9 +19,9 @@ the rows it numbered by, so nothing sorts them back out of its transitions.
 What the measures read works on int arrays (``Moves``): ``product_moves``
 walks an operand pair a breadth-first level at a time in numpy, with a dense
 int32 index of ``4 * nx * ny`` bytes for operands of ``nx`` and ``ny`` states
-(at most 76 KB on the benchmark pairs, 4.7 MB at 770 x 1,537), and trims it
-by sweeping its move arrays; one depth-first search over the arrays decides
-finiteness and orders the word count.
+(at most 76 KB on the benchmark pairs, 4.7 MB at 770 x 1,537) that also finds
+each level's new pairs, and trims it by sweeping only its pending moves; one
+depth-first search over the arrays decides finiteness and orders the word count.
 """
 
 from __future__ import annotations
@@ -456,28 +456,19 @@ def _operand(d: Dfa, labels: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndar
     return table, accepts, np.diff(m.offsets)
 
 
-def _firsts(values: np.ndarray) -> np.ndarray:
-    """True where a value occurs for the first time, found by one stable sort."""
-    by_value = np.argsort(values, kind="stable")
-    ranked = values[by_value]
-    firsts = np.empty(values.size, dtype=bool)
-    firsts[by_value] = np.concatenate(([True], ranked[1:] != ranked[:-1]))
-    return firsts
-
-
 def _live(order: int, sources: np.ndarray, targets: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """True at the states that reach a seed, marked by sweeping the moves until none is added.
+    """True at the states that reach a seed, marked by sweeping the pending moves until none hits.
 
-    Each sweep marks the source of every move into a marked state, so there
-    is one sweep more than the longest distance from a live pair to its
-    nearest accepting pair: a handful on most products, one per pair on a chain.
+    Each sweep marks the sources of the pending moves into marked states; the rest, whose
+    targets were unmarked as it began, stay pending.  That is one or two sweeps more than the
+    longest distance to a seed: a handful on most products, one per pair on a chain.
     """
     live = np.zeros(order, dtype=bool)
     live[seeds] = True
-    marked = 0
-    while (now := np.count_nonzero(live)) > marked:
-        marked = now
-        live[sources[live[targets]]] = True
+    while (hit := live[targets]).any():
+        live[sources[hit]] = True
+        pending = ~hit
+        sources, targets = sources[pending], targets[pending]
     return live
 
 
@@ -487,8 +478,11 @@ def product_moves(x: Dfa, y: Dfa) -> tuple[Moves, bool, bool]:
     Pairs, coded as ``px * y.state_count + py``, are numbered breadth-first
     with labels in sorted order, as ``_explore`` numbers states: a level at
     a time, each new pair in the order it first appears among the level's
-    moves, listed parent by parent in label order.  A dense int32 index,
-    4 bytes per pair of states, holds the numbers.  Pairs that ``_live``'s
+    moves, read flat, parent by parent in label order.  A dense int32 index,
+    4 bytes per pair of states, holds the numbers; ``np.minimum.at`` first
+    writes into each new pair's -1 the least slot, counted up from -2**31, of
+    the moves into it (numpy leaves open which write of a repeated fancy index
+    wins), so a new pair is kept at its first move.  Pairs that ``_live``'s
     sweep from the accepting pairs leaves unmarked are dropped and the rest
     keep their order, as in ``trim``; a dead start leaves one state with no move.
 
@@ -514,11 +508,14 @@ def product_moves(x: Dfa, y: Dfa) -> tuple[Moves, bool, bool]:
     while level.size:
         first = found - level.size  # the number of the level's first pair
         px, py = np.divmod(level, width)
-        x_next, y_next = x_table[px], y_table[py]
-        parent, column = np.nonzero((x_next >= 0) & (y_next >= 0))
-        codes = x_next[parent, column].astype(np.int64) * width + y_next[parent, column]
+        x_next, y_next = x_table[px].ravel(), y_table[py].ravel()
+        move = np.flatnonzero((x_next >= 0) & (y_next >= 0))
+        parent, column = np.divmod(move, len(labels))
+        codes = x_next[move].astype(np.int64) * width + y_next[move]
         level = codes[index[codes] < 0]
-        level = level[_firsts(level)]
+        slots = np.arange(-(2**31), level.size - 2**31, dtype=np.int32)
+        np.minimum.at(index, level, slots)  # each new pair's -1 takes its first slot
+        level = level[index[level] == slots]
         index[level] = np.arange(found, found + level.size, dtype=np.int32)
         found += level.size
         levels.append(level)

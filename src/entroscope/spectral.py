@@ -53,12 +53,15 @@ def adjacency_matrix(d: Dfa) -> Moves:
 
 
 def _check_bounds(tol: float, max_iter: int) -> None:
-    """Raise ``ValueError`` on a cap below 1 or a ``tol`` that is not finite and above 0.
+    """Raise ``ValueError`` unless the cap is an integer above 0 and ``tol`` finite and above 0.
 
-    On either, a solve would stop at its first step or run to the cap.
+    Otherwise a solve would fail inside ``range``, stop at its first step or run to the cap.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    try:
+        if operator.index(max_iter) < 1:
+            raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    except TypeError:
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}") from None
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number above 0, got {tol}")
 
@@ -99,16 +102,16 @@ def perron_frobenius(
     for iteration in range(1, max_iter + 1):
         # y = (M + I) x; the shift keeps the iteration primitive.
         y = x + np.bincount(rows, weights=weights * x[cols], minlength=order)
-        estimate = float(x @ y)
+        estimate = float(x.dot(y))
         residual = abs(estimate - rayleigh) / estimate
         # The Rayleigh quotient can plateau transiently on non-symmetric
         # matrices, so convergence also demands a small eigen-residual,
         # needed only once the quotient has settled or at the cap.
         if residual <= tol or iteration == max_iter:
             off = y - estimate * x
-            residual = max(residual, math.sqrt(off @ off) / estimate)
+            residual = max(residual, math.sqrt(off.dot(off)) / estimate)
         rayleigh = estimate
-        x = y / math.sqrt(y @ y)
+        x = y / math.sqrt(y.dot(y))
         if residual <= tol:
             return EigenResult(rayleigh - 1.0, iteration, True, residual)
     return EigenResult(rayleigh - 1.0, max_iter, False, residual)

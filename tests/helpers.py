@@ -159,6 +159,27 @@ def reachable(a: Nfa, seeds: Iterable[int], backward: bool = False) -> set[int]:
     return seen
 
 
+def reaching(order: int, moves: Iterable[tuple[int, int]], seeds: Iterable[int]) -> list[bool]:
+    """Oracle: per state ``0 .. order-1``, whether it reaches a seed along ``(from, to)`` moves.
+
+    A depth-first search backward from the seeds over Python lists of
+    predecessors, one entry per move, so repeated moves are simply repeated.
+    """
+    before: list[list[int]] = [[] for _ in range(order)]
+    for p, q in moves:
+        before[q].append(p)
+    live = [False] * order
+    stack = list(seeds)
+    for q in stack:
+        live[q] = True
+    while stack:
+        for p in before[stack.pop()]:
+            if not live[p]:
+                live[p] = True
+                stack.append(p)
+    return live
+
+
 def short_circuit_radius(a: Nfa) -> float:
     """Oracle eig measure of ``L(a)``: the largest ``|eigenvalue|`` of a dense short-circuit matrix.
 

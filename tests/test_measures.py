@@ -483,6 +483,15 @@ def test_bad_solver_bounds_are_refused_without_a_solve(name, bounds, message):
         BOUNDED_CALLS[name](two_word_spec(), **bounds)
 
 
+@pytest.mark.parametrize("spec", [two_word_spec, retry_spec], ids=["finite", "infinite"])
+@pytest.mark.parametrize("name", BOUNDED_CALLS)
+def test_a_cap_that_is_no_integer_is_refused(name, spec):
+    # 1e6 passes ``max_iter >= 1``, but a power iteration's ``range`` takes no
+    # float, and a length-profile solve, which needs no cap, would take it silently.
+    with pytest.raises(ValueError, match="^max_iter must be an integer, got 1000000.0$"):
+        BOUNDED_CALLS[name](spec(), max_iter=1e6)
+
+
 def nth_from_end(n: int, markers: str, alphabet: str, silent_skip: bool = False) -> Nfa:
     """Words over ``alphabet`` whose n-th symbol from the end is one of ``markers``."""
     labs = list(alphabet)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from entroscope import automata, measures
 from entroscope.automata import (
+    _live,
     _topological_order,
     canonicalize,
     intersect,
@@ -60,6 +61,7 @@ from helpers import (
     product_rows,
     random_log,
     reachable,
+    reaching,
     short_circuit_radius,
     subset_dfa,
 )
@@ -587,6 +589,27 @@ def test_the_trim_drops_a_long_chain_of_dead_pairs():
         rows, accepting, inside = walked_rows(left, right)
         assert (rows, accepting, inside) == product_rows(left, right)
         assert len(rows) == 302 and accepting == [301] and not inside
+
+
+@st.composite
+def move_lists(draw, max_states=10):
+    """A state count, ``(from, to)`` moves in any order with repeats, and seeds, maybe none."""
+    n = draw(st.integers(1, max_states))
+    state = st.integers(0, n - 1)
+    moves = draw(st.lists(st.tuples(state, state), max_size=3 * n))
+    return n, moves, sorted(draw(st.sets(state, max_size=3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(move_lists())
+@example((3, [(0, 1), (1, 1), (1, 2), (1, 2)], []))  # no seed
+@example((5, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 4)], [3]))  # a cycle, a dead self-loop
+@example((4, [(2, 3), (0, 1), (1, 2), (1, 2)], [3]))  # a chain, one move repeated
+def test_the_trim_sweep_marks_exactly_the_states_that_reach_a_seed(case):
+    order, moves, seeds = case
+    sources, targets = np.array(moves, dtype=np.int32).reshape(-1, 2).T
+    live = _live(order, sources, targets, np.array(seeds, dtype=np.int32))
+    assert live.tolist() == reaching(order, moves, seeds)
 
 
 def same_automaton(a: Dfa, b: Dfa) -> bool:
