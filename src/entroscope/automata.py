@@ -10,12 +10,13 @@ pure function returning fresh automata.  Derived views (``rows``,
 ``arrays``, ``minimal``) are built on first use and kept with the
 automaton.
 
-The construction algorithms work on Python ints and lists: ``determinize``
-keys a subset of states by an int bitmask, and ``minimize`` refines numbered
-blocks of the trim partial function, with no dead state, splitting on each
-popped block's in-moves a label at a time and relabelling only the smaller
-half of each split; both number states in ``_explore``, whose ``Dfa`` keeps
-the rows it numbered by, so nothing sorts them back out of its transitions.
+The construction algorithms work on Python ints and lists: ``_subsets``,
+the core of ``determinize``, keys a subset of states by an int bitmask, and
+``minimize`` refines its rows in numbered blocks, with no dead state,
+splitting on each popped block's in-moves a label at a time and relabelling
+only the smaller half of each split.  Both number states in ``_explore``,
+which returns rows, not a ``Dfa``: an operand's preparation builds only its
+minimal DFA, by ``_dfa``, which keeps the rows rather than sort them back out.
 What the measures read works on int arrays (``Moves``): ``product_moves``
 walks an operand pair a breadth-first level at a time in numpy, with a dense
 int32 index of ``4 * nx * ny`` bytes for operands of ``nx`` and ``ny`` states
@@ -145,7 +146,7 @@ class Nfa:
 
     @cached_property
     def minimal(self) -> Dfa:
-        """The minimal trim DFA of the language: ``minimize(self)``, which trims it first.
+        """The minimal trim DFA of the language: ``minimize(self)``, the one ``Dfa`` it builds.
 
         Built on first use and kept with this automaton, so each operand of
         several measures is minimized once, and ``coverage`` keeps one product
@@ -169,7 +170,7 @@ class Dfa(Nfa):
     def rows(self) -> list[dict[str, int]]:
         """The partial transition function: per state, ``{label: target}`` in sorted label order.
 
-        ``_explore`` hands its DFA the rows it filled; any other sorts each state's moves.
+        ``_dfa`` hands its DFA the rows ``_explore`` filled; any other sorts each state's moves.
         """
         buckets: list[list[tuple[str, int]]] = [[] for _ in range(self.state_count)]
         for p, lab, q in self.transitions:
@@ -180,22 +181,26 @@ class Dfa(Nfa):
     def arrays(self) -> Moves:
         """The partial transition function as ``Moves``, over the sorted labels that it uses.
 
-        The arrays are of numpy's index type, which counting and indexing use
-        without a conversion; only a walked product, which can be large, keeps
-        its moves in int32.
+        ``_as_moves`` builds it from the rows.  The arrays are of numpy's index
+        type, which counting and indexing use without a conversion; only a
+        walked product, which can be large, keeps its moves in int32.
         """
-        rows = self.rows
-        labels = sorted({lab for row in rows for lab in row})
-        column = {lab: i for i, lab in enumerate(labels)}
-        return Moves(
-            labels,
-            np.array([0, *accumulate(map(len, rows))], dtype=np.intp),
-            np.array([p for p, row in enumerate(rows) for _ in row], dtype=np.intp),
-            np.array([column[lab] for row in rows for lab in row], dtype=np.intp),
-            np.array([q for row in rows for q in row.values()], dtype=np.intp),
-            np.array(sorted(self.accepts), dtype=np.intp),
-            self.start,
-        )
+        return _as_moves(self.rows, self.accepts, self.start)
+
+
+def _as_moves(rows: list[dict[str, int]], accepts: Iterable[int], start: int) -> Moves:
+    """``Dfa.arrays`` of the DFA with these rows, accepts and start, built from them alone."""
+    labels = sorted({lab for row in rows for lab in row})
+    column = {lab: i for i, lab in enumerate(labels)}
+    return Moves(
+        labels,
+        np.array([0, *accumulate(map(len, rows))], dtype=np.intp),
+        np.array([p for p, row in enumerate(rows) for _ in row], dtype=np.intp),
+        np.array([column[lab] for row in rows for lab in row], dtype=np.intp),
+        np.array([q for row in rows for q in row.values()], dtype=np.intp),
+        np.array(sorted(accepts), dtype=np.intp),
+        start,
+    )
 
 
 def is_deterministic(a: Nfa) -> bool:
@@ -222,30 +227,36 @@ def as_dfa(a: Nfa) -> Dfa:
     return determinize(trim(a))
 
 
-def _trim_dfa(a: Nfa) -> Dfa:
-    """A trim DFA of ``L(a)``: ``as_dfa(trim(a))``, but ``a`` is trimmed once, not twice."""
+def _trim_rows(a: Nfa) -> tuple[list[dict[str, int]], frozenset[int], int]:
+    """The rows, accepts and start of a trim DFA of ``L(a)``: ``as_dfa(trim(a))``, trimmed once.
+
+    A deterministic ``trim(a)`` goes through ``as_dfa``; any other is read off
+    the subset construction, ``_subsets``, and no subset ``Dfa`` is built.
+    """
     t = trim(a)
-    return as_dfa(t) if isinstance(t, Dfa) or is_deterministic(t) else determinize(t)
+    if isinstance(t, Dfa) or is_deterministic(t):
+        d = as_dfa(t)
+        return d.rows, d.accepts, d.start
+    return (*_subsets(t), 0)
 
 
 def _explore(
     start: Hashable,
     moves: Callable[[Hashable], Iterable[tuple[str, Hashable]]],
     accepting: Callable[[Hashable], bool],
-    alphabet: frozenset[str],
-) -> Dfa:
-    """The DFA on the keys reachable from ``start``, numbered breadth-first, with its rows.
+) -> tuple[list[dict[str, int]], frozenset[int]]:
+    """The keys reachable from ``start``, numbered breadth-first: each one's row, and the accepts.
 
     ``moves(key)`` yields ``(label, successor key)`` pairs in sorted label
     order, so the numbering depends on the graph alone, not on what the keys
     are (subsets, states or blocks) or how they hash.  ``start`` becomes
-    state 0 and ``accepting(key)`` marks the accept states.  The ``Dfa`` keeps
-    the rows filled while numbering as its ``rows``, in that label order.
+    state 0, row ``p`` maps each label of state ``p`` to its target's number,
+    in that label order, and ``accepting(key)`` marks the accept states.
+    ``_dfa`` builds the automaton they describe.
     """
     index = {start: 0}
     order = [start]
     rows: list[dict[str, int]] = []
-    transitions: list[Transition] = []
     accepts: list[int] = []
     for here, key in enumerate(order):  # ``order`` grows as keys are found
         if accepting(key):
@@ -257,9 +268,14 @@ def _explore(
                 there = index[target] = len(order)
                 order.append(target)
             row[lab] = there
-            transitions.append((here, lab, there))
         rows.append(row)
-    d = Dfa(len(order), alphabet, frozenset(transitions), 0, frozenset(accepts))
+    return rows, frozenset(accepts)
+
+
+def _dfa(rows: list[dict[str, int]], accepts: frozenset[int], alphabet: frozenset[str]) -> Dfa:
+    """The DFA with start 0 of ``_explore``'s rows and accepts; it keeps the rows as ``rows``."""
+    transitions = frozenset((p, lab, q) for p, row in enumerate(rows) for lab, q in row.items())
+    d = Dfa(len(rows), alphabet, transitions, 0, accepts)
     vars(d)["rows"] = rows  # where ``cached_property`` keeps ``Dfa.rows``
     return d
 
@@ -286,11 +302,11 @@ def _closure(seeds: Iterable[int], successors: Callable[[int], Iterable[int]]) -
     return seen
 
 
-def determinize(a: Nfa) -> Dfa:
-    """Rabin-Scott powerset construction, extended with silent closures.
+def _subsets(a: Nfa) -> tuple[list[dict[str, int]], frozenset[int]]:
+    """The rows and accepts of Rabin-Scott's powerset construction, extended with silent closures.
 
     Only subset states reachable from the closure of the start state are
-    materialised, discovered breadth-first with labels in sorted order, so
+    materialised, numbered by ``_explore`` with labels in sorted order, so
     the result is reproducible.  A subset is an ``int`` bitmask of states.
     Each state's silent closure is taken once, and each state's labelled
     moves are merged once into one mask per label, the OR of its targets'
@@ -321,7 +337,12 @@ def determinize(a: Nfa) -> Dfa:
             subset ^= low
         return [(lab, mask) for lab, mask in zip(labels, out) if mask]
 
-    return _explore(masks[a.start], moves, accept_bits.__and__, a.alphabet)
+    return _explore(masks[a.start], moves, accept_bits.__and__)
+
+
+def determinize(a: Nfa) -> Dfa:
+    """The subset DFA of ``a``: ``_dfa`` of the rows and accepts that ``_subsets(a)`` numbers."""
+    return _dfa(*_subsets(a), a.alphabet)
 
 
 def trim(a: Nfa) -> Nfa:
@@ -359,20 +380,21 @@ def canonicalize(d: Dfa) -> Dfa:
     what the test suites use as their isomorphism check.  States unreachable
     from the start are dropped.
     """
-    return _explore(d.start, lambda p: d.rows[p].items(), d.accepts.__contains__, d.alphabet)
+    return _dfa(*_explore(d.start, lambda p: d.rows[p].items(), d.accepts.__contains__), d.alphabet)
 
 
 def minimize(d: Nfa) -> Dfa:
     """Minimal trim DFA for ``L(d)``: Hopcroft refinement of ``as_dfa(trim(d))``'s partial function.
 
-    ``d`` is trimmed before the subset construction, so its subsets hold only
-    useful states and the DFA is trim as built: a missing move is the only way
-    to an empty future, and no dead state stands for it.  Its ``rows``, which
-    a subset DFA keeps from its construction, are each state's outgoing moves,
-    and one pass over them lists each state's incoming ``(label, state)``
-    moves.  Blocks are numbered sets of states, and ``block_of`` gives each
-    state's block number.  The partition starts as the accept states and the
-    rest, and both go on one worklist of block numbers, so that states with
+    ``_trim_rows`` trims ``d`` before the subset construction, so its subsets
+    hold only useful states and the DFA is trim as built: a missing move is
+    the only way to an empty future, and no dead state stands for it.  Its
+    rows, which a nondeterministic ``d`` gets straight from ``_subsets`` with
+    no subset ``Dfa`` built, are each state's outgoing moves, and one pass
+    over them lists each state's incoming ``(label, state)`` moves.  Blocks
+    are numbered sets of states, and ``block_of`` gives each state's block
+    number.  The partition starts as the accept states and the rest, and
+    both go on one worklist of block numbers, so that states with
     a move on a label part from those without one.  Each block popped groups
     its in-moves by label and splits every block those moves leave, a label
     at a time; the smaller half of a split block gets a new number, which
@@ -383,15 +405,14 @@ def minimize(d: Nfa) -> Dfa:
     so language-equal inputs minimise to structurally identical automata,
     and a dead start gives the empty automaton.
     """
-    t = _trim_dfa(d)
-    rows = t.rows
-    incoming: list[list[tuple[str, int]]] = [[] for _ in range(t.state_count)]
+    rows, accepts, start = _trim_rows(d)
+    incoming: list[list[tuple[str, int]]] = [[] for _ in rows]
     for p, row in enumerate(rows):
         for lab, q in row.items():
             incoming[q].append((lab, p))
 
-    blocks = [set(t.accepts), set(range(t.state_count)) - t.accepts]  # the first may be empty
-    block_of = [int(q not in t.accepts) for q in range(t.state_count)]
+    blocks = [set(accepts), set(range(len(rows))) - accepts]  # the first may be empty
+    block_of = [int(q not in accepts) for q in range(len(rows))]
     worklist = [0, 1]
     while worklist:
         by_label: dict[str, list[int]] = {}  # read before any split: the block may split below
@@ -421,9 +442,9 @@ def minimize(d: Nfa) -> Dfa:
         return [(lab, block_of[q]) for lab, q in rows[first[b]].items()]
 
     def accepting(b: int) -> bool:
-        return first[b] in t.accepts
+        return first[b] in accepts
 
-    return _explore(block_of[t.start], moves, accepting, t.alphabet)
+    return _dfa(*_explore(block_of[start], moves, accepting), d.alphabet)
 
 
 def short_circuit(d: Dfa) -> Dfa:
@@ -605,13 +626,13 @@ def _topological_order(offsets: np.ndarray, targets: np.ndarray, start: int) -> 
 
 def has_finite_language(d: Nfa) -> bool:
     """True iff ``as_dfa(trim(d))``, a trim DFA of ``L(d)``, has no directed cycle."""
-    t = _trim_dfa(d).arrays
+    t = _as_moves(*_trim_rows(d))
     return _topological_order(t.offsets, t.targets, t.start) is not None
 
 
 def count_words(d: Nfa) -> int:
     """Exact number of accepted words of a finite-language ``d``, counted on ``as_dfa(trim(d))``."""
-    return sum(_trim_dfa(d).arrays.length_profile().values())
+    return sum(_as_moves(*_trim_rows(d)).length_profile().values())
 
 
 def accepts(d: Dfa, word: Sequence[str]) -> bool:

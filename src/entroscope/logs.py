@@ -13,7 +13,7 @@ import operator
 from itertools import repeat
 from typing import Iterable, Iterator, Mapping
 
-from .automata import CHI, SILENT, Dfa, _explore
+from .automata import CHI, SILENT, Dfa, _dfa, _explore
 
 
 def _unreserved_labels(trace: tuple) -> bool:
@@ -86,6 +86,5 @@ def prefix_tree_acceptor(log: EventLog) -> Dfa:
                 children.append({})
             node = nxt
         accepts.add(node)
-    return _explore(
-        0, lambda node: sorted(children[node].items()), accepts.__contains__, frozenset(alphabet)
-    )
+    rows, final = _explore(0, lambda node: sorted(children[node].items()), accepts.__contains__)
+    return _dfa(rows, final, frozenset(alphabet))

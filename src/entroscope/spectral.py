@@ -56,13 +56,14 @@ def _check_bounds(tol: float, max_iter: int) -> None:
     """Raise ``ValueError`` unless the cap is an integer above 0 and ``tol`` finite and above 0.
 
     Otherwise a solve would fail inside ``range``, stop at its first step or run to the cap.
+    A bool is neither, as in ``EventLog``: ``True`` would cap a solve at one step or set
+    ``tol`` to 1.
     """
-    try:
-        if operator.index(max_iter) < 1:
-            raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    except TypeError:
-        raise ValueError(f"max_iter must be an integer, got {max_iter!r}") from None
-    if not (math.isfinite(tol) and tol > 0):
+    if isinstance(max_iter, bool) or not hasattr(type(max_iter), "__index__"):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+    if operator.index(max_iter) < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if isinstance(tol, (bool, np.bool_)) or not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number above 0, got {tol}")
 
 

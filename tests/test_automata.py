@@ -2,6 +2,7 @@ import json
 import pickle
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -223,6 +224,15 @@ class TestMinimize:
             untrimmed += not is_trim(as_dfa(d))
             assert minimize(d) == minimize(trim(d))
         assert untrimmed > 200
+
+    def test_the_minimal_dfa_of_an_nfa_is_the_only_dfa_built(self):
+        # The subset construction hands its rows to the refinement, not a Dfa.
+        spec = retry_spec()
+        assert not is_deterministic(trim(spec))
+        init = Dfa.__post_init__
+        with mock.patch.object(Dfa, "__post_init__", autospec=True, wraps=init) as built:
+            m = spec.minimal
+        assert built.call_count == 1 and built.call_args.args[0] is m
 
 
 class TestShortCircuit:

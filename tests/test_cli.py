@@ -120,7 +120,7 @@ class TestMeasureCommands:
         expected = {"eigenvalue": "eigenvalue = 1.513\n", "entropy": "entropy = 0.597\n"}
         for command, line in expected.items():
             with mock.patch.object(automata, "minimize", wraps=minimize) as spy, mock.patch.object(
-                automata, "determinize", wraps=automata.determinize
+                automata, "_subsets", wraps=automata._subsets
             ) as subsets:
                 assert main([command, str(path)]) == 0
             assert capsys.readouterr().out == line

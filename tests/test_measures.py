@@ -382,23 +382,27 @@ def test_each_operand_is_minimized_once():
 
 def test_no_trim_reads_a_subset_dfa():
     # Each operand is trimmed before the subset construction, never after it.
-    built, trimmed = [], []
+    read, built, trimmed, kept = [], [], [], []
+    construct = automata._subsets
 
     def subsets(a):
-        built.append(determinize(a))
+        read.append(a)
+        built.append(construct(a))
         return built[-1]
 
     def trimming(a):
         trimmed.append(a)
-        return trim(a)
+        kept.append(trim(a))
+        return kept[-1]
 
     x, y = retry_spec(), flexible_spec()
-    with mock.patch.object(automata, "determinize", subsets), mock.patch.object(
+    with mock.patch.object(automata, "_subsets", subsets), mock.patch.object(
         automata, "trim", trimming
     ):
         coverage(x, y), coverage(y, x)
     assert built and trimmed
-    assert not any(a is d for a in trimmed for d in built)
+    assert all(any(a is t for t in kept) for a in read)
+    assert not any(vars(a).get("rows") is rows for a in trimmed for rows, _ in built)
 
 
 def test_each_operand_is_trimmed_once():
@@ -490,6 +494,23 @@ def test_a_cap_that_is_no_integer_is_refused(name, spec):
     # float, and a length-profile solve, which needs no cap, would take it silently.
     with pytest.raises(ValueError, match="^max_iter must be an integer, got 1000000.0$"):
         BOUNDED_CALLS[name](spec(), max_iter=1e6)
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ({"max_iter": True}, "max_iter must be an integer, got True"),
+        ({"tol": True}, "tol must be a finite number above 0, got True"),
+    ],
+    ids=["max_iter True", "tol True"],
+)
+@pytest.mark.parametrize("spec", [two_word_spec, retry_spec], ids=["finite", "infinite"])
+@pytest.mark.parametrize("name", BOUNDED_CALLS)
+def test_a_bool_bound_is_refused(name, spec, bounds, message):
+    # ``True`` is an integer to ``operator.index`` and a number to ``math``,
+    # so it would cap a solve at one power step or loosen ``tol`` to 1.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BOUNDED_CALLS[name](spec(), **bounds)
 
 
 def nth_from_end(n: int, markers: str, alphabet: str, silent_skip: bool = False) -> Nfa:

@@ -543,12 +543,17 @@ def relabeled(a: Nfa, names: str) -> Nfa:
 
 A_STAR = Dfa(1, frozenset(ABC[:1]), frozenset({(0, ABC[0], 0)}), 0, frozenset({0}))
 
+#: The start moves to 1 on ``a`` and ``c`` and to 2 on ``b``, so its
+#: self-product's first level reaches pair (1, 1), then (2, 2), then (1, 1) again.
+FORK = Dfa(3, frozenset(ABC), {(0, "a", 1), (0, "b", 2), (0, "c", 1), (2, "a", 1)}, 0, {1})
+
 
 @settings(max_examples=300, deadline=None)
 @given(nfa_pairs(), st.sampled_from(["abc", "abd", "xyz"]), st.booleans())
 @example((A_STAR, A_STAR), "xyz", True)  # disjoint alphabets
 @example((A_STAR, empty_language_automaton(ABC)), "abc", True)  # dead start
 @example((Nfa(2, frozenset(ABC), {(0, ABC[0], 1)}, 0, {0}), A_STAR), "abc", False)  # dead pair
+@example((FORK, FORK), "abc", True)  # a level's new pair reached again after another
 def test_the_array_walk_numbers_and_flags_pairs_as_the_reference_walk(pair, names, minimal):
     x, y = determinize(pair[0]), determinize(relabeled(pair[1], names))
     if minimal:
