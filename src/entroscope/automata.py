@@ -15,8 +15,9 @@ the core of ``determinize``, keys a subset of states by an int bitmask, and
 ``minimize`` refines its rows in numbered blocks, with no dead state,
 splitting on each popped block's in-moves a label at a time and relabelling
 only the smaller half of each split.  Both number states in ``_explore``,
-which returns rows, not a ``Dfa``: an operand's preparation builds only its
-minimal DFA, by ``_dfa``, which keeps the rows rather than sort them back out.
+which returns rows, not a ``Dfa``: ``_trim_rows``, the one route from an
+automaton to a DFA's rows, builds none, and ``minimize`` only its result, by
+``_dfa``, which keeps the rows rather than sort them back out.
 What the measures read works on int arrays (``Moves``): ``product_moves``
 walks an operand pair a breadth-first level at a time in numpy, with a dense
 int32 index of ``4 * nx * ny`` bytes for operands of ``nx`` and ``ny`` states
@@ -42,6 +43,9 @@ SILENT = ""
 CHI = "__chi__"
 
 Transition = tuple[int, str, int]
+
+#: A DFA as rows: per state ``{label: target}`` in sorted label order, the accepts and the start.
+_DfaRows = tuple[list[dict[str, int]], frozenset[int], int]
 
 
 class InfiniteLanguageError(ValueError):
@@ -168,14 +172,8 @@ class Dfa(Nfa):
 
     @cached_property
     def rows(self) -> list[dict[str, int]]:
-        """The partial transition function: per state, ``{label: target}`` in sorted label order.
-
-        ``_dfa`` hands its DFA the rows ``_explore`` filled; any other sorts each state's moves.
-        """
-        buckets: list[list[tuple[str, int]]] = [[] for _ in range(self.state_count)]
-        for p, lab, q in self.transitions:
-            buckets[p].append((lab, q))
-        return [dict(sorted(row)) for row in buckets]
+        """Per state, ``{label: target}`` in label order: ``_rows``, or what ``_dfa`` kept."""
+        return _rows(self)
 
     @cached_property
     def arrays(self) -> Moves:
@@ -186,6 +184,14 @@ class Dfa(Nfa):
         walked product, which can be large, keeps its moves in int32.
         """
         return _as_moves(self.rows, self.accepts, self.start)
+
+
+def _rows(a: Nfa) -> list[dict[str, int]]:
+    """``Dfa.rows`` of a deterministic ``a``: each state's moves sorted into ``{label: target}``."""
+    buckets: list[list[tuple[str, int]]] = [[] for _ in range(a.state_count)]
+    for p, lab, q in a.transitions:
+        buckets[p].append((lab, q))
+    return [dict(sorted(row)) for row in buckets]
 
 
 def _as_moves(rows: list[dict[str, int]], accepts: Iterable[int], start: int) -> Moves:
@@ -204,39 +210,19 @@ def _as_moves(rows: list[dict[str, int]], accepts: Iterable[int], start: int) ->
 
 
 def is_deterministic(a: Nfa) -> bool:
-    """True iff ``a`` has no silent move and no label with two successors.
-
-    This is the one determinism check: ``Dfa`` construction and ``as_dfa`` call it.
-    """
+    """True iff ``a`` has no silent move and no label with two successors: the one such check."""
     return len({(p, lab) for p, lab, _ in a.transitions if lab != SILENT}) == len(a.transitions)
 
 
-def as_dfa(a: Nfa) -> Dfa:
-    """A DFA for ``L(a)``, built by ``determinize(trim(a))`` only if ``a`` is nondeterministic.
+def _trim_rows(a: Nfa) -> _DfaRows:
+    """The rows, accepts and start of a trim DFA of ``L(a)``, with no ``Dfa`` built.
 
-    A ``Dfa`` is returned as it is, and an ``Nfa`` that passes
-    ``is_deterministic``, the one determinism check, is reinterpreted as one,
-    untrimmed, so ``recall``'s replay of a large spec pays for no trim.
-    ``recall`` passes its spec as it is, so a dead core of a nondeterministic
-    ``a`` is trimmed here, before the subset construction.
-    """
-    if isinstance(a, Dfa):
-        return a
-    if is_deterministic(a):
-        return Dfa(a.state_count, a.alphabet, a.transitions, a.start, a.accepts)
-    return determinize(trim(a))
-
-
-def _trim_rows(a: Nfa) -> tuple[list[dict[str, int]], frozenset[int], int]:
-    """The rows, accepts and start of a trim DFA of ``L(a)``: ``as_dfa(trim(a))``, trimmed once.
-
-    A deterministic ``trim(a)`` goes through ``as_dfa``; any other is read off
-    the subset construction, ``_subsets``, and no subset ``Dfa`` is built.
+    The one route to a DFA: a deterministic ``trim(a)`` gives its own rows, by
+    ``_rows``, which ``Dfa.rows`` also calls, and any other those of ``_subsets``.
     """
     t = trim(a)
     if isinstance(t, Dfa) or is_deterministic(t):
-        d = as_dfa(t)
-        return d.rows, d.accepts, d.start
+        return _rows(t), t.accepts, t.start
     return (*_subsets(t), 0)
 
 
@@ -384,13 +370,13 @@ def canonicalize(d: Dfa) -> Dfa:
 
 
 def minimize(d: Nfa) -> Dfa:
-    """Minimal trim DFA for ``L(d)``: Hopcroft refinement of ``as_dfa(trim(d))``'s partial function.
+    """Minimal trim DFA for ``L(d)``: Hopcroft refinement of the rows that ``_trim_rows(d)`` gives.
 
     ``_trim_rows`` trims ``d`` before the subset construction, so its subsets
     hold only useful states and the DFA is trim as built: a missing move is
     the only way to an empty future, and no dead state stands for it.  Its
-    rows, which a nondeterministic ``d`` gets straight from ``_subsets`` with
-    no subset ``Dfa`` built, are each state's outgoing moves, and one pass
+    rows come with no ``Dfa`` built, so the result is the one ``Dfa`` that
+    ``minimize`` builds.  They are each state's outgoing moves, and one pass
     over them lists each state's incoming ``(label, state)`` moves.  Blocks
     are numbered sets of states, and ``block_of`` gives each state's block
     number.  The partition starts as the accept states and the rest, and
@@ -625,21 +611,26 @@ def _topological_order(offsets: np.ndarray, targets: np.ndarray, start: int) -> 
 
 
 def has_finite_language(d: Nfa) -> bool:
-    """True iff ``as_dfa(trim(d))``, a trim DFA of ``L(d)``, has no directed cycle."""
+    """True iff the trim DFA of ``L(d)`` that ``_trim_rows`` gives has no directed cycle."""
     t = _as_moves(*_trim_rows(d))
     return _topological_order(t.offsets, t.targets, t.start) is not None
 
 
 def count_words(d: Nfa) -> int:
-    """Exact number of accepted words of a finite-language ``d``, counted on ``as_dfa(trim(d))``."""
+    """Exact number of accepted words of a finite-language ``d``, counted on ``_trim_rows(d)``."""
     return sum(_as_moves(*_trim_rows(d)).length_profile().values())
 
 
-def accepts(d: Dfa, word: Sequence[str]) -> bool:
-    """Replay ``word``; labels outside the alphabet simply fail to move."""
-    rows, state = d.rows, d.start
+def _replay(table: _DfaRows, word: Sequence[str]) -> bool:
+    """True iff ``word`` leads to an accept state of ``table``; a label with no move fails."""
+    rows, final, state = table
     for lab in word:
         state = rows[state].get(lab)
         if state is None:
             return False
-    return state in d.accepts
+    return state in final
+
+
+def accepts(d: Dfa, word: Sequence[str]) -> bool:
+    """Replay ``word`` on ``d``'s rows; labels outside the alphabet simply fail to move."""
+    return _replay((d.rows, d.accepts, d.start), word)

@@ -31,9 +31,10 @@ A specification and an event log (``precision``, ``recall``) are compared
 without an automaton of the log.  Their shared language, the numerator of
 both, is the set of distinct traces a specification DFA accepts on replay,
 where a label outside its alphabet fails to move.  Acceptance is a property
-of the language, so any DFA serves.  A call that replays leaves the measured
-numerator on the spec, and the next call with the same log object and kind
-takes it off: a pair measured both ways replays once and holds no log after.
+of the language, so any DFA serves: ``precision`` replays on ``spec.minimal``,
+``recall`` on ``automata._trim_rows(spec)``.  A call that replays leaves the
+measured numerator on the spec, and the next call with the same log object
+and kind takes it off: a pair measured both ways replays once, holding no log.
 """
 
 from __future__ import annotations
@@ -46,13 +47,13 @@ from enum import Enum
 from typing import Callable, Mapping
 
 from .automata import (
-    Dfa,
     InfiniteLanguageError,
     Moves,
     Nfa,
+    _DfaRows,
     _refuse_short_circuited,
-    accepts,
-    as_dfa,
+    _replay,
+    _trim_rows,
     minimize,  # not called here: the benchmark's tracer test checks that tracing restores it
     product_moves,
 )
@@ -149,12 +150,12 @@ def eig_short_circuit_measure(
     return stats.eigen
 
 
-def _shared_profile(spec: Dfa, log: EventLog) -> Counter[int]:
-    """Distinct traces per length that ``spec`` accepts."""
-    return Counter(len(trace) for trace, _ in log if accepts(spec, trace))
+def _shared_profile(table: _DfaRows, log: EventLog) -> Counter[int]:
+    """Distinct traces per length that the DFA ``table`` accepts."""
+    return Counter(len(trace) for trace, _ in log if _replay(table, trace))
 
 
-def _shared(spec: Nfa, log: EventLog, kind: MeasureKind, dfa: Callable[[], Dfa]) -> Measured:
+def _shared(spec: Nfa, log: EventLog, kind: MeasureKind, dfa: Callable[[], _DfaRows]) -> Measured:
     """Measure of the ``log`` traces that ``dfa()`` accepts, held on ``spec`` till its next call."""
     held, held_kind, shared = vars(spec).pop("_shared", (None,) * 3)
     if held is not log or held_kind is not kind:
@@ -240,8 +241,9 @@ def precision(
     """
     _refuse_short_circuited(spec)
     started = time.perf_counter()
-    numerator = _shared(spec, log, kind, lambda: spec.minimal)
-    denominator = measure(spec.minimal.arrays, kind, tol, max_iter)
+    m = spec.minimal
+    numerator = _shared(spec, log, kind, lambda: (m.rows, m.accepts, m.start))
+    denominator = measure(m.arrays, kind, tol, max_iter)
     return _assemble(kind, numerator, denominator, started)
 
 
@@ -254,16 +256,17 @@ def recall(
 
     Both languages are finite, so both are measured by their length
     profiles, as in ``precision``: the distinct traces that ``spec`` accepts
-    over all distinct traces.  The traces are replayed on ``as_dfa(spec)``,
-    not minimized, unless ``spec`` holds their measure for this ``log``
-    object and ``kind``, which it then drops, as ``precision`` does: a lone
-    ``recall`` keeps ``log`` alive until the next call on ``spec``.  There is
-    no power iteration to bound, and each side's stats describe the graph of
-    its length profile.  An empty log yields an undefined-flagged report.
+    over all distinct traces.  The traces are replayed on the rows of
+    ``automata._trim_rows(spec)``, with no ``Dfa`` built, unless ``spec``
+    holds their measure for this ``log`` object and ``kind``, which it then
+    drops, as ``precision`` does: a lone ``recall`` keeps ``log`` alive until
+    the next call on ``spec``.  There is no power iteration to bound, and each
+    side's stats describe its length profile's graph.  An empty log yields an
+    undefined-flagged report.
     """
     _refuse_short_circuited(spec)
     started = time.perf_counter()
-    numerator = _shared(spec, log, kind, lambda: as_dfa(spec))
+    numerator = _shared(spec, log, kind, lambda: _trim_rows(spec))
     denominator = _profile_measure(Counter(len(trace) for trace, _ in log), kind)
     return _assemble(kind, numerator, denominator, started)
 

@@ -13,9 +13,9 @@ from entroscope import (
     SILENT,
     Dfa,
     InfiniteLanguageError,
+    MeasureKind,
     Nfa,
     accepts,
-    as_dfa,
     count_words,
     determinize,
     has_finite_language,
@@ -24,6 +24,7 @@ from entroscope import (
     is_trim,
     minimize,
     prefix_tree_acceptor,
+    recall,
     trim,
 )
 from helpers import (
@@ -221,7 +222,7 @@ class TestMinimize:
             # A random start leaves states unreachable as well as dead.
             start = rng.randrange(d.state_count)
             d = type(d)(d.state_count, d.alphabet, d.transitions, start, d.accepts)
-            untrimmed += not is_trim(as_dfa(d))
+            untrimmed += not is_trim(d)
             assert minimize(d) == minimize(trim(d))
         assert untrimmed > 200
 
@@ -231,6 +232,27 @@ class TestMinimize:
         assert not is_deterministic(trim(spec))
         init = Dfa.__post_init__
         with mock.patch.object(Dfa, "__post_init__", autospec=True, wraps=init) as built:
+            m = spec.minimal
+        assert built.call_count == 1 and built.call_args.args[0] is m
+
+    @pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "retry"])
+    def test_a_query_builds_no_dfa_and_the_minimal_dfa_builds_only_itself(self, deterministic):
+        # Each query reads the rows that ``_trim_rows`` gives, deterministic
+        # operand or not; only ``minimal`` hands a ``Dfa`` out, so builds one.
+        dead_on_c = Nfa(4, frozenset(ABC), {(0, a, 1), (1, b, 2), (0, c, 3)}, 0, {2})
+        spec = dead_on_c if deterministic else retry_spec()
+        assert is_deterministic(spec) == deterministic
+        log = word_log(["ab", "abde", "c"])
+        init = Dfa.__post_init__
+        with mock.patch.object(Dfa, "__post_init__", autospec=True, wraps=init) as built:
+            for kind in MeasureKind:
+                recall(spec, log, kind)
+            if has_finite_language(spec):
+                count_words(spec)
+            else:
+                with pytest.raises(InfiniteLanguageError):
+                    count_words(spec)
+            assert built.call_count == 0
             m = spec.minimal
         assert built.call_count == 1 and built.call_args.args[0] is m
 

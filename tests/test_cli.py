@@ -16,7 +16,6 @@ from entroscope import (
     EventLog,
     MeasureKind,
     Nfa,
-    as_dfa,
     automata,
     eig_short_circuit_measure,
     minimize,
@@ -137,7 +136,7 @@ class TestMeasureCommands:
         spec = Nfa(n + 3, frozenset("ab"), moves, 0, frozenset({1}))
         path = tmp_path / "dead_core.json"
         path.write_text(write_automaton(spec), encoding="utf-8")
-        with mock.patch.object(automata, "determinize", wraps=automata.determinize) as spy:
+        with mock.patch.object(automata, "_subsets", wraps=automata._subsets) as spy:
             assert recall(spec, EventLog([("a",), ("b",)]), MeasureKind.CARDINALITY).value == 0.5
             assert automata.has_finite_language(spec)
             assert main(["cardinality", str(path)]) == 0
@@ -145,9 +144,9 @@ class TestMeasureCommands:
         out = capsys.readouterr().out
         assert out.startswith("cardinality = 1\n")
         assert "trim: false\n" in out and "finite_language: true\n" in out
-        # Only recall determinizes: the trimmed spec is deterministic for the others.
-        assert len(spy.call_args_list) == 1
-        assert all(automata.is_trim(c.args[0]) for c in spy.call_args_list)
+        # Every query trims first, and the trimmed spec is deterministic, so
+        # the subset construction never runs.
+        spy.assert_not_called()
 
     @pytest.mark.parametrize("command", ["precision", "coverage"])
     def test_an_empty_first_language_gives_an_undefined_quotient(
@@ -525,11 +524,11 @@ class TestFamilies:
     def test_bounded_repeat_language(self, capsys, tmp_path):
         assert main(["family", "bounded-repeat", "--x", "2", "--out", str(tmp_path)]) == 0
         spec = read_automaton((tmp_path / "bounded_repeat_02.json").read_text())
-        from entroscope import as_dfa, count_words
+        from entroscope import count_words
 
-        assert count_words(as_dfa(spec)) == 3
+        assert count_words(spec) == 3
         a, b = "a", "b"
-        words = bounded_language_dfa(as_dfa(spec), 4)
+        words = bounded_language_dfa(spec, 4)
         assert words == {(b,), (a, b), (a, a, b)}
         log_text = (tmp_path / "bounded_repeat_log.log").read_text()
         assert sorted(log_text.splitlines()) == ["a a b", "a b", "b"]
@@ -549,10 +548,8 @@ class TestFamilies:
         assert main(["family", "permutations", "--count", "120", "--out", str(tmp_path)]) == 0
         assert main(["family", "parallel-block", "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        from entroscope import as_dfa
-
-        explicit = as_dfa(read_automaton((tmp_path / "permutations_120.json").read_text()))
-        block = as_dfa(read_automaton((tmp_path / "parallel_block.json").read_text()))
+        explicit = read_automaton((tmp_path / "permutations_120.json").read_text())
+        block = read_automaton((tmp_path / "parallel_block.json").read_text())
         assert bounded_language_dfa(explicit, 5) == bounded_language_dfa(block, 5)
         # Both documents are written alike, byte for byte.
         block_bytes = (tmp_path / "parallel_block.json").read_bytes()
@@ -628,20 +625,20 @@ class TestFamilyClosedForms:
 
     def test_kleene(self, capsys, tmp_path):
         spec = read_automaton((_family(tmp_path, "kleene") / "kleene.json").read_text())
-        value = eig_short_circuit_measure(as_dfa(spec)).value
+        value = eig_short_circuit_measure(spec).value
         assert value == pytest.approx((1 + math.sqrt(5)) / 2, rel=1e-12)
 
     @pytest.mark.parametrize("count", [5, 7, 60, 120])
     def test_permutations(self, capsys, tmp_path, count):
         fam = _family(tmp_path, "permutations", "--count", str(count))
         spec = read_automaton((fam / f"permutations_{count:03d}.json").read_text())
-        value = eig_short_circuit_measure(as_dfa(spec)).value
+        value = eig_short_circuit_measure(spec).value
         assert value == pytest.approx(count ** (1 / 6), rel=1e-12)
 
     def test_parallel_block(self, capsys, tmp_path):
         fam = _family(tmp_path, "parallel-block")
         spec = read_automaton((fam / "parallel_block.json").read_text())
-        value = eig_short_circuit_measure(as_dfa(spec)).value
+        value = eig_short_circuit_measure(spec).value
         assert value == pytest.approx(120 ** (1 / 6), rel=1e-12)
 
     @pytest.mark.parametrize("kind", list(MeasureKind))

@@ -111,6 +111,7 @@ class TestTraceCheck:
 class TestMultiplicity:
     def test_extended_log_counts_duplicates(self):
         assert multiplicity(extended_log(), tuple("afe")) == 2
+        assert repr(extended_log()) == "EventLog(5 traces, 4 distinct)"
 
     def test_absent_trace_counts_zero(self):
         assert multiplicity(small_log(), tuple("afe")) == 0

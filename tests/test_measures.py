@@ -3,13 +3,17 @@ import gc
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
 import weakref
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from entroscope import (
@@ -511,6 +515,29 @@ def test_a_bool_bound_is_refused(name, spec, bounds, message):
     # so it would cap a solve at one power step or loosen ``tol`` to 1.
     with pytest.raises(ValueError, match=f"^{message}$"):
         BOUNDED_CALLS[name](spec(), **bounds)
+
+
+@pytest.mark.parametrize("tol", ["1e-9", None, 1e-9 + 0j], ids=["str", "None", "complex"])
+@pytest.mark.parametrize("spec", [two_word_spec, retry_spec], ids=["finite", "infinite"])
+@pytest.mark.parametrize("name", BOUNDED_CALLS)
+def test_a_tol_that_is_no_real_number_is_refused(name, spec, tol):
+    # ``math.isfinite`` raises ``TypeError`` on each, not the documented ``ValueError``.
+    message = re.escape(f"tol must be a finite number above 0, got {tol!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BOUNDED_CALLS[name](spec(), tol=tol)
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [Fraction(1, 10**9), Decimal("1e-9"), np.float32(1e-9)],
+    ids=["Fraction", "Decimal", "float32"],
+)
+@pytest.mark.parametrize("spec", [two_word_spec, retry_spec], ids=["finite", "infinite"])
+@pytest.mark.parametrize("name", BOUNDED_CALLS)
+def test_a_real_tol_of_another_type_is_taken(name, spec, tol):
+    result = BOUNDED_CALLS[name](spec(), tol=tol)
+    assert result.converged
+    assert result.value == pytest.approx(BOUNDED_CALLS[name](spec()).value, rel=1e-6)
 
 
 def nth_from_end(n: int, markers: str, alphabet: str, silent_skip: bool = False) -> Nfa:

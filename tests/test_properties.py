@@ -29,7 +29,6 @@ from entroscope import (
     MeasureReport,
     Nfa,
     accepts,
-    as_dfa,
     count_words,
     coverage,
     determinize,
@@ -232,7 +231,7 @@ def test_minimize_splits_by_the_whole_popped_block():
 @example(NO_ACCEPT)
 @example(DEAD_START)
 def test_trim_and_ergodic_agree_with_a_breadth_first_search(aut):
-    for a in (aut, as_dfa(aut), minimize(aut)):
+    for a in (aut, subset_dfa(aut), minimize(aut)):
         every = set(range(a.state_count))
         useful = reachable(a, [a.start]) & reachable(a, a.accepts, backward=True)
         canonical_empty = a.state_count == 1 and not a.transitions and not a.accepts
@@ -289,18 +288,6 @@ def test_pipeline_outputs_are_well_formed(aut):
     m = minimize(d)
     assert t.state_count >= 1
     assert m.state_count >= 1
-    assert as_dfa(d).state_count == d.state_count
-
-
-@settings(max_examples=150, deadline=None)
-@given(nfas())
-def test_as_dfa_keeps_a_dfa_and_determinizes_an_nfa(aut):
-    d = as_dfa(aut)
-    if is_deterministic(aut):
-        assert d == Dfa(aut.state_count, aut.alphabet, aut.transitions, aut.start, aut.accepts)
-    else:
-        assert d == determinize(trim(aut))
-    assert as_dfa(d) is d
 
 
 @settings(max_examples=300, deadline=None)
@@ -405,6 +392,10 @@ def test_log_measures_match_the_prefix_tree_pipeline(case):
         for field in ("numerator_value", "denominator_value", "value"):
             assert getattr(got, field) == getattr(want, field)
         assert got.undefined == want.undefined
+    # That ``recall`` took the numerator ``precision`` left; a lone one replays.
+    lone = recall(dataclasses.replace(spec), log)
+    for field in ("numerator_value", "denominator_value", "value", "undefined"):
+        assert getattr(lone, field) == getattr(want_r, field)
 
     shared = count_words(intersect(determinize(spec), tree))
     card_r = recall(spec, log, MeasureKind.CARDINALITY)
@@ -538,7 +529,7 @@ def relabeled(a: Nfa, names: str) -> Nfa:
     """``a`` with its labels ``a``, ``b``, ``c`` renamed to the labels in ``names``."""
     rename = dict(zip(ABC, names))
     moves = {(p, rename.get(lab, lab), q) for p, lab, q in a.transitions}
-    return Nfa(a.state_count, frozenset(map(rename.get, a.alphabet)), moves, a.start, a.accepts)
+    return type(a)(a.state_count, frozenset(map(rename.get, a.alphabet)), moves, a.start, a.accepts)
 
 
 A_STAR = Dfa(1, frozenset(ABC[:1]), frozenset({(0, ABC[0], 0)}), 0, frozenset({0}))
@@ -757,7 +748,7 @@ def counted_entries(d: Dfa) -> tuple[int, list[tuple[int, int, int]]]:
 @given(nfa_pairs())
 def test_measure_path_solves_the_short_circuited_product(pair):
     x, y = pair
-    mx, my = minimize(as_dfa(x)), minimize(as_dfa(y))
+    mx, my = minimize(x), minimize(y)
     # A minimal operand is its own product with itself, numbered alike.
     assert intersect(mx, mx) == mx and intersect(my, my) == my
     solved = []
@@ -792,7 +783,7 @@ def test_measure_path_solves_the_short_circuited_product(pair):
 @settings(max_examples=200, deadline=None)
 @given(nfa_pairs())
 def test_a_finite_operand_sends_no_matrix_to_the_power_iteration(pair):
-    mx, my = (minimize(as_dfa(a)) for a in pair)
+    mx, my = (minimize(a) for a in pair)
     if not (has_finite_language(mx) or has_finite_language(my)):
         return
     solved = []
@@ -817,7 +808,7 @@ A_STAR_THEN_A_OR_B = Nfa(2, frozenset(ABC), {(0, "a", 0), (0, "a", 1), (0, "b", 
 def test_the_solver_short_circuits_a_move_table_as_short_circuit_does(pair):
     # The solver counts each loop-back with the moves into its (row, col)
     # entry, as if it were the chi move of the short-circuited automaton.
-    mx, my = (minimize(as_dfa(a)) for a in pair)
+    mx, my = (minimize(a) for a in pair)
     for d in (mx, my):
         assert perron_frobenius(d.arrays) == perron_frobenius(adjacency_matrix(short_circuit(d)))
     sc = short_circuit(intersect(mx, my))
@@ -832,8 +823,8 @@ def test_the_solver_short_circuits_a_move_table_as_short_circuit_does(pair):
 def test_renaming_labels_leaves_the_solve_bit_identical(a, names):
     # Renaming reorders each state's moves but not the (row, col) entries
     # they count, which each row sums in column order.
-    d = minimize(as_dfa(a))
-    renamed = as_dfa(relabeled(d, "".join(names)))
+    d = minimize(a)
+    renamed = relabeled(d, "".join(names))
     assert matrix_entries(renamed.arrays) == matrix_entries(d.arrays)
     assert perron_frobenius(renamed.arrays) == perron_frobenius(d.arrays)
 
@@ -874,7 +865,7 @@ def test_topological_order_lists_the_reachable_states_unless_they_hold_a_cycle(t
 
 def profile_solves_a_finite_product_of_infinite_operands(x: Nfa, y: Nfa) -> bool:
     """Check the shared measure of such a pair against its walked product; False if not one."""
-    mx, my = minimize(as_dfa(x)), minimize(as_dfa(y))
+    mx, my = minimize(x), minimize(y)
     if has_finite_language(mx) or has_finite_language(my):
         return False
     product, _, _ = product_moves(mx, my)
