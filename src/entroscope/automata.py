@@ -218,11 +218,12 @@ def _trim_rows(a: Nfa) -> _DfaRows:
     """The rows, accepts and start of a trim DFA of ``L(a)``, with no ``Dfa`` built.
 
     The one route to a DFA: a deterministic ``trim(a)`` gives its own rows, by
-    ``_rows``, which ``Dfa.rows`` also calls, and any other those of ``_subsets``.
+    ``_rows``, which ``Dfa.rows`` also calls (a ``Dfa`` its cached ``rows``), and
+    any other those of ``_subsets``.  The rows are read, never changed.
     """
     t = trim(a)
     if isinstance(t, Dfa) or is_deterministic(t):
-        return _rows(t), t.accepts, t.start
+        return (t.rows if isinstance(t, Dfa) else _rows(t)), t.accepts, t.start
     return (*_subsets(t), 0)
 
 

@@ -17,11 +17,9 @@ an a-priori bound on the sum's rounding error certifies (assuming a libm
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import sys
 from dataclasses import dataclass
-from decimal import Decimal
 from typing import Mapping
 
 import numpy as np
@@ -60,14 +58,17 @@ def _check_bounds(tol: float, max_iter: int) -> None:
     Otherwise a solve would fail inside ``range``, stop at its first step or run to the cap,
     and ``math.isfinite`` would raise ``TypeError`` on a string, ``None`` or a complex ``tol``.
     A bool is neither, as in ``EventLog``: ``True`` would cap a solve at one step or set
-    ``tol`` to 1.  A ``Decimal`` counts as real, though ``numbers.Real`` leaves it out.
+    ``tol`` to 1.
     """
     if isinstance(max_iter, bool) or not hasattr(type(max_iter), "__index__"):
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if operator.index(max_iter) < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    real = isinstance(tol, (numbers.Real, Decimal)) and not isinstance(tol, (bool, np.bool_))
-    if not (real and math.isfinite(tol) and tol > 0):
+    try:
+        ok = math.isfinite(tol) and tol > 0
+    except TypeError:
+        ok = False
+    if isinstance(tol, (bool, np.bool_)) or not ok:
         raise ValueError(f"tol must be a finite number above 0, got {tol!r}")
 
 

@@ -222,7 +222,7 @@ class TestMinimize:
             # A random start leaves states unreachable as well as dead.
             start = rng.randrange(d.state_count)
             d = type(d)(d.state_count, d.alphabet, d.transitions, start, d.accepts)
-            untrimmed += not is_trim(d)
+            untrimmed += is_deterministic(d) and not is_trim(d)
             assert minimize(d) == minimize(trim(d))
         assert untrimmed > 200
 

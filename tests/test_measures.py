@@ -529,8 +529,8 @@ def test_a_tol_that_is_no_real_number_is_refused(name, spec, tol):
 
 @pytest.mark.parametrize(
     "tol",
-    [Fraction(1, 10**9), Decimal("1e-9"), np.float32(1e-9)],
-    ids=["Fraction", "Decimal", "float32"],
+    [Fraction(1, 10**9), Decimal("1e-9"), np.float32(1e-9), np.array(1e-9)],
+    ids=["Fraction", "Decimal", "float32", "0-d array"],
 )
 @pytest.mark.parametrize("spec", [two_word_spec, retry_spec], ids=["finite", "infinite"])
 @pytest.mark.parametrize("name", BOUNDED_CALLS)
