@@ -9,7 +9,6 @@ from .automata import (
     Nfa,
     accepts,
     count_words,
-    determinize,
     has_finite_language,
     is_deterministic,
     is_ergodic,
@@ -48,7 +47,6 @@ __all__ = [
     "accepts",
     "count_words",
     "coverage",
-    "determinize",
     "distinct_language",
     "eig_short_circuit_measure",
     "has_finite_language",

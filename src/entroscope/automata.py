@@ -492,7 +492,8 @@ def product_moves(x: Dfa, y: Dfa) -> tuple[Moves, bool, bool]:
     the moves into it (numpy leaves open which write of a repeated fancy index
     wins), so a new pair is kept at its first move.  Pairs that ``_live``'s
     sweep from the accepting pairs leaves unmarked are dropped and the rest
-    keep their order, as in ``trim``; a dead start leaves one state with no move.
+    keep their order, as in ``trim``.  A dead start leaves no pair live, and
+    one state with no move, as the count is floored at 1.
 
     The flags are ``L(x) <= L(y)`` and ``L(y) <= L(x)``, read off all reached
     pairs after the walk: the first is false if a reached pair has an accept
@@ -540,14 +541,11 @@ def product_moves(x: Dfa, y: Dfa) -> tuple[Moves, bool, bool]:
     y_in_x = not (in_y > in_x).any() and bool((matched == y_degree[py]).all())
     accept = np.flatnonzero(in_x & in_y).astype(np.int32)
     live = _live(found, source, target, accept)
-    if not live[0]:
-        source = column = target = accept = source[:0]
-        found = 1
-    elif not live.all():
+    if not live.all():
         kept = live[target]  # a move into a live pair leaves a live pair
         number = np.cumsum(live, dtype=np.int32) - 1
         source, column, target = number[source[kept]], column[kept], number[target[kept]]
-        accept, found = number[accept], int(number[-1]) + 1
+        accept, found = number[accept], max(int(number[-1]) + 1, 1)
     offsets = np.searchsorted(source, np.arange(found + 1))
     return Moves(labels, offsets, source, column, target, accept), x_in_y, y_in_x
 

@@ -155,9 +155,9 @@ def _run_quotient_command(args: argparse.Namespace) -> int:
     else:
         spec, log = _read(args.spec, Nfa)[0], _read(args.log, EventLog)[0]
         if args.command == "recall":
-            report = recall(spec, log, MeasureKind(args.measure))
+            report = recall(spec, log, args.measure)
         else:
-            report = precision(spec, log, MeasureKind(args.measure), args.tol, args.max_iter)
+            report = precision(spec, log, args.measure, args.tol, args.max_iter)
     if not report.converged:  # never in recall, which runs no power iteration
         _warn_unconverged(args.max_iter)
     _print_report(args.command, report, args)

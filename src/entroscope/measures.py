@@ -72,7 +72,7 @@ class MeasureKind(Enum):
     """Which language measure instantiates the quotient.
 
     Each value is the measure's one token: the CLI's ``--measure`` choice,
-    read back with ``MeasureKind(token)``, and the ``kind`` field of a report.
+    which ``precision`` and ``recall`` read, and a report's ``kind`` field.
     """
 
     CARDINALITY = "card"
@@ -157,6 +157,8 @@ def _shared_profile(table: _DfaRows, log: EventLog) -> Counter[int]:
 
 def _shared(spec: Nfa, log: EventLog, kind: MeasureKind, dfa: Callable[[], _DfaRows]) -> Measured:
     """Measure of the ``log`` traces that ``dfa()`` accepts, held on ``spec`` till its next call."""
+    if not isinstance(log, EventLog):
+        raise TypeError(f"log must be an EventLog, not {type(log).__name__}")
     held, held_kind, shared = vars(spec).pop("_shared", (None,) * 3)
     if held is not log or held_kind is not kind:
         shared = _profile_measure(_shared_profile(dfa(), log), kind)
@@ -218,7 +220,7 @@ def _assemble(
 def precision(
     spec: Nfa,
     log: EventLog,
-    kind: MeasureKind = MeasureKind.SHORT_CIRCUIT_EIGENVALUE,
+    kind: MeasureKind | str = MeasureKind.SHORT_CIRCUIT_EIGENVALUE,
     tol: float = DEFAULT_TOLERANCE,
     max_iter: int = DEFAULT_MAX_ITERATIONS,
 ) -> MeasureReport:
@@ -236,9 +238,10 @@ def precision(
     accepted length plus one, and ``transitions`` that length plus the
     number of distinct lengths.
 
-    An empty specification language yields an undefined-flagged report; the
-    cardinality kind additionally rejects infinite specification languages.
+    ``kind`` is a ``MeasureKind`` or its token.  An empty specification
+    language is flagged undefined; the cardinality kind rejects an infinite one.
     """
+    kind = MeasureKind(kind)
     _refuse_short_circuited(spec)
     started = time.perf_counter()
     m = spec.minimal
@@ -250,7 +253,7 @@ def precision(
 def recall(
     spec: Nfa,
     log: EventLog,
-    kind: MeasureKind = MeasureKind.SHORT_CIRCUIT_EIGENVALUE,
+    kind: MeasureKind | str = MeasureKind.SHORT_CIRCUIT_EIGENVALUE,
 ) -> MeasureReport:
     """Measure of the shared behaviour over the recorded behaviour.
 
@@ -261,9 +264,10 @@ def recall(
     holds their measure for this ``log`` object and ``kind``, which it then
     drops, as ``precision`` does: a lone ``recall`` keeps ``log`` alive until
     the next call on ``spec``.  There is no power iteration to bound, and each
-    side's stats describe its length profile's graph.  An empty log yields an
-    undefined-flagged report.
+    side's stats describe its length profile's graph.  ``kind`` is read as in
+    ``precision``.  An empty log yields an undefined-flagged report.
     """
+    kind = MeasureKind(kind)
     _refuse_short_circuited(spec)
     started = time.perf_counter()
     numerator = _shared(spec, log, kind, lambda: _trim_rows(spec))

@@ -1,7 +1,7 @@
 """Shared test machinery: independent language oracles and random generators.
 
-The oracles here deliberately avoid the library's own algorithms: NFA
-acceptance is a plain breadth-first replay over raw transition triples, so
+The oracles here deliberately avoid the library's own algorithms: an NFA
+replays a word as a plain set of states over raw transition triples, so
 determinization, minimization, and intersection can be checked against it.
 """
 
@@ -41,16 +41,6 @@ def _closure(a: Nfa, states: set[int]) -> frozenset[int]:
 def _step(a: Nfa, states: frozenset[int], lab: str) -> frozenset[int]:
     """States after ``lab`` from ``states``, silent closure included."""
     return _closure(a, {dst for src, lab2, dst in a.transitions if src in states and lab2 == lab})
-
-
-def nfa_accepts(a: Nfa, word: tuple[str, ...]) -> bool:
-    """Oracle acceptance: subset replay with silent closure, no powerset DFA."""
-    current = _closure(a, {a.start})
-    for lab in word:
-        current = _step(a, current, lab)
-        if not current:
-            return False
-    return bool(current & a.accepts)
 
 
 def language_included(x: Nfa, y: Nfa) -> bool:

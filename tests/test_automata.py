@@ -6,7 +6,13 @@ from unittest import mock
 
 import pytest
 
-from entroscope.automata import canonicalize, intersect, product_moves, short_circuit
+from entroscope.automata import (
+    canonicalize,
+    determinize,
+    intersect,
+    product_moves,
+    short_circuit,
+)
 from entroscope.formats import read_automaton
 from entroscope import (
     CHI,
@@ -17,7 +23,6 @@ from entroscope import (
     Nfa,
     accepts,
     count_words,
-    determinize,
     has_finite_language,
     is_deterministic,
     is_ergodic,

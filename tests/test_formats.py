@@ -17,13 +17,12 @@ from entroscope import (
     EventLog,
     MeasureKind,
     Nfa,
-    determinize,
     is_deterministic,
     minimize,
     precision,
     recall,
 )
-from entroscope.automata import short_circuit
+from entroscope.automata import determinize, short_circuit
 from entroscope.formats import (
     FormatError,
     export_dot,

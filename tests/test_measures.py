@@ -26,7 +26,6 @@ from entroscope import (
     MeasureKind,
     Nfa,
     coverage,
-    determinize,
     eig_short_circuit_measure,
     minimize,
     perron_frobenius,
@@ -36,7 +35,7 @@ from entroscope import (
     trim,
 )
 from entroscope import automata, measures
-from entroscope.automata import product_moves, short_circuit
+from entroscope.automata import determinize, product_moves, short_circuit
 from entroscope.formats import report_fields
 from helpers import (
     all_words_of_length,
@@ -205,7 +204,7 @@ def without_runtime(report):
     return dataclasses.replace(report, runtime_ms=0.0)
 
 
-def outcome(call, spec: Nfa, log: EventLog, kind: MeasureKind):
+def outcome(call, spec: Nfa, log: EventLog, kind: MeasureKind | str):
     """The report of ``call`` without its runtime, or the type of what it raised."""
     try:
         return without_runtime(call(spec, log, kind))
@@ -281,6 +280,46 @@ class TestSharedNumerator:
         finally:
             tracemalloc.stop()
         assert held < size / 4
+
+
+class TestMeasureKindTokens:
+    """``precision`` and ``recall`` take a ``MeasureKind`` or its token, and nothing else."""
+
+    @pytest.mark.parametrize("kind", [EIG, CARD], ids=["eig", "card"])
+    @pytest.mark.parametrize("call", [precision, recall])
+    @pytest.mark.parametrize("spec", [two_word_spec, retry_spec], ids=["finite", "infinite"])
+    def test_a_token_reports_what_its_member_does(self, spec, call, kind):
+        # The whole report but its runtime: value, kind and both sides' stats,
+        # or the error that both raise.
+        log = small_log()
+        assert outcome(call, spec(), log, kind.value) == outcome(call, spec(), log, kind)
+
+    @pytest.mark.parametrize("kind", ["cardinality", None])
+    @pytest.mark.parametrize("call", [precision, recall])
+    def test_anything_else_is_refused(self, call, kind):
+        with pytest.raises(ValueError, match="is not a valid MeasureKind$"):
+            call(two_word_spec(), small_log(), kind)
+
+
+#: Logs that are no ``EventLog``: a list of one trace pair, a list of traces, a dict.
+NOT_EVENT_LOGS = [[("a", "b")], [tuple("abde"), tuple("abcde")], {tuple("abde"): 1}]
+
+
+@pytest.mark.parametrize("log", NOT_EVENT_LOGS, ids=["pair", "traces", "dict"])
+@pytest.mark.parametrize("call", [precision, recall])
+def test_a_log_that_is_no_event_log_is_refused(call, log):
+    # Read as ``(trace, multiplicity)`` pairs, ``("a", "b")`` would be trace
+    # "a" once, and longer traces would not unpack.
+    with pytest.raises(TypeError, match=f"^log must be an EventLog, not {type(log).__name__}$"):
+        call(two_word_spec(), log)
+
+
+def test_a_refused_log_leaves_the_held_numerator():
+    spec, log = two_word_spec(), small_log()
+    precision(spec, log)
+    with pytest.raises(TypeError):
+        recall(spec, [tuple("abde")])
+    assert replays(lambda: recall(spec, log)) == 0
 
 
 def same_length_log(count: int, length: int) -> EventLog:

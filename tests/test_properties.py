@@ -15,6 +15,7 @@ from entroscope.automata import (
     _live,
     _topological_order,
     canonicalize,
+    determinize,
     intersect,
     product_moves,
     short_circuit,
@@ -31,7 +32,6 @@ from entroscope import (
     accepts,
     count_words,
     coverage,
-    determinize,
     eig_short_circuit_measure,
     has_finite_language,
     is_deterministic,

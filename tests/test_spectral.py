@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from entroscope import (
     Dfa,
     Moves,
-    determinize,
     is_ergodic,
     length_profile_eigenvalue,
     minimize,
     perron_frobenius,
     spectral,
 )
-from entroscope.automata import short_circuit
+from entroscope.automata import determinize, short_circuit
 from entroscope.spectral import adjacency_matrix
 from helpers import (
     count_words_of_length,

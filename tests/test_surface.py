@@ -31,7 +31,6 @@ SURFACE = [
     "accepts",
     "count_words",
     "coverage",
-    "determinize",
     "distinct_language",
     "eig_short_circuit_measure",
     "has_finite_language",
@@ -63,6 +62,7 @@ DELETED = {
 UNEXPORTED = {
     "adjacency_matrix": "entroscope.spectral",
     "canonicalize": "entroscope.automata",
+    "determinize": "entroscope.automata",
     "intersect": "entroscope.automata",
     "short_circuit": "entroscope.automata",
 }
