@@ -153,10 +153,13 @@ class Nfa:
         """The minimal trim DFA of the language: ``minimize(self)``, the one ``Dfa`` it builds.
 
         Built on first use and kept with this automaton, so each operand of
-        several measures is minimized once, and ``coverage`` keeps one product
-        with it, so that a pair measured both ways is walked and solved once.
+        several measures is minimized once.
         """
         return minimize(self)
+
+    def __getstate__(self) -> dict:
+        """Fields and built views, not the ``_``-named held results: weak keys cannot pickle."""
+        return {name: v for name, v in vars(self).items() if not name.startswith("_")}
 
 
 @dataclass(frozen=True)

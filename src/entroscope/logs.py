@@ -28,7 +28,7 @@ def _unreserved_labels(trace: tuple) -> bool:
 class EventLog:
     """Finite multiset of traces, each checked here; multiplicities are positive integers."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "__weakref__")
 
     def __init__(self, entries: Mapping[tuple[str, ...], int] | Iterable[tuple[str, ...]] = ()):
         counts: dict[tuple[str, ...], int] = {}

@@ -13,12 +13,11 @@ measuring a pair both ways minimizes each operand once.  Their intersection
 is measured short-circuited.  One ``automata.product_moves`` walk per pair,
 on int arrays, gives the trim product, never built as a ``Dfa``, whose
 eigenvalue is that of its minimal quotient, and tells whether either
-operand's language lies inside the other's; if the first's does, it is the
-shared language and its own solve serves.  A pair measured both ways is
-walked and solved once: ``coverage(x, y)`` leaves the product with
-``y.minimal`` for ``coverage(y, x)``.  The chi moves are added only after
-intersecting, so the loop-back marker is never part of the compared
-languages.
+operand's language lies inside the other's.  A contained operand's own
+table measures the shared language, and the product only where there is
+none, so the shared language gets one number whichever way round.  The chi
+moves are added only after intersecting, so the loop-back marker is never
+part of the compared languages.
 
 ``measure`` measures every automaton's language from its ``Moves``, the
 walked product's or a minimal operand's own, and the table picks the
@@ -32,15 +31,17 @@ without an automaton of the log.  Their shared language, the numerator of
 both, is the set of distinct traces a specification DFA accepts on replay,
 where a label outside its alphabet fails to move.  Acceptance is a property
 of the language, so any DFA serves: ``precision`` replays on ``spec.minimal``,
-``recall`` on ``automata._trim_rows(spec)``.  A call that replays leaves the
-measured numerator on the spec, and the next call with the same log object
-and kind takes it off: a pair measured both ways replays once, holding no log.
+``recall`` on ``automata._trim_rows(spec)``.  A pair of either sort measured
+both ways is replayed, or walked and solved, once: the first call leaves its
+shared measure on its operand, weakly keyed by the partner, for the reverse
+call to take off, and ``Nfa.__getstate__`` never pickles it.
 """
 
 from __future__ import annotations
 
 import math
 import time
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -156,13 +157,13 @@ def _shared_profile(table: _DfaRows, log: EventLog) -> Counter[int]:
 
 
 def _shared(spec: Nfa, log: EventLog, kind: MeasureKind, dfa: Callable[[], _DfaRows]) -> Measured:
-    """Measure of the ``log`` traces that ``dfa()`` accepts, held on ``spec`` till its next call."""
+    """Measure of the ``log`` traces that ``dfa()`` accepts, held on ``spec`` under a weak key."""
     if not isinstance(log, EventLog):
         raise TypeError(f"log must be an EventLog, not {type(log).__name__}")
     held, held_kind, shared = vars(spec).pop("_shared", (None,) * 3)
-    if held is not log or held_kind is not kind:
+    if held is None or held() is not log or held_kind is not kind:
         shared = _profile_measure(_shared_profile(dfa(), log), kind)
-        vars(spec)["_shared"] = (log, kind, shared)
+        vars(spec)["_shared"] = (weakref.ref(log), kind, shared)
     return shared
 
 
@@ -230,13 +231,11 @@ def precision(
     measured by its length profile, and so is a finite specification: a log
     over its own prefix tree gives exactly 1.0.  The traces are replayed on
     ``spec.minimal`` unless ``spec`` holds their measure for this ``log``
-    object and ``kind``, which it then drops: a lone ``precision`` keeps
-    ``log`` alive until the next call on ``spec`` (ROADMAP item 11), and a
-    ``recall`` with the same log releases it.  ``tol`` and ``max_iter``
-    govern only an infinite specification's power iteration.  The numerator
-    stats describe the length profile's graph: ``states`` is the longest
-    accepted length plus one, and ``transitions`` that length plus the
-    number of distinct lengths.
+    object and ``kind``, which it then drops; it holds ``log`` weakly.
+    ``tol`` and ``max_iter`` govern only an infinite specification's power
+    iteration.  The numerator stats describe the length profile's graph:
+    ``states`` is the longest accepted length plus one, and ``transitions``
+    that length plus the number of distinct lengths.
 
     ``kind`` is a ``MeasureKind`` or its token.  An empty specification
     language is flagged undefined; the cardinality kind rejects an infinite one.
@@ -262,10 +261,9 @@ def recall(
     over all distinct traces.  The traces are replayed on the rows of
     ``automata._trim_rows(spec)``, with no ``Dfa`` built, unless ``spec``
     holds their measure for this ``log`` object and ``kind``, which it then
-    drops, as ``precision`` does: a lone ``recall`` keeps ``log`` alive until
-    the next call on ``spec``.  There is no power iteration to bound, and each
-    side's stats describe its length profile's graph.  ``kind`` is read as in
-    ``precision``.  An empty log yields an undefined-flagged report.
+    drops, as ``precision`` does.  There is no power iteration to bound, and
+    each side's stats describe its length profile's graph.  ``kind`` is read
+    as in ``precision``.  An empty log yields an undefined-flagged report.
     """
     kind = MeasureKind(kind)
     _refuse_short_circuited(spec)
@@ -284,33 +282,32 @@ def coverage(
     """Share of the first system's behaviour that the second one covers.
 
     The eigenvalue precision of ``x`` against ``y`` is ``coverage(x, y)``,
-    and its recall is ``coverage(y, x)``.  Equals 1.0 exactly when ``L(x)``
-    is contained in ``L(y)``: then the shared language is ``L(x)`` and one
-    solve serves both sides, so the numerator stats are those of ``x``.
-    Minimal operands are trim, so their one product walk decides that
-    inclusion both ways.  Otherwise the numerator stats describe the trim
-    product of the two minimal automata, short-circuited, which is walked
-    and solved but never built as a ``Dfa`` or minimized; it is measured
-    like an operand, so a finite product is solved exactly by its length
-    profile even where both operands are infinite, as for ``a*b & ab*``.  An
-    empty ``L(x)`` is reported as undefined.
+    and its recall is ``coverage(y, x)``.  Minimal operands are trim, so
+    their one product walk decides inclusion both ways, and the shared
+    language is measured by one rule whichever way round.  If ``L(x)`` lies
+    inside ``L(y)``, one solve of ``x`` serves both sides and the value is
+    exactly 1.0; else if ``L(y)`` lies inside ``L(x)``, ``y.minimal``'s
+    table is solved; else the trim product of the two minimal automata,
+    short-circuited, which is walked but never built as a ``Dfa`` or
+    minimized.  The numerator stats describe the table solved.  The product
+    is measured like an operand, so a finite product is solved exactly by
+    its length profile even where both operands are infinite, as for
+    ``a*b & ab*``.  An empty ``L(x)`` is reported as undefined.
 
-    A pair measured both ways is walked and solved once: the walked product,
-    its measure if solved and the flag ``L(y) <= L(x)`` are left on
-    ``y.minimal`` and taken off by the next ``coverage`` whose first operand
-    is ``y``.  They serve only ``coverage(y, x)`` with the same
-    ``x.minimal``, ``tol`` and ``max_iter``, which gives the report that a
-    walk would.
+    A pair measured both ways is walked and solved once: the shared measure
+    and the flag ``L(y) <= L(x)`` are left on ``y``, keyed by a weak
+    reference to ``x``, and serve only the next ``coverage`` whose first
+    operand is ``y``, if it is ``coverage(y, x)`` with the same ``tol`` and
+    ``max_iter``; it gives the report that a walk would.
     """
     _refuse_short_circuited(x, y)
     kind = MeasureKind.SHORT_CIRCUIT_EIGENVALUE
     started = time.perf_counter()
     m_x, m_y = x.minimal, y.minimal
     own = measure(m_x.arrays, kind, tol, max_iter)
-    partner, bounds, moves, product, x_in_y = vars(m_x).pop("_reverse", (None,) * 5)
-    if partner is not m_y or bounds != (tol, max_iter):
+    partner, bounds, shared, x_in_y = vars(x).pop("_reverse", (None,) * 4)
+    if partner is None or partner() is not y or bounds != (tol, max_iter):
         moves, x_in_y, y_in_x = product_moves(m_x, m_y)
-        product = None if x_in_y else measure(moves, kind, tol, max_iter)
-        vars(m_y)["_reverse"] = (m_x, (tol, max_iter), moves, product, y_in_x)
-    shared = own if x_in_y else product or measure(moves, kind, tol, max_iter)
-    return _assemble(kind, shared, own, started)
+        shared = own if x_in_y else measure(m_y.arrays if y_in_x else moves, kind, tol, max_iter)
+        vars(y)["_reverse"] = (weakref.ref(x), (tol, max_iter), shared, y_in_x)
+    return _assemble(kind, own if x_in_y else shared, own, started)

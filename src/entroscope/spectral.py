@@ -26,7 +26,8 @@ import numpy as np
 
 from .automata import Dfa, Moves
 
-#: Relative Rayleigh-quotient change below which a solve counts as converged.
+#: A power iteration converges once its relative Rayleigh-quotient change and its
+#: relative eigen-residual are both at most this.
 DEFAULT_TOLERANCE = 1e-9
 
 #: Iteration cap; non-convergence is flagged, never raised.
@@ -83,9 +84,12 @@ def perron_frobenius(
     accepts and ``j`` is the start.  The codes ``i * order + j`` of the moves
     and loop-backs are sorted and counted in runs, so each row sums its
     entries in column order, whatever the labels.  Starts from the all-ones
-    vector, so runs are deterministic.  At the iteration cap the best estimate
-    is returned with ``converged=False``, not raised.  The bounds are checked
-    by ``_check_bounds``, which ``measures.measure`` calls before any solve.
+    vector, so runs are deterministic.  A solve converges once the relative
+    Rayleigh-quotient change and the relative eigen-residual
+    ``|(M + I)x - lambda x| / lambda`` are both at most ``tol``; ``residual``
+    is the larger.  At the cap the best estimate is returned with
+    ``converged=False``, not raised.  The bounds are checked by
+    ``_check_bounds``, which ``measures.measure`` calls before any solve.
     """
     _check_bounds(tol, max_iter)
     order, moved = m.order, m.targets.size

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -406,6 +407,17 @@ class TestCoverage:
         report = coverage(empty_language_automaton(), retry_spec())
         assert report.undefined
 
+    def test_a_contained_partner_is_measured_on_its_own_minimal_dfa(self):
+        # c*|a against c*: a solve on their 2-state trim product gives c* as
+        # 2.0000000000000004, one on c*'s own one-state table the closed form.
+        abc = frozenset("abc")
+        x = Nfa(3, abc, {(0, SILENT, 1), (1, "c", 1), (0, "a", 2)}, 0, {1, 2})
+        y = Nfa(1, abc, {(0, "c", 0)}, 0, {0})
+        report = coverage(x, y)
+        assert report.numerator_value == 2.0
+        assert report.numerator == coverage(y, x).denominator
+        assert report.value == 0.8900837358252576
+
 
 def test_each_operand_is_minimized_once():
     def minimized(run) -> list:
@@ -484,7 +496,40 @@ def test_a_long_lived_operand_keeps_at_most_one_partner_alive():
         partners.append(weakref.ref(partner.minimal))
         del partner
     gc.collect()
-    assert sum(ref() is not None for ref in partners) <= 1
+    assert sum(ref() is not None for ref in partners) == 0
+
+
+@pytest.mark.parametrize("call", [precision, recall])
+def test_a_lone_log_quotient_leaves_the_log_to_its_caller(call):
+    spec, log = retry_spec(), small_log()
+    call(spec, log)
+    held = weakref.ref(log)
+    del log
+    gc.collect()
+    assert held() is None
+
+
+def test_coverage_keeps_no_walked_product():
+    walked = []
+
+    def spy(x, y):
+        moves, *flags = product_moves(x, y)
+        walked.append(weakref.ref(moves.targets))
+        return (moves, *flags)
+
+    x, y = flexible_spec(), retry_spec()  # neither language lies inside the other
+    with mock.patch.object(measures, "product_moves", spy):
+        coverage(x, y)
+    assert len(walked) == 1 and walked[0]() is None
+
+
+def test_measured_automata_pickle_without_held_results():
+    spec, log, x, y = retry_spec(), small_log(), flexible_spec(), retry_spec()
+    precision(spec, log), coverage(x, y)
+    for a in (spec, x, y):
+        back = pickle.loads(pickle.dumps(a))
+        assert back == a and back.minimal == a.minimal
+        assert not [name for name in vars(back) if name.startswith("_")]
 
 
 #: Every entry point that takes an automaton, called with a short-circuited one.
